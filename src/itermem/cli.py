@@ -2,7 +2,8 @@
 
 Every subcommand prints a short human summary to stdout and can mirror a
 machine-readable summary to --json-out.  Exit codes: 0 success/verified,
-1 verification failed, 2 usage error, 3 resource limit.
+1 verification failed, 2 usage error, 3 resource limit, 4 any other
+exception (its type is printed, so a crash never reads as a verdict).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bounds import bounds_table
-from .complexes import ChromaticComplex
+from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex
 from .encoding import lower_bound_rounds
 from .errors import (
     AmbiguousDecode,
@@ -295,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="generator seed")
     common.add_argument(
-        "--max-facets", type=int, default=10**6, help="facet budget for enumerations"
+        "--max-facets",
+        type=int,
+        default=DEFAULT_MAX_FACETS,
+        help="facet budget for enumerations",
     )
     common.add_argument("--json-out", help="write a JSON summary to this path")
 
@@ -385,6 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# first matching entry wins; any other exception exits 4
+_EXIT_CODES = (
+    (AmbiguousDecode, "verification failed", 1),
+    (ResourceLimit, "resource limit", 3),
+    ((ItermemError, OSError, json.JSONDecodeError), "error", 2),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -393,21 +405,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except AmbiguousDecode as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    except ResourceLimit as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 3
-    except (InvalidParameters, UnsupportedFormat) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ItermemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        for kind, prefix, code in _EXIT_CODES:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -25,6 +25,8 @@ from .errors import (
 
 Simplex = frozenset  # frozenset[int] of vids
 
+DEFAULT_MAX_FACETS = 10**6
+
 
 @dataclass(frozen=True)
 class Vertex:
@@ -36,12 +38,23 @@ class Vertex:
 
 
 def _maximal(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
-    """Drop every simplex contained in another one."""
-    by_size = sorted(set(simplices), key=len, reverse=True)
+    """Drop empty simplices and every simplex contained in another one.
+
+    Distinct simplices of one size are never nested, so a family of one
+    size comes back as it is.  Otherwise simplices are kept largest first,
+    each compared only with the kept simplices through one of its vertices:
+    a superset passes through all of them.
+    """
+    family = frozenset(s for s in simplices if s)
+    if len({len(s) for s in family}) <= 1:
+        return family
+    through: dict[int, list[Simplex]] = {}
     out: list[Simplex] = []
-    for s in by_size:
-        if not any(s < t for t in out):
+    for s in sorted(family, key=len, reverse=True):
+        if not any(s < t for t in through.get(next(iter(s)), ())):
             out.append(s)
+            for v in s:
+                through.setdefault(v, []).append(s)
     return frozenset(out)
 
 
@@ -72,11 +85,10 @@ class ChromaticComplex:
             colors = [table[vid].color for vid in f]
             if len(set(colors)) != len(colors):
                 raise DuplicateColorInFacet(f"facet {sorted(f)} repeats a color")
-        for a, b in itertools.combinations(facet_set, 2):
-            if a < b or b < a:
-                raise FacetContainment(
-                    f"facet {sorted(min(a, b, key=len))} is contained in another facet"
-                )
+        nested = facet_set - _maximal(facet_set)
+        if nested:
+            least = sorted(min(nested, key=lambda s: (len(s), sorted(s))))
+            raise FacetContainment(f"facet {least} is contained in another facet")
         self.vertices: dict[int, Vertex] = table
         self.facets: frozenset[Simplex] = facet_set
         self._faces: frozenset[Simplex] | None = None
@@ -182,10 +194,10 @@ class ChromaticComplex:
         for vid in self.vertices.keys() & other.vertices.keys():
             if self.vertices[vid] != other.vertices[vid]:
                 raise IncompatibleVertexSpaces(f"vid {vid} has conflicting vertex data")
-        common = [f & g for f in self.facets for g in other.facets]
+        common = (f & g for f in self.facets for g in other.facets)
         merged = dict(self.vertices)
         merged.update(other.vertices)
-        return ChromaticComplex(merged, _maximal(c for c in common if c))
+        return ChromaticComplex(merged, _maximal(common))
 
     # -- dunder ----------------------------------------------------------
 

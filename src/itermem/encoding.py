@@ -107,10 +107,8 @@ def distinguishable_subcomplex(
     A face is distinguishable under one function iff all its vertices are, so
     per function the distinguishable faces are generated by {F ∩ D : F facet}.
     """
-    gen = []
-    for enc in seq:
-        good = _distinguishable_vids(c, enc)
-        gen.extend(f & good for f in c.facets if f & good)
+    goods = (_distinguishable_vids(c, enc) for enc in seq)
+    gen = (f & good for good in goods for f in c.facets)
     return ChromaticComplex(c.vertices, _maximal(gen))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .complexes import ChromaticComplex, Simplex, Vertex, _maximal, build_complex
+from .complexes import ChromaticComplex, Simplex, Vertex, build_complex
 from .errors import InvalidParameters
 
 
@@ -67,4 +67,4 @@ def gen_random(seed: int, n_colors: int, n_facets: int) -> ChromaticComplex:
             else:
                 vids.append(fresh(color))
         facets.append(Simplex(vids))
-    return ChromaticComplex(vertices, _maximal(facets))
+    return ChromaticComplex(vertices, facets)

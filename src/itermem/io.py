@@ -16,7 +16,6 @@ from .complexes import ChromaticComplex, Simplex, Vertex
 from .encoding import Encoding
 from .errors import UnsupportedFormat
 from .greedy import StarCoverTrace
-from .protocols import GlobalView
 
 FORMATS = ("json", "dot", "csv-fvector")
 
@@ -142,16 +141,7 @@ def sequence_from_list(doc) -> list[Encoding]:
     return [encoding_from_dict(d) for d in doc]
 
 
-# -- views and traces -----------------------------------------------------------
-
-
-def view_from_dict(d: dict) -> GlobalView:
-    try:
-        return GlobalView(
-            {int(col): frozenset(int(v) for v in vs) for col, vs in d["views"].items()}
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise UnsupportedFormat(f"malformed view document: {exc}") from exc
+# -- traces ---------------------------------------------------------------------
 
 
 def trace_to_dict(trace: StarCoverTrace) -> dict:

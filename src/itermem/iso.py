@@ -35,14 +35,6 @@ def _signatures(c: ChromaticComplex) -> dict[int, tuple]:
     }
 
 
-def _facets_by_vid(c: ChromaticComplex) -> dict[int, frozenset[Simplex]]:
-    out: dict[int, set[Simplex]] = {vid: set() for vid in c.vertices}
-    for f in c.facets:
-        for vid in f:
-            out[vid].add(f)
-    return {vid: frozenset(s) for vid, s in out.items()}
-
-
 def is_isomorphic(
     a: ChromaticComplex, b: ChromaticComplex
 ) -> tuple[bool, dict[int, int] | None]:

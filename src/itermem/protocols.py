@@ -22,15 +22,13 @@ import itertools
 import random
 from functools import lru_cache
 
-from .complexes import ChromaticComplex, Simplex, Vertex, _maximal, assert_facet
+from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, Simplex, Vertex, assert_facet
 from .errors import InvalidParameters, ResourceLimit
 
 IC = "ic"
 IAS = "ias"
 IIS = "iis"
 PATTERNS = (IC, IAS, IIS)
-
-DEFAULT_MAX_FACETS = 10**6
 
 
 def _check_pattern(p: str) -> str:
@@ -341,7 +339,7 @@ def one_round(
     executions, so iterating over facets loses nothing.)
     """
     facets: list[Simplex] = []
-    for f in c.facets:
+    for f in sorted(c.facets, key=sorted):
         for gv in round_views(c, f, pattern):
             facets.append(
                 Simplex(registry.get(col, view) for col, view in gv.views.items())
@@ -351,7 +349,7 @@ def one_round(
     solo = {
         v: registry.get(c.vertices[v].color, frozenset({v})) for v in c.vertices
     }
-    return ChromaticComplex(registry.vertices, _maximal(facets)), solo
+    return ChromaticComplex(registry.vertices, facets), solo
 
 
 def protocol_complex(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import ChromaticComplex, Simplex, Vertex, _maximal
+from .complexes import ChromaticComplex, Simplex, Vertex
 from .encoding import Encoding
 from .errors import InvalidParameters, ResourceLimit
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .complexes import ChromaticComplex, Simplex, _maximal, assert_facet
+from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, Simplex, assert_facet
 from .encoding import Encoding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
 from .generators import gen_glued
 from .iso import is_isomorphic
 from .protocols import (
-    DEFAULT_MAX_FACETS,
     IC,
     GlobalView,
     StateRegistry,
@@ -209,7 +208,7 @@ def bounded_protocol_complex(
             )
         if len(facets) > max_facets:
             raise ResourceLimit(f"bounded protocol exceeded {max_facets} facets")
-    return ChromaticComplex(reg.vertices, _maximal(facets))
+    return ChromaticComplex(reg.vertices, facets)
 
 
 # -- single-function counterexample -------------------------------------------
@@ -240,7 +239,7 @@ def _observation_complex(
                 )
                 verts.append(registry.get(col, (p, obs)))
             facets.append(Simplex(verts))
-    return ChromaticComplex(registry.vertices, _maximal(facets))
+    return ChromaticComplex(registry.vertices, facets)
 
 
 def code_collision_counterexample() -> tuple[ChromaticComplex, list[Encoding], dict]:

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .complexes import ChromaticComplex, Simplex, Vertex
+from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, Simplex, Vertex
 from .errors import InvalidParameters, ResourceLimit
-
-DEFAULT_MAX_FACETS = 10**6
 
 
 def ordered_set_partitions(items: list) -> Iterator[list[list]]:
@@ -81,7 +79,7 @@ def chromatic_subdivide(
     """
     reg = registry if registry is not None else SubdivisionRegistry(c)
     facets: list[Simplex] = []
-    for f in c.facets:
+    for f in sorted(c.facets, key=sorted):
         base = sorted(f)
         for partition in ordered_set_partitions(base):
             new_facet: list[int] = []

@@ -4,6 +4,8 @@ Unit tests for the chromatic complex core.
 Core claims:
     - Facet-generated closure: faces, f-vector, Euler characteristic
     - Validation rejects duplicate colors, contained facets, dangling vids
+    - _maximal agrees with the pairwise antichain definition, and the
+      constructor rejects exactly the families it would reduce
     - Star and link are correct on the two-triangle complex
     - |faces(closed star)| = 2 |faces(link)| + 1 (cone duality)
     - intersect works on a shared vid space and rejects conflicting spaces
@@ -12,6 +14,8 @@ Core claims:
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from itermem import (
     ChromaticComplex,
@@ -32,6 +36,7 @@ from itermem import (
     gen_path,
     gen_simplex,
 )
+from itermem.complexes import _maximal
 
 # vids in gen_glued(2): a1=0, p1=1, p2=2, a2=3
 A1, P1, P2, A2 = 0, 1, 2, 3
@@ -72,6 +77,20 @@ class TestConstruction:
         vs = {0: Vertex(0, 0), 1: Vertex(1, 1), 2: Vertex(2, 2)}
         with pytest.raises(FacetContainment):
             ChromaticComplex(vs, [Simplex({0, 1, 2}), Simplex({0, 1})])
+
+    @given(
+        st.lists(st.frozensets(st.integers(0, 7), max_size=4), max_size=12)
+    )
+    def test_maximal_matches_pairwise_definition(self, fam):
+        # the pairwise definition of an antichain, as the reference
+        reference = {s for s in fam if s and not any(s < t for t in fam)}
+        assert _maximal(fam) == reference
+        vs = {v: Vertex(v, v) for v in range(8)}
+        if reference == {s for s in fam if s}:
+            assert ChromaticComplex(vs, fam).facets == reference
+        else:
+            with pytest.raises(FacetContainment):
+                ChromaticComplex(vs, fam)
 
     def test_dangling_vid_rejected(self):
         with pytest.raises(DanglingVertexReference):
@@ -165,6 +184,10 @@ class TestSubcomplexes:
         assert not c.is_subcomplex_of(sub)
         with pytest.raises(NotASubcomplex):
             assert_subcomplex(c, sub)
+
+    def test_subcomplex_ignores_empty_face(self):
+        sub = _glued().subcomplex([[], [A1, P1]])
+        assert sub.facets == frozenset({Simplex({A1, P1})})
 
     def test_subcomplex_foreign_face_rejected(self):
         with pytest.raises(SimplexNotInComplex):

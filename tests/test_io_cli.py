@@ -10,7 +10,11 @@ Core claims:
     - Encoding sequences round-trip, including block metadata
     - CLI: gen/subdivide/protocol/greedy-star/simulate/verify/bounds/
       reduce-setcover/exact-min/export/counterexample wire together
-    - Exit codes: 0 success, 1 failed verification, 2 usage, 3 resources
+    - Vid numbering follows the facet set, not the order the facets were
+      listed in: equal complexes export equal bytes after subdivision and
+      protocol rounds
+    - Exit codes: 0 success, 1 failed verification, 2 usage, 3 resources,
+      4 any other exception
     - --json-out mirrors a machine-readable summary
 """
 
@@ -19,6 +23,7 @@ import json
 import pytest
 
 from itermem import (
+    ChromaticComplex,
     Encoding,
     UnsupportedFormat,
     chromatic_subdivide,
@@ -28,6 +33,7 @@ from itermem import (
     gen_simplex,
     greedy_star,
     import_complex,
+    protocol_complex,
 )
 from itermem.cli import main
 from itermem.io import (
@@ -45,6 +51,23 @@ class TestComplexJson:
             blob = export_complex(c, "json")
             again = export_complex(import_complex(blob), "json")
             assert blob == again
+
+    def test_export_ignores_facet_listing_order(self):
+        builds = (
+            chromatic_subdivide,
+            lambda c: protocol_complex(c, "ias", 1),
+            lambda c: protocol_complex(c, "iis", 2),
+        )
+        for seed in range(60):
+            c = gen_random(seed, 3, 2 + seed % 5)
+            up = ChromaticComplex(c.vertices, sorted(c.facets, key=sorted))
+            down = ChromaticComplex(
+                c.vertices, sorted(c.facets, key=sorted, reverse=True)
+            )
+            for build in builds:
+                assert export_complex(build(up), "json") == export_complex(
+                    build(down), "json"
+                )
 
     def test_document_shape(self):
         d = complex_to_dict(gen_glued(2))
@@ -193,6 +216,16 @@ class TestCli:
         assert main(["subdivide", "--in", str(tmp_path / "missing.json")]) == 2
         assert main(["verify", "--a", "x"]) == 2  # incomplete mode
         assert main(["bounds", "--n", "1", "--r", "1", "--b", "1"]) == 2
+
+    def test_crash_exits_4_not_a_verdict(self, tmp_path, monkeypatch, capsys):
+        src = self._gen(tmp_path)
+
+        def crash(a, b):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("itermem.cli.is_isomorphic", crash)
+        assert main(["verify", "--a", str(src), "--b", str(src)]) == 4
+        assert "RecursionError" in capsys.readouterr().err
 
     def test_resource_limit_exit_3(self, tmp_path):
         src = self._gen(tmp_path)
