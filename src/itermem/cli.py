@@ -227,12 +227,15 @@ def _parse_instance(args) -> SetCoverInstance:
             raise UnsupportedFormat(f"malformed instance: {exc}") from exc
     if not args.universe or not args.subsets:
         raise InvalidParameters("need --in or both --universe and --subsets")
-    universe = [int(x) for x in args.universe.split(",") if x]
-    subsets = [
-        [int(x) for x in grp.split(",") if x]
-        for grp in args.subsets.split(";")
-        if grp
-    ]
+    try:
+        universe = [int(x) for x in args.universe.split(",") if x]
+        subsets = [
+            [int(x) for x in grp.split(",") if x]
+            for grp in args.subsets.split(";")
+            if grp
+        ]
+    except ValueError as exc:
+        raise InvalidParameters(f"--universe/--subsets need integers: {exc}") from exc
     return SetCoverInstance(universe, subsets)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DanglingVertexReference,
@@ -58,6 +58,13 @@ def _maximal(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
     return frozenset(out)
 
 
+class Rivals(NamedTuple):
+    """Same-color two-hop rivals: ``of[v]`` and the vertices with none."""
+
+    of: dict[int, tuple[int, ...]]
+    lonely: frozenset[int]
+
+
 class ChromaticComplex:
     """A finite chromatic simplicial complex.
 
@@ -66,7 +73,7 @@ class ChromaticComplex:
     vertices, no facets) is allowed.
     """
 
-    __slots__ = ("vertices", "facets", "_faces", "_adjacency")
+    __slots__ = ("vertices", "facets", "_faces", "_adjacency", "_rivals")
 
     def __init__(self, vertices: dict[int, Vertex], facets: Iterable[Simplex]):
         facet_set = frozenset(Simplex(f) for f in facets if f)
@@ -93,6 +100,7 @@ class ChromaticComplex:
         self.facets: frozenset[Simplex] = facet_set
         self._faces: frozenset[Simplex] | None = None
         self._adjacency: dict[int, frozenset[int]] | None = None
+        self._rivals: Rivals | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -133,6 +141,25 @@ class ChromaticComplex:
                     adj[b].add(a)
             self._adjacency = {vid: frozenset(s) for vid, s in adj.items()}
         return self._adjacency
+
+    def rivals(self) -> Rivals:
+        """Same-color two-hop rivals of every vertex (cached).
+
+        The rivals of v are the vertices x != v of v's color that are
+        adjacent to a neighbor of v.  The relation is symmetric.
+        """
+        if self._rivals is None:
+            adj = self.adjacency()
+            color = {vid: v.color for vid, v in self.vertices.items()}
+            of: dict[int, tuple[int, ...]] = {}
+            for v, nbrs in adj.items():
+                col = color[v]
+                found = {x for u in nbrs for x in adj[u] if color[x] == col}
+                found.discard(v)
+                of[v] = tuple(sorted(found))
+            lonely = frozenset(v for v, found in of.items() if not found)
+            self._rivals = Rivals(of, lonely)
+        return self._rivals
 
     def degree(self, vid: int) -> int:
         """Number of distinct neighbors of vid in the 1-skeleton."""

@@ -6,11 +6,23 @@ within two hops of v (via a common neighbor) shares both its color and its
 code — two bottoms count as equal codes.  Rainbow facets make same-colored
 vertices non-adjacent, so the two-hop window is exactly where a reader
 could confuse two candidate states.
+
+The vertices that can conflict with v are its rivals: the x != v of v's
+color adjacent to a neighbor of v.  They depend on the complex alone, so
+`ChromaticComplex.rivals` computes them once per complex and every check
+here reads that cache; v is distinguishable iff no rival has v's code.
+This is the same predicate as the two-hop scan, not an approximation.
+Since the relation is symmetric, the distinguishable vertices under one
+function are found from the coded vertices and their rivals, plus the
+vertices without rivals: an uncoded v is distinguishable iff every rival
+is coded, which needs a rival of a coded vertex or no rival at all.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .complexes import ChromaticComplex, _maximal, assert_subcomplex
@@ -75,14 +87,8 @@ def is_vertex_distinguishable(c: ChromaticComplex, v: int, enc: Encoding) -> boo
     """No x != v adjacent to a neighbor of v with v's color and v's code."""
     if v not in c.vertices:
         raise VertexNotInComplex(f"vid {v}")
-    adj = c.adjacency()
     code = enc.value(v)
-    color = c.vertices[v].color
-    for u in adj[v]:
-        for x in adj[u]:
-            if x != v and c.vertices[x].color == color and enc.value(x) == code:
-                return False
-    return True
+    return all(enc.value(x) != code for x in c.rivals().of[v])
 
 
 def is_subcomplex_distinguishable(
@@ -93,10 +99,26 @@ def is_subcomplex_distinguishable(
     return all(is_vertex_distinguishable(c, v, enc) for v in sub.vertices)
 
 
-def _distinguishable_vids(c: ChromaticComplex, enc: Encoding) -> frozenset[int]:
-    return frozenset(
-        v for v in c.vertices if is_vertex_distinguishable(c, v, enc)
+def _distinguishable_vids(c: ChromaticComplex, enc: Encoding) -> set[int]:
+    """The distinguishable vertices of c, visiting only coded vertices' rivals.
+
+    A coded v is distinguishable iff no rival has its code; an uncoded v iff
+    every rival is coded.  Rivals are symmetric, so an uncoded vertex with a
+    rival is distinguishable only if it is a rival of some coded vertex, and
+    then iff it is a rival of as many coded vertices as it has rivals.
+    """
+    of, lonely = c.rivals()
+    codes = {v: k for v, k in enc.items() if v in of}
+    by_code: dict[int, set[int]] = {}
+    for v, k in codes.items():
+        by_code.setdefault(k, set()).add(v)
+    good = set(lonely)
+    good.update(v for v, k in codes.items() if by_code[k].isdisjoint(of[v]))
+    hits = Counter(chain.from_iterable(of[v] for v in codes))
+    good.update(
+        x for x, n in hits.items() if n == len(of[x]) and x not in codes
     )
+    return good
 
 
 def distinguishable_subcomplex(

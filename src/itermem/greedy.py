@@ -13,9 +13,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .complexes import ChromaticComplex, Simplex
-from .encoding import Encoding, distinguishable_subcomplex, lower_bound_rounds
+from .encoding import (
+    Encoding,
+    _distinguishable_vids,
+    distinguishable_subcomplex,
+    lower_bound_rounds,
+)
 from .errors import InvalidParameters, ItermemError
 
 
@@ -168,6 +174,38 @@ def _split_generic(enc: Encoding, budget: int) -> list[Encoding]:
     return out
 
 
+def _all_kept(faces: Iterable[Simplex], goods: Iterable[set[int]]) -> bool:
+    """True iff every nonempty face lies inside one of the vertex sets.
+
+    Faces wait under their least vid, so a set only tests the faces waiting
+    under its own vertices; the sets are drawn until no face waits.
+    """
+    waiting: dict[int, set[Simplex]] = {}
+    for f in faces:
+        waiting.setdefault(min(f), set()).add(f)
+    for good in goods:
+        if not waiting:
+            break
+        for v in good & waiting.keys():
+            fs = waiting[v]
+            fs.difference_update([f for f in fs if f <= good])
+            if not fs:
+                del waiting[v]
+    return not waiting
+
+
+def _split_keeps(c: ChromaticComplex, enc: Encoding, subs: list[Encoding]) -> bool:
+    """True iff every face enc makes distinguishable, some sub does too.
+
+    The faces enc makes distinguishable are generated by the sets f & good
+    over the facets f; a face is distinguishable under a sub iff its
+    vertices all are, and faces of a kept face are kept.
+    """
+    good = _distinguishable_vids(c, enc)
+    faces = {f & good for f in c.facets} - {frozenset()}
+    return _all_kept(faces, (_distinguishable_vids(c, s) for s in subs))
+
+
 def split_to_budget(
     seq: list[Encoding], c: ChromaticComplex, b: int
 ) -> list[Encoding]:
@@ -193,8 +231,8 @@ def split_to_budget(
             if enc.groups
             else _split_generic(enc, budget)
         )
-        target = distinguishable_subcomplex(c, [enc])
-        if not target.is_subcomplex_of(distinguishable_subcomplex(c, subs)):
+        if not _split_keeps(c, enc, subs):
+            target = distinguishable_subcomplex(c, [enc])
             subs = [_facet_encoding(f) for f in sorted(target.facets, key=sorted)]
         out.extend(subs)
     return out
@@ -206,5 +244,10 @@ def upper_bound_rounds(c: ChromaticComplex, b: int) -> int:
 
 
 def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:
-    """True iff the sequence makes every face of c distinguishable."""
-    return distinguishable_subcomplex(c, seq).facets == c.facets
+    """True iff the sequence makes every face of c distinguishable.
+
+    A facet f lies in the union iff f is a face of F ∩ D_e for some facet F
+    and function e, with D_e the distinguishable vertices under e; as f is
+    maximal, iff f ⊆ D_e.
+    """
+    return _all_kept(c.facets, (_distinguishable_vids(c, e) for e in seq))

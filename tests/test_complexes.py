@@ -11,6 +11,8 @@ Core claims:
     - intersect works on a shared vid space and rejects conflicting spaces
     - build_complex identifies vertices by (color, label)
     - Degree, adjacency, containment, equality behave on small fixtures
+    - Cached rivals are the same-color vertices two hops away, and the
+      vertices without any are listed as such
 """
 
 import pytest
@@ -128,6 +130,25 @@ class TestQueries:
         adj = c.adjacency()
         for v, nbrs in adj.items():
             assert all(v in adj[w] for w in nbrs)
+
+    def test_rivals(self):
+        c = _glued()
+        rivals = c.rivals()
+        assert rivals.of == {A1: (A2,), A2: (A1,), P1: (), P2: ()}
+        assert rivals.lonely == {P1, P2}
+        assert c.rivals() is rivals  # cached with the complex
+
+    def test_rivals_match_two_hop_definition(self):
+        c = gen_path(6)
+        adj = c.adjacency()
+        for v, rivals in c.rivals().of.items():
+            assert set(rivals) == {
+                x
+                for x in c.vertices
+                if x != v
+                and c.vertices[x].color == c.vertices[v].color
+                and any(x in adj[u] for u in adj[v])
+            }
 
     def test_has_face(self):
         c = _glued()

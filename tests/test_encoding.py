@@ -4,16 +4,21 @@ Unit tests for encoding functions and distinguishability.
 Core claims:
     - Encoding drops bottoms, validates codes, exposes image/groups
     - A vertex is distinguishable iff no same-color same-code vertex sits
-      within two hops (bottom equals bottom)
+      within two hops (bottom equals bottom); the library's rival-cache
+      predicate matches the pairwise two-hop scan kept here as reference
     - The two-triangle complex with both apexes coded 1 is the canonical
       failure; distinct apex codes repair it
-    - distinguishable_subcomplex unions per-function distinguishable faces
+    - distinguishable_subcomplex unions per-function distinguishable faces,
+      and equals the complex built face by face from that definition on
+      random complexes and random encodings with bottoms
     - Sequence union can cover what no single function covers
     - Degree lower bound: frozen values on the triangle, glued pair, and
       one subdivision round; bad parameters raise
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from itermem import (
     BOTTOM,
@@ -23,6 +28,7 @@ from itermem import (
     chromatic_subdivide,
     distinguishable_subcomplex,
     gen_glued,
+    gen_random,
     gen_simplex,
     is_subcomplex_distinguishable,
     is_vertex_distinguishable,
@@ -34,6 +40,33 @@ A1, P1, P2, A2 = 0, 1, 2, 3
 
 def _glued():
     return gen_glued(2)
+
+
+def reference_distinguishable(c, v, enc):
+    """The pairwise two-hop scan: the independent reference predicate."""
+    adj = c.adjacency()
+    code = enc.value(v)
+    color = c.vertices[v].color
+    for u in adj[v]:
+        for x in adj[u]:
+            if x != v and c.vertices[x].color == color and enc.value(x) == code:
+                return False
+    return True
+
+
+random_complexes = st.builds(
+    gen_random,
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.integers(1, 8),
+)
+
+
+@st.composite
+def encodings(draw, c):
+    """An encoding of c with bottoms and few codes, so conflicts are common."""
+    code = st.none() | st.integers(0, 2)
+    return Encoding({v: draw(code) for v in sorted(c.vertices)})
 
 
 class TestEncoding:
@@ -91,6 +124,14 @@ class TestVertexDistinguishability:
         with pytest.raises(VertexNotInComplex):
             is_vertex_distinguishable(_glued(), 42, Encoding({}))
 
+    @given(st.data(), random_complexes)
+    def test_matches_pairwise_reference(self, data, c):
+        enc = data.draw(encodings(c))
+        for v in c.vertices:
+            assert is_vertex_distinguishable(c, v, enc) == (
+                reference_distinguishable(c, v, enc)
+            )
+
     def test_subcomplex_distinguishable(self):
         c = _glued()
         alpha = c.subcomplex([[A1, P1, P2]])
@@ -140,6 +181,18 @@ class TestDistinguishableSubcomplex:
         c = gen_simplex(2)
         d = distinguishable_subcomplex(c, [])
         assert not d.facets
+
+    @given(st.data(), random_complexes)
+    def test_matches_definition(self, data, c):
+        # the faces some function makes distinguishable: all their vertices
+        # pass the pairwise reference under that one function
+        seq = data.draw(st.lists(encodings(c), max_size=3))
+        faces = [
+            s
+            for s in c.faces()
+            if any(all(reference_distinguishable(c, v, e) for v in s) for e in seq)
+        ]
+        assert distinguishable_subcomplex(c, seq) == c.subcomplex(faces)
 
 
 class TestLowerBound:

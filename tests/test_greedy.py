@@ -7,15 +7,23 @@ Core claims:
     - A 7-triangle strip terminates (candidate re-seeding) and covers
     - Same-round stars get disjoint code blocks: whole round distinguishable
     - Round count never exceeds vertex count; trace matches the sequence
-    - verify_cover accepts greedy output on seeded random complexes
+    - verify_cover accepts greedy output on seeded random complexes, and
+      agrees with "the distinguishable subcomplex is the whole complex" on
+      random complexes, random encodings and greedy prefixes
     - split_to_budget: within-budget functions pass unchanged
     - Generic splitting: image 4 at 3 bits -> 1 function; at 1 bit -> 4
     - Star-aligned splitting keeps block structure and the covered target
-    - Split output always covers at least what the input covered
+    - Split output always covers at least what the input covered; the
+      split's loss check agrees with subcomplex containment on random
+      encodings and on greedy ones, including the encodings where the
+      block split loses a face and the fallback fires
+    - Ch^3 of the triangle at b = 1 splits into 3347 covering functions
     - Upper bound = 4 x lower bound
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from itermem import (
     Encoding,
@@ -27,11 +35,31 @@ from itermem import (
     gen_simplex,
     greedy_star,
     is_subcomplex_distinguishable,
+    iterate_subdivide,
     lower_bound_rounds,
     split_to_budget,
     upper_bound_rounds,
     verify_cover,
 )
+from itermem.greedy import _split_generic, _split_keeps, _split_star_aligned
+
+random_complexes = st.builds(
+    gen_random,
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.integers(1, 8),
+)
+
+
+@st.composite
+def encodings(draw, c, codes=2):
+    """An encoding of c with bottoms and few codes, so conflicts are common."""
+    code = st.none() | st.integers(0, codes)
+    return Encoding({v: draw(code) for v in sorted(c.vertices)})
+
+
+def _covers_by_subcomplex(c, seq):
+    return distinguishable_subcomplex(c, seq).facets == c.facets
 
 
 def _assert_round_distinguishable(c, seq):
@@ -98,6 +126,22 @@ class TestGreedyStar:
             seq, _ = greedy_star(c)
             assert verify_cover(c, seq)
 
+    @given(st.data(), random_complexes)
+    def test_verify_cover_matches_subcomplex(self, data, c):
+        seq = data.draw(st.lists(encodings(c), max_size=4))
+        assert verify_cover(c, seq) == _covers_by_subcomplex(c, seq)
+
+    def test_verify_cover_on_greedy_prefixes(self):
+        verdicts = set()
+        for seed in range(8):
+            c = gen_random(seed, 3, 6)
+            seq, _ = greedy_star(c)
+            for k in range(len(seq) + 1):
+                got = verify_cover(c, seq[:k])
+                assert got == _covers_by_subcomplex(c, seq[:k])
+                verdicts.add(got)
+        assert verdicts == {False, True}
+
     def test_empty_complex_rejected(self):
         from itermem import ChromaticComplex
 
@@ -142,6 +186,43 @@ class TestSplitToBudget:
         target = distinguishable_subcomplex(c, [e])
         sub = split_to_budget([e], c, 1)
         assert target.is_subcomplex_of(distinguishable_subcomplex(c, sub))
+
+    def test_loss_check_matches_containment(self):
+        checked = fallbacks = 0
+        for seed in range(8):
+            c = gen_random(seed, 3, 6)
+            seq, _ = greedy_star(c)
+            for b in (1, 2, 3):
+                budget = 2**b - 1
+                for e in seq:
+                    if e.image_size() <= budget:
+                        continue
+                    subs = (
+                        _split_star_aligned(e, c, budget)
+                        if e.groups
+                        else _split_generic(e, budget)
+                    )
+                    target = distinguishable_subcomplex(c, [e])
+                    kept = target.is_subcomplex_of(distinguishable_subcomplex(c, subs))
+                    assert _split_keeps(c, e, subs) == kept
+                    checked += 1
+                    fallbacks += not kept
+        assert (checked, fallbacks) == (18, 9)
+
+    @given(st.data(), random_complexes, st.integers(1, 2))
+    def test_loss_check_matches_containment_on_random_encodings(self, data, c, b):
+        e = data.draw(encodings(c, codes=5))
+        subs = _split_generic(e, 2**b - 1)
+        target = distinguishable_subcomplex(c, [e])
+        kept = target.is_subcomplex_of(distinguishable_subcomplex(c, subs))
+        assert _split_keeps(c, e, subs) == kept
+
+    def test_split_of_ch3_triangle_pinned(self):
+        c = iterate_subdivide(gen_simplex(2), 3)
+        seq, _ = greedy_star(c)
+        split = split_to_budget(seq, c, 1)
+        assert len(split) == 3347
+        assert verify_cover(c, split)
 
     def test_bad_bits(self):
         with pytest.raises(InvalidParameters):

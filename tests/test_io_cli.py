@@ -13,8 +13,8 @@ Core claims:
     - Vid numbering follows the facet set, not the order the facets were
       listed in: equal complexes export equal bytes after subdivision and
       protocol rounds
-    - Exit codes: 0 success, 1 failed verification, 2 usage, 3 resources,
-      4 any other exception
+    - Exit codes: 0 success, 1 failed verification, 2 usage (including
+      non-integer set-cover items), 3 resources, 4 any other exception
     - --json-out mirrors a machine-readable summary
 """
 
@@ -216,6 +216,11 @@ class TestCli:
         assert main(["subdivide", "--in", str(tmp_path / "missing.json")]) == 2
         assert main(["verify", "--a", "x"]) == 2  # incomplete mode
         assert main(["bounds", "--n", "1", "--r", "1", "--b", "1"]) == 2
+
+    def test_non_integer_instance_exits_2(self, capsys):
+        assert main(["reduce-setcover", "--universe", "a,b", "--subsets", "1"]) == 2
+        assert main(["reduce-setcover", "--universe", "1", "--subsets", "x"]) == 2
+        assert "need integers" in capsys.readouterr().err
 
     def test_crash_exits_4_not_a_verdict(self, tmp_path, monkeypatch, capsys):
         src = self._gen(tmp_path)
