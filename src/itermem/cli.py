@@ -297,14 +297,14 @@ def _cmd_counterexample(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="generator seed")
-    common.add_argument(
+    common.add_argument("--json-out", help="write a JSON summary to this path")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
         "--max-facets",
         type=int,
         default=DEFAULT_MAX_FACETS,
         help="facet budget for enumerations",
     )
-    common.add_argument("--json-out", help="write a JSON summary to this path")
 
     p = argparse.ArgumentParser(
         prog="itermem",
@@ -312,22 +312,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", parents=[common], help="generate a complex")
+    g = sub.add_parser("gen", parents=[common, budget], help="generate a complex")
     g.add_argument("kind", choices=("simplex", "glued", "path", "random"))
     g.add_argument("--n", type=int, default=2, help="simplex dimension / colors")
     g.add_argument("--k", type=int, default=2, help="glued triangle count")
     g.add_argument("--m", type=int, default=3, help="path triangle count")
     g.add_argument("--facets", type=int, default=5, help="random facet count")
+    g.add_argument("--seed", type=int, default=0, help="random complex seed")
     g.add_argument("--out", help="write the complex JSON here")
     g.set_defaults(func=_cmd_gen)
 
-    s = sub.add_parser("subdivide", parents=[common], help="chromatic subdivision")
+    s = sub.add_parser(
+        "subdivide", parents=[common, budget], help="chromatic subdivision"
+    )
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--rounds", type=int, default=1)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_subdivide)
 
-    pr = sub.add_parser("protocol", parents=[common], help="full-information complex")
+    pr = sub.add_parser(
+        "protocol", parents=[common, budget], help="full-information complex"
+    )
     pr.add_argument("--in", dest="infile", required=True)
     pr.add_argument("--pattern", choices=PATTERNS, required=True)
     pr.add_argument("--rounds", type=int, default=1)
@@ -341,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--trace", help="write the round trace here")
     gs.set_defaults(func=_cmd_greedy_star)
 
-    si = sub.add_parser("simulate", parents=[common], help="bounded-register runs")
+    si = sub.add_parser(
+        "simulate", parents=[common, budget], help="bounded-register runs"
+    )
     si.add_argument("--in", dest="infile", required=True)
     si.add_argument("--encodings", required=True)
     si.add_argument("--out")

@@ -37,6 +37,35 @@ class Vertex:
     label: Hashable = None
 
 
+class StateRegistry:
+    """One vid per distinct (color, payload) process state over a base complex.
+
+    The state with payload ``frozenset({v})`` for a base vid v (the view of
+    a process that saw only itself) is v, with v's vertex; every other state
+    gets a fresh vid above the base's largest, labelled (color, sorted
+    payload) for set payloads.  Share one registry between calls to build
+    several subcomplexes of the base into one vid space.
+    """
+
+    def __init__(self, base: "ChromaticComplex"):
+        self._next = max(base.vertices, default=-1) + 1
+        self._ids: dict[tuple[int, Hashable], int] = {
+            (v.color, frozenset({vid})): vid for vid, v in base.vertices.items()
+        }
+        self.vertices: dict[int, Vertex] = dict(base.vertices)
+
+    def get(self, color: int, payload: Hashable) -> int:
+        key = (color, payload)
+        vid = self._ids.get(key)
+        if vid is None:
+            vid = self._ids[key] = self._next
+            self._next += 1
+            if isinstance(payload, frozenset):
+                payload = tuple(sorted(payload))
+            self.vertices[vid] = Vertex(vid, color, (color, payload))
+        return vid
+
+
 def _maximal(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
     """Drop empty simplices and every simplex contained in another one.
 

@@ -4,8 +4,11 @@ Three per-round read disciplines are supported: register-by-register reads
 (collect, "ic"), one atomic multi-register read ("ias"), and write-and-read
 as a single combined step ("iis").  Each discipline has a closed-form
 characterization of its reachable view configurations (`round_views`) plus
-an independent brute-force interleaving enumerator (`schedule_oracle`);
-agreement of the two routes is a test gate for everything downstream.
+a brute-force interleaving enumerator (`schedule_oracle`); agreement of the
+two routes is a test gate for everything downstream.  For ic and ias the
+oracle walks register-level events and is independent of the closed form;
+for iis it replays block semantics over ordered set partitions, the same
+construction as the closed form, so there it is a consistency check only.
 
 Closed forms (views are self-inclusive subsets of one facet):
   iis: ordered set partitions; a view is the union of the blocks up to and
@@ -22,8 +25,15 @@ import itertools
 import random
 from functools import lru_cache
 
-from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, Simplex, Vertex, assert_facet
+from .complexes import (
+    DEFAULT_MAX_FACETS,
+    ChromaticComplex,
+    Simplex,
+    StateRegistry,
+    assert_facet,
+)
 from .errors import InvalidParameters, ResourceLimit
+from .subdivision import ordered_set_partitions, partition_views
 
 IC = "ic"
 IAS = "ias"
@@ -93,22 +103,14 @@ def round_views(c: ChromaticComplex, input_facet, pattern: str) -> frozenset[Glo
     owner = {color_of[v]: v for v in vids}
     colors = sorted(owner)
 
-    out: set[GlobalView] = set()
     if pattern == IIS:
-        from .subdivision import ordered_set_partitions
-
-        for partition in ordered_set_partitions(vids):
-            views: dict[int, frozenset[int]] = {}
-            acc: list[int] = []
-            for block in partition:
-                acc.extend(block)
-                snap = frozenset(acc)
-                for v in block:
-                    views[color_of[v]] = snap
-            out.add(GlobalView(views))
-        return frozenset(out)
+        return frozenset(
+            GlobalView({color_of[v]: view for v, view in views.items()})
+            for views in partition_views(vids)
+        )
 
     # ias/ic: enumerate self-inclusive view candidates, then filter
+    out: set[GlobalView] = set()
     others = {p: [owner[q] for q in colors if q != p] for p in colors}
     choices = {
         p: [
@@ -139,10 +141,13 @@ def schedule_oracle(
 ) -> frozenset[GlobalView]:
     """Enumerate every event interleaving respecting program order.
 
-    Independent of round_views: reads are evaluated against write positions
-    along each explored schedule; outcomes are deduplicated as view sets.
-    States that agree on (writes done, reads done, values seen) share all
-    continuations, which keeps the walk polynomial in practice.
+    For ic and ias, independent of round_views: reads are evaluated against
+    write positions along each explored schedule; outcomes are deduplicated
+    as view sets.  States that agree on (writes done, reads done, values
+    seen) share all continuations, which keeps the walk polynomial in
+    practice.  For iis, each ordered partition is replayed as block writes
+    followed by block snapshots, which is the closed form's own
+    construction, not an independent one.
     """
     _check_pattern(pattern)
     facet = assert_facet(c, input_facet)
@@ -157,8 +162,6 @@ def schedule_oracle(
         raise ResourceLimit("snapshot-schedule oracles are capped at 4 processes")
 
     if pattern == IIS:
-        from .subdivision import ordered_set_partitions
-
         out: set[GlobalView] = set()
         for partition in ordered_set_partitions(vids):
             # simulate block semantics: all of the block writes, then all read
@@ -302,41 +305,17 @@ def raw_interleaving_views(
 # -- protocol complexes ------------------------------------------------------
 
 
-class StateRegistry:
-    """Allocates one vid per distinct (color, payload) process state."""
-
-    def __init__(self):
-        self._ids: dict[tuple, int] = {}
-        self.vertices: dict[int, Vertex] = {}
-
-    def get(self, color: int, payload) -> int:
-        key = (color, payload)
-        vid = self._ids.get(key)
-        if vid is None:
-            vid = len(self._ids)
-            self._ids[key] = vid
-            self.vertices[vid] = Vertex(vid, color, _canonical_payload(color, payload))
-        return vid
-
-
-def _canonical_payload(color: int, payload) -> tuple:
-    if isinstance(payload, frozenset):
-        return (color, tuple(sorted(payload)))
-    return (color, payload)
-
-
 def one_round(
     c: ChromaticComplex,
     pattern: str,
     registry: StateRegistry,
     max_facets: int | None = None,
-) -> tuple[ChromaticComplex, dict[int, int]]:
+) -> ChromaticComplex:
     """One full-information round applied to every facet of c.
 
-    Returns the round's complex and the embedding of input vertices: each
-    input vid maps to the state where its process observed only itself.
-    (Executions on a proper face of a facet are faces of that facet's
-    executions, so iterating over facets loses nothing.)
+    States come from `registry`, so an input vid stays the vid of its
+    process's solo view.  (Executions on a proper face of a facet are faces
+    of that facet's executions, so iterating over facets loses nothing.)
     """
     facets: list[Simplex] = []
     for f in sorted(c.facets, key=sorted):
@@ -346,10 +325,7 @@ def one_round(
             )
         if max_facets is not None and len(facets) > max_facets:
             raise ResourceLimit(f"protocol complex exceeded {max_facets} facets")
-    solo = {
-        v: registry.get(c.vertices[v].color, frozenset({v})) for v in c.vertices
-    }
-    return ChromaticComplex(registry.vertices, facets), solo
+    return ChromaticComplex(registry.vertices, facets)
 
 
 def protocol_complex(
@@ -357,39 +333,28 @@ def protocol_complex(
     pattern: str,
     rounds: int = 1,
     *,
-    registries: list[StateRegistry] | None = None,
     max_facets: int = DEFAULT_MAX_FACETS,
-    return_embedding: bool = False,
-):
+) -> ChromaticComplex:
     """The r-round full-information protocol complex.
 
     Vertices are (color, accumulated view) states; round i+1 consumes the
-    facets of round i.  Pass `registries` (one per round, shared between
-    calls) to build several subcomplexes into a common vid space.
+    facets of round i.  Every input vertex keeps its vid as the state of a
+    process that only ever saw itself; other states get vids above the
+    input's largest.
     """
     _check_pattern(pattern)
     if rounds < 1:
         raise InvalidParameters("need rounds >= 1")
-    if registries is not None and len(registries) != rounds:
-        raise InvalidParameters("need one registry per round")
     cur = c
-    embedding = {v: v for v in c.vertices}
-    for i in range(rounds):
-        reg = registries[i] if registries is not None else StateRegistry()
-        cur, solo = one_round(cur, pattern, reg, max_facets=max_facets)
-        embedding = {v: solo[s] for v, s in embedding.items()}
-    if return_embedding:
-        return cur, embedding
+    for _ in range(rounds):
+        cur = one_round(cur, pattern, StateRegistry(cur), max_facets=max_facets)
     return cur
 
 
 def check_no_input_edges(c: ChromaticComplex, pattern: str) -> bool:
     """No two input vertices stay mutually unaware in any one-round facet."""
-    if not c.facets:
-        return True
-    xi, embedding = protocol_complex(c, pattern, 1, return_embedding=True)
-    images = set(embedding.values())
-    return all(len(f & images) < 2 for f in xi.facets)
+    xi = protocol_complex(c, pattern, 1)
+    return all(len(f & c.vertices.keys()) < 2 for f in xi.facets)
 
 
 def subcomplex_sample(
@@ -402,23 +367,21 @@ def subcomplex_sample(
 
 
 def check_intersection_preserving(
-    c: ChromaticComplex, pattern: str, trials: int, seed: int = 0, rounds: int = 1
+    c: ChromaticComplex, pattern: str, trials: int, seed: int = 0
 ) -> bool:
-    """Protocol of an intersection equals intersection of protocols.
+    """One round's protocol of an intersection equals intersection of protocols.
 
     Samples `trials` random subcomplex pairs A, B of c and compares
-    X(A) ∩ X(B) with X(A ∩ B), all built over shared per-round registries.
+    X(A) ∩ X(B) with X(A ∩ B), all built over one registry on c.
     """
     if not c.facets:
         return True
     rng = random.Random(seed)
+    reg = StateRegistry(c)
     for _ in range(trials):
         a = subcomplex_sample(c, rng)
         b = subcomplex_sample(c, rng)
-        regs = [StateRegistry() for _ in range(rounds)]
-        xa = protocol_complex(a, pattern, rounds, registries=regs)
-        xb = protocol_complex(b, pattern, rounds, registries=regs)
-        xab = protocol_complex(a.intersect(b), pattern, rounds, registries=regs)
+        xa, xb, xab = (one_round(s, pattern, reg) for s in (a, b, a.intersect(b)))
         if xa.intersect(xb) != xab:
             return False
     return True

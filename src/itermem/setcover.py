@@ -178,9 +178,7 @@ def _conflict_free(c: ChromaticComplex, vids: frozenset) -> bool:
     return True
 
 
-def exact_min_sequence(
-    c: ChromaticComplex, code_family: str = "binary"
-) -> tuple[int, list[Encoding]]:
+def exact_min_sequence(c: ChromaticComplex) -> tuple[int, list[Encoding]]:
     """Shortest sequence of bottom/1 functions making every face of c
     distinguishable.
 
@@ -189,8 +187,6 @@ def exact_min_sequence(
     runs over facet subsets whose vertex union is clash-free, then takes a
     breadth-first minimum set cover over facet masks.
     """
-    if code_family != "binary":
-        raise InvalidParameters(f"unknown code family {code_family!r}")
     if not c.facets:
         raise InvalidParameters("cannot cover an empty complex")
     if len(c.vertices) > _MAX_VERTS or len(c.facets) > _MAX_FACETS:

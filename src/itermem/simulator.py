@@ -15,7 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, Simplex, assert_facet
+from .complexes import (
+    DEFAULT_MAX_FACETS,
+    ChromaticComplex,
+    Simplex,
+    StateRegistry,
+    assert_facet,
+)
 from .encoding import Encoding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
 from .generators import gen_glued
@@ -23,7 +29,6 @@ from .iso import is_isomorphic
 from .protocols import (
     IC,
     GlobalView,
-    StateRegistry,
     protocol_complex,
     round_views,
 )
@@ -159,7 +164,6 @@ def run_bounded(
 def bounded_protocol_complex(
     c: ChromaticComplex,
     seq: list[Encoding],
-    registry: StateRegistry | None = None,
     max_facets: int = DEFAULT_MAX_FACETS,
 ) -> ChromaticComplex:
     """Reachable final states over every schedule combination, as a complex.
@@ -172,7 +176,7 @@ def bounded_protocol_complex(
     """
     if len(c.colors()) > 3:
         raise ResourceLimit("bounded enumeration is capped at 3 process colors")
-    reg = registry if registry is not None else StateRegistry()
+    reg = StateRegistry(c)
     facets: list[Simplex] = []
     for f in sorted(c.facets, key=sorted):
         participants = sorted(f)
@@ -259,7 +263,7 @@ def code_collision_counterexample() -> tuple[ChromaticComplex, list[Encoding], d
     alpha = c.subcomplex([[a1, p1, p2]])
     beta = c.subcomplex([[a2, p1, p2]])
     sigma = alpha.intersect(beta)
-    reg = StateRegistry()
+    reg = StateRegistry(c)
     xa = _observation_complex(c, alpha, broken, reg)
     xb = _observation_complex(c, beta, broken, reg)
     xs = _observation_complex(c, sigma, broken, reg)
@@ -267,7 +271,7 @@ def code_collision_counterexample() -> tuple[ChromaticComplex, list[Encoding], d
     merged = sorted(set(inter.vertices) - set(xs.vertices))
 
     fi = protocol_complex(c, IC, 1)
-    broken_full = _observation_complex(c, c, broken, StateRegistry())
+    broken_full = _observation_complex(c, c, broken, StateRegistry(c))
     repaired_full = bounded_protocol_complex(c, [repaired])
 
     from .io import _canonical_label, encoding_to_dict

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, Simplex, Vertex
+from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, Simplex, StateRegistry
 from .errors import InvalidParameters, ResourceLimit
 
 
@@ -40,56 +40,36 @@ def ordered_bell(n: int) -> int:
     return counts[n]
 
 
-class SubdivisionRegistry:
-    """Vid allocator for subdivision vertices over a fixed base complex.
+def partition_views(vids: list) -> Iterator[dict[int, Simplex]]:
+    """Per ordered partition of vids: each vid -> union of the blocks up to its own.
 
-    Shared across calls so subdividing overlapping subcomplexes of the same
-    base yields identical vertices on the overlap.  Corner pairs (color,{v})
-    keep the base vid v and the base label.
+    Each dict lists the vids block by block, in partition order.
     """
-
-    def __init__(self, base: ChromaticComplex):
-        self.base = base
-        self._next = max(base.vertices, default=-1) + 1
-        self._ids: dict[tuple[int, Simplex], int] = {}
-        self.vertices: dict[int, Vertex] = {}
-
-    def get(self, color: int, carrier: Simplex) -> int:
-        if len(carrier) == 1:
-            (v,) = carrier
-            self.vertices[v] = self.base.vertices[v]
-            return v
-        key = (color, carrier)
-        vid = self._ids.get(key)
-        if vid is None:
-            vid = self._next
-            self._next += 1
-            self._ids[key] = vid
-            self.vertices[vid] = Vertex(vid, color, (color, tuple(sorted(carrier))))
-        return vid
+    for partition in ordered_set_partitions(vids):
+        views: dict[int, Simplex] = {}
+        acc: list[int] = []
+        for block in partition:
+            acc.extend(block)
+            carrier = Simplex(acc)
+            for v in block:
+                views[v] = carrier
+        yield views
 
 
 def chromatic_subdivide(
-    c: ChromaticComplex, registry: SubdivisionRegistry | None = None
+    c: ChromaticComplex, registry: StateRegistry | None = None
 ) -> ChromaticComplex:
     """One round of standard chromatic subdivision.
 
     Pass a shared registry (built on a common base) to subdivide several
     subcomplexes into a common vid space.
     """
-    reg = registry if registry is not None else SubdivisionRegistry(c)
-    facets: list[Simplex] = []
-    for f in sorted(c.facets, key=sorted):
-        base = sorted(f)
-        for partition in ordered_set_partitions(base):
-            new_facet: list[int] = []
-            acc: list[int] = []
-            for block in partition:
-                acc.extend(block)
-                carrier = Simplex(acc)
-                for v in block:
-                    new_facet.append(reg.get(c.vertices[v].color, carrier))
-            facets.append(Simplex(new_facet))
+    reg = registry if registry is not None else StateRegistry(c)
+    facets = [
+        Simplex(reg.get(c.vertices[v].color, carrier) for v, carrier in views.items())
+        for f in sorted(c.facets, key=sorted)
+        for views in partition_views(sorted(f))
+    ]
     return ChromaticComplex(reg.vertices, facets)
 
 

@@ -14,7 +14,9 @@ Core claims:
       listed in: equal complexes export equal bytes after subdivision and
       protocol rounds
     - Exit codes: 0 success, 1 failed verification, 2 usage (including
-      non-integer set-cover items), 3 resources, 4 any other exception
+      non-integer set-cover items and options a subcommand does not read:
+      --seed outside gen, --max-facets outside gen/subdivide/protocol/
+      simulate), 3 resources, 4 any other exception
     - --json-out mirrors a machine-readable summary
 """
 
@@ -216,6 +218,12 @@ class TestCli:
         assert main(["subdivide", "--in", str(tmp_path / "missing.json")]) == 2
         assert main(["verify", "--a", "x"]) == 2  # incomplete mode
         assert main(["bounds", "--n", "1", "--r", "1", "--b", "1"]) == 2
+
+    def test_options_offered_only_where_read(self, tmp_path, capsys):
+        src = self._gen(tmp_path)
+        assert main(["subdivide", "--in", str(src), "--seed", "3"]) == 2
+        assert main(["export", "--in", str(src), "--max-facets", "9"]) == 2
+        assert main(["subdivide", "--in", str(src), "--max-facets", "99"]) == 0
 
     def test_non_integer_instance_exits_2(self, capsys):
         assert main(["reduce-setcover", "--universe", "a,b", "--subsets", "1"]) == 2

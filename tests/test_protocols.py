@@ -10,10 +10,11 @@ Core claims:
     - Every view family member self-includes; misses digraphs are acyclic
     - One collect round on the edge is a 4-vertex path
     - One immediate-snapshot round is isomorphic to chromatic subdivision
-    - Solo embedding maps input vertices to solo-view vertices
+    - Input vertices keep their vids as solo-view states in every round;
+      every other state gets a vid above the input's largest
     - No facet of a 1-round complex joins two solo views (no-input-edges)
     - Protocol complexes of subcomplexes glue: X(A) ∩ X(B) = X(A ∩ B)
-    - Multi-round composition and the composed embedding stay consistent
+    - Multi-round composition stays consistent
     - Containment monotonicity on sampled raw interleavings
     - Oracle resource caps raise ResourceLimit
 """
@@ -37,6 +38,7 @@ from itermem import (
     gen_random,
     gen_simplex,
     is_isomorphic,
+    one_round,
     protocol_complex,
     raw_interleaving_views,
     round_views,
@@ -191,37 +193,48 @@ class TestProtocolComplex:
         assert x2.f_vector() == (10, 9)
 
     def test_embedding_solo_views(self):
+        # an input vid lies on exactly the executions where its process
+        # saw only itself
         c = gen_glued(2)
         for pat in PATTERNS:
-            x, emb = protocol_complex(c, pat, 1, return_embedding=True)
-            assert set(emb) == set(c.vertices)
-            for v, w in emb.items():
-                assert x.vertices[w].color == c.vertices[v].color
+            x = protocol_complex(c, pat, 1)
+            for v, vert in c.vertices.items():
+                solo = sum(
+                    gv.views[vert.color] == {v}
+                    for f in c.facets
+                    if v in f
+                    for gv in round_views(c, f, pat)
+                )
+                assert sum(v in f for f in x.facets) == solo > 0
 
     def test_embedding_composes_two_rounds(self):
         c = gen_simplex(2)
-        x, emb = protocol_complex(c, IIS, 2, return_embedding=True)
+        x = protocol_complex(c, IIS, 2)
         # corners of Ch^2 and solo-of-solo states both have degree 10
         for v in c.vertices:
-            assert x.degree(emb[v]) == 10
+            assert x.degree(v) == 10
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    def test_input_vids_kept(self, pattern, rounds):
+        c = gen_glued(2)
+        x = protocol_complex(c, pattern, rounds)
+        for v, vert in c.vertices.items():
+            assert x.vertices[v] == vert
+        top = max(c.vertices)
+        assert all(v > top for v in x.vertices.keys() - c.vertices.keys())
 
     def test_registry_sharing_glues(self):
         c = gen_glued(2)
         a = c.subcomplex([[0, 1, 2]])
         b = c.subcomplex([[3, 1, 2]])
-        reg = StateRegistry()
-        xa = protocol_complex(a, IC, 1, registries=[reg])
-        xb = protocol_complex(b, IC, 1, registries=[reg])
-        xab = protocol_complex(a.intersect(b), IC, 1, registries=[reg])
+        reg = StateRegistry(c)
+        xa, xb, xab = (one_round(s, IC, reg) for s in (a, b, a.intersect(b)))
         assert xa.intersect(xb) == xab
 
     def test_max_facets(self):
         with pytest.raises(ResourceLimit):
             protocol_complex(gen_simplex(2), IC, 2, max_facets=100)
-
-    def test_registries_length_checked(self):
-        with pytest.raises(InvalidParameters):
-            protocol_complex(gen_simplex(1), IC, 2, registries=[StateRegistry()])
 
 
 class TestStructuralChecks:

@@ -13,7 +13,7 @@ Core claims:
     - Tie-break: pairwise co-residency without a common triple glues one
       pair, keeping the optimum at 2
     - exact_min_sequence: triangle 1, glued pair 2; output sequence
-      verifies; resource caps enforced; unknown code family rejected
+      verifies; codes are bottom/1; resource caps enforced
     - Full sweep |U| <= 3: reduction + exact search equals the optimum on
       every feasible instance
     - Greedy length >= exact length on seeded complexes
@@ -131,10 +131,6 @@ class TestExactMin:
     def test_resource_caps(self):
         with pytest.raises(ResourceLimit):
             exact_min_sequence(gen_path(11))  # 13 vertices
-
-    def test_unknown_family(self):
-        with pytest.raises(InvalidParameters):
-            exact_min_sequence(gen_simplex(1), code_family="ternary")
 
     def test_greedy_never_beats_exact(self):
         # the exact search uses the bottom/1 family, so compare against

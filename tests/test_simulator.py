@@ -15,7 +15,8 @@ Core claims:
     - Soundness: bounded runs only produce full-information collect views
     - The shared-apex counterexample: merged states break intersection
       preservation; distinct apex codes restore the isomorphism
-    - iterate_pipeline composes iterations and counts bounded rounds
+    - iterate_pipeline composes iterations and counts bounded rounds;
+      two 1-bit iterations on the triangle take 28 rounds, 625 facets
     - Color cap raises ResourceLimit
 """
 
@@ -207,6 +208,9 @@ class TestIteratePipeline:
         _, t1 = iterate_pipeline(c, 1, 1)
         out2, t2 = iterate_pipeline(c, 2, 1)
         assert t2 > t1
+        # frozen: the second iteration's greedy choices follow the vid order
+        # of the first iteration's output
+        assert (t2, len(out2.facets)) == (28, 625)
         assert is_isomorphic(out2, protocol_complex(c, IC, 2))[0]
 
     def test_bad_parameters(self):

@@ -18,6 +18,7 @@ import pytest
 from itermem import (
     InvalidParameters,
     ResourceLimit,
+    StateRegistry,
     chromatic_subdivide,
     degree_growth_table,
     gen_glued,
@@ -135,12 +136,10 @@ class TestIterated:
 
 class TestIntersectionPreserving:
     def test_on_glued_subcomplexes(self):
-        from itermem.subdivision import SubdivisionRegistry
-
         c = gen_glued(2)
         a = c.subcomplex([[0, 1, 2]])
         b = c.subcomplex([[3, 1, 2]])
-        reg = SubdivisionRegistry(c)
+        reg = StateRegistry(c)
         ch_a = chromatic_subdivide(a, reg)
         ch_b = chromatic_subdivide(b, reg)
         ch_ab = chromatic_subdivide(a.intersect(b), reg)
