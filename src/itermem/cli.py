@@ -71,6 +71,10 @@ def _save_complex(args, c: ChromaticComplex) -> None:
 
 
 def _cmd_gen(args) -> int:
+    # facet counts are known before building: 1, k, m, and at most --facets
+    projected = {"simplex": 1, "glued": args.k, "path": args.m, "random": args.facets}
+    if projected[args.kind] > args.max_facets:
+        raise ResourceLimit(f"{projected[args.kind]} facets exceed --max-facets")
     if args.kind == "simplex":
         c = gen_simplex(args.n)
     elif args.kind == "glued":
@@ -79,8 +83,6 @@ def _cmd_gen(args) -> int:
         c = gen_path(args.m)
     else:
         c = gen_random(args.seed, args.n, args.facets)
-    if len(c.facets) > args.max_facets:
-        raise ResourceLimit(f"{len(c.facets)} facets exceed --max-facets")
     _save_complex(args, c)
     summary = {
         "kind": args.kind,

@@ -84,9 +84,13 @@ def is_isomorphic(
             used.remove(vb)
         return False
 
-    if extend(0):
-        return True, dict(mapping)
-    return False, None
+    try:
+        found = extend(0)
+    finally:
+        # extend reaches itself through its closure: unbroken, that cycle
+        # keeps both complexes alive until the next full collection
+        del extend
+    return (True, dict(mapping)) if found else (False, None)
 
 
 def brute_force_isomorphic(

@@ -17,6 +17,19 @@ Closed forms (views are self-inclusive subsets of one facet):
        ordered).
   ic:  families whose misses digraph (edge p -> q when q is not in p's
        view) is acyclic.
+
+The families depend only on the number of processes, so each pattern's are
+built once per facet size, over positions 0..n-1 (`_template`, cached on
+first use), and moved onto a facet's vids.  ias keeps the definition as a
+filter over the product of self-inclusive views; ic is generated instead:
+the misses digraph is acyclic iff some order of the processes lets each one
+see its whole prefix and any subset of its suffix.  Templates list the
+families in the order the product filter met them (ic and ias) or in
+partition order (iis), and positions are color ranks (ic, ias) or vid ranks
+(iis), so `one_round` hands out vids exactly as an enumeration on the facet
+itself would.  `one_round` checks its budget against counts of the
+families (`_family_count`), so a facet too large to enumerate raises
+ResourceLimit without building its template.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
+from math import comb
 
 from .complexes import (
     DEFAULT_MAX_FACETS,
@@ -33,7 +47,7 @@ from .complexes import (
     assert_facet,
 )
 from .errors import InvalidParameters, ResourceLimit
-from .subdivision import ordered_set_partitions, partition_views
+from .subdivision import ordered_bell, ordered_set_partitions, partition_views
 
 IC = "ic"
 IAS = "ias"
@@ -72,65 +86,121 @@ class GlobalView:
         return {"views": {str(c): sorted(v) for c, v in sorted(self.views.items())}}
 
 
-def _misses_acyclic(views: dict[int, frozenset[int]], owner: dict[int, int]) -> bool:
-    """True iff the digraph p -> q (q's vertex not in p's view) has no cycle."""
-    colors = list(views)
-    out = {
-        p: [q for q in colors if q != p and owner[q] not in views[p]] for p in colors
-    }
-    seen: dict[int, int] = {}  # 0 = on stack, 1 = done
+def _with_subsets(base: int, others) -> list[int]:
+    """base plus each subset of others, by size, in `combinations` order."""
+    return [
+        base | sum(1 << q for q in sub)
+        for k in range(len(others) + 1)
+        for sub in itertools.combinations(others, k)
+    ]
 
-    def dfs(p: int) -> bool:
-        seen[p] = 0
-        for q in out[p]:
-            if q not in seen:
-                if not dfs(q):
-                    return False
-            elif seen[q] == 0:
-                return False
-        seen[p] = 1
-        return True
 
-    return all(dfs(p) for p in colors if p not in seen)
+@lru_cache(maxsize=None)
+def _template(pattern: str, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The view families of one round on n processes, over positions 0..n-1.
+
+    Each family lists (position, view mask) pairs in the order its
+    `GlobalView` lists them.  ic and ias families come in the order of the
+    product of each position's self-inclusive views, one pair per position
+    in position order; iis families come one per ordered partition, block
+    by block.
+    """
+    # one tuple per (position, mask), shared by every family: a smaller cache
+    pair = [[(i, m) for m in range(1 << n)] for i in range(n)]
+    if pattern == IIS:
+        return tuple(
+            tuple(pair[i][sum(1 << j for j in view)] for i, view in views.items())
+            for views in partition_views(list(range(n)))
+        )
+    choices = [_with_subsets(1 << i, [j for j in range(n) if j != i]) for i in range(n)]
+    if pattern == IAS:
+        fams = [
+            combo
+            for combo in itertools.product(*choices)
+            if all((a & b) in (a, b) for a, b in itertools.combinations(combo, 2))
+        ]
+    else:
+        # acyclic misses: some order in which everyone sees its prefix and
+        # any subset of its suffix; sorted back into the product's order
+        found: set[tuple[int, ...]] = set()
+        for order in itertools.permutations(range(n)):
+            per: list[list[int]] = [[] for _ in range(n)]
+            for j, p in enumerate(order):
+                prefix = sum(1 << q for q in order[: j + 1])
+                per[p] = _with_subsets(prefix, order[j + 1 :])
+            found.update(itertools.product(*per))
+        rank = [{m: r for r, m in enumerate(ms)} for ms in choices]
+        fams = sorted(
+            found, key=lambda combo: [rank[i][m] for i, m in enumerate(combo)]
+        )
+    return tuple(tuple(pair[i][m] for i, m in enumerate(combo)) for combo in fams)
+
+
+@lru_cache(maxsize=None)
+def _family_count(pattern: str, n: int) -> int:
+    """len(_template(pattern, n)), counted without building a family.
+
+    iis: ordered set partitions.  ic: labeled acyclic digraphs (the misses
+    digraphs), by inclusion-exclusion over the set of sources.  ias: see
+    `_chain_count`.
+    """
+    if pattern == IIS:
+        return ordered_bell(n)
+    if pattern == IAS:
+        return _chain_count(n, n)
+    dags = [1]
+    for m in range(1, n + 1):
+        dags.append(
+            sum(
+                (-1) ** (k + 1) * comb(m, k) * 2 ** (k * (m - k)) * dags[m - k]
+                for k in range(1, m + 1)
+            )
+        )
+    return dags[n]
+
+
+@lru_cache(maxsize=None)
+def _chain_count(s: int, u: int) -> int:
+    """ias families, counted from the largest view down.
+
+    The distinct views of an ias family form a chain whose top holds every
+    process.  Given the chain's current bottom, of s processes, u of which
+    have no view yet: some a >= 1 of the u take it as their view, and the
+    other u - a go into a proper subset of it that holds all of them.
+    """
+    total = 0
+    for a in range(1, u + 1):
+        rest = u - a
+        below = 1 if rest == 0 else sum(
+            comb(s - rest, t - rest) * _chain_count(t, rest) for t in range(rest, s)
+        )
+        total += comb(u, a) * below
+    return total
 
 
 def round_views(c: ChromaticComplex, input_facet, pattern: str) -> frozenset[GlobalView]:
-    """Closed-form reachable view configurations for one round on a facet."""
+    """Closed-form reachable view configurations for one round on a facet.
+
+    The facet's vids take the template's positions: by color for ic and
+    ias, by vid for iis.
+    """
     _check_pattern(pattern)
     facet = assert_facet(c, input_facet)
-    vids = sorted(facet)
-    color_of = {v: c.vertices[v].color for v in vids}
-    owner = {color_of[v]: v for v in vids}
-    colors = sorted(owner)
-
-    if pattern == IIS:
-        return frozenset(
-            GlobalView({color_of[v]: view for v, view in views.items()})
-            for views in partition_views(vids)
-        )
-
-    # ias/ic: enumerate self-inclusive view candidates, then filter
-    out: set[GlobalView] = set()
-    others = {p: [owner[q] for q in colors if q != p] for p in colors}
-    choices = {
-        p: [
-            frozenset({owner[p]}) | frozenset(sub)
-            for k in range(len(others[p]) + 1)
-            for sub in itertools.combinations(others[p], k)
-        ]
-        for p in colors
-    }
-    for combo in itertools.product(*(choices[p] for p in colors)):
-        views = dict(zip(colors, combo))
-        if pattern == IAS:
-            ok = all(
-                a <= b or b <= a for a, b in itertools.combinations(combo, 2)
-            )
-        else:
-            ok = _misses_acyclic(views, owner)
-        if ok:
-            out.add(GlobalView(views))
-    return frozenset(out)
+    color_of = {v: c.vertices[v].color for v in facet}
+    at = sorted(facet, key=None if pattern == IIS else color_of.__getitem__)
+    colors = [color_of[v] for v in at]
+    sets = [
+        frozenset(v for j, v in enumerate(at) if m >> j & 1)
+        for m in range(1 << len(at))
+    ]
+    fams = (
+        GlobalView({colors[i]: sets[m] for i, m in fam})
+        for fam in _template(pattern, len(at))
+    )
+    # frozenset(set(...)) lays out its table unlike frozenset(...); each
+    # pattern keeps the build it always had, so the iteration order, and
+    # with it the vids `one_round` hands out, stays as it was
+    return frozenset(fams) if pattern == IIS else frozenset(set(fams))
 
 
 # -- brute-force oracle -----------------------------------------------------
@@ -196,26 +266,28 @@ def schedule_oracle(
         walk.cache_clear()
     else:
         # ic events: write_i, then reads of each of the n registers in any order
+        bits = [1 << i for i in range(n)]
+
         @lru_cache(maxsize=None)
         def walk_ic(
             written: int, reads_left: tuple[int, ...], seen: tuple[int, ...]
         ) -> frozenset:
-            if all(r == 0 for r in reads_left):
+            if not any(reads_left):
                 return frozenset({seen})
             results: set = set()
-            for i in range(n):
-                if not written & (1 << i):
-                    results |= walk_ic(written | (1 << i), reads_left, seen)
+            for i, bit in enumerate(bits):
+                if not written & bit:
+                    results |= walk_ic(written | bit, reads_left, seen)
                 elif reads_left[i]:
                     rl = reads_left[i]
-                    for j in range(n):
-                        if rl & (1 << j):
-                            nl = reads_left[:i] + (rl & ~(1 << j),) + reads_left[i + 1 :]
+                    head, tail = reads_left[:i], reads_left[i + 1 :]
+                    for b in bits:
+                        if rl & b:
                             s = seen
-                            if written & (1 << j):
+                            if written & b:
                                 # a read of a written register observes it
-                                s = seen[:i] + (seen[i] | (1 << j),) + seen[i + 1 :]
-                            results |= walk_ic(written, nl, s)
+                                s = seen[:i] + (seen[i] | b,) + seen[i + 1 :]
+                            results |= walk_ic(written, head + (rl & ~b,) + tail, s)
             return frozenset(results)
 
         outcomes = walk_ic(0, (full,) * n, (0,) * n)
@@ -316,15 +388,22 @@ def one_round(
     States come from `registry`, so an input vid stays the vid of its
     process's solo view.  (Executions on a proper face of a facet are faces
     of that facet's executions, so iterating over facets loses nothing.)
+    With `max_facets` set, the facet count is projected from the family
+    counts before any family is built.
     """
+    _check_pattern(pattern)
+    if max_facets is not None:
+        projected = sum(_family_count(pattern, len(f)) for f in c.facets)
+        if projected > max_facets:
+            raise ResourceLimit(
+                f"protocol round would make {projected} facets, over {max_facets}"
+            )
     facets: list[Simplex] = []
     for f in sorted(c.facets, key=sorted):
         for gv in round_views(c, f, pattern):
             facets.append(
                 Simplex(registry.get(col, view) for col, view in gv.views.items())
             )
-        if max_facets is not None and len(facets) > max_facets:
-            raise ResourceLimit(f"protocol complex exceeded {max_facets} facets")
     return ChromaticComplex(registry.vertices, facets)
 
 

@@ -9,11 +9,21 @@ round keeps its state unchanged — its decoded values are discarded.
 folds all schedules per round into reachable knowledge vectors (two
 schedule combinations with equal round-k states share all continuations)
 using the oracle-validated one-round view families, with real decode calls.
+
+Within one facet and one encoding, decoding is a table.  A reader p of the
+facet that reads the register of a coded q of the facet sees q's code, and
+`decode` looks only at p's input vertex, the color of q and that code: not
+at what p knows, nor at which schedule ran.  q itself is always a
+candidate (a neighbor of p with q's color and code), so the answer is q or
+AmbiguousDecode, the same for every knowledge vector and every view family.
+Every coded pair is read in some family (everyone sees everyone in one),
+so decoding each pair once raises exactly when the per-read loop would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import or_
 
 from .complexes import (
     DEFAULT_MAX_FACETS,
@@ -170,8 +180,12 @@ def bounded_protocol_complex(
 
     Per facet and per round, the reachable knowledge vectors are composed
     against every one-round read configuration; vectors are deduplicated
-    between rounds.  Coded readers decode via `decode`; uncoded readers
-    skip the (discarded anyway) decode.  Vertices glue on equal
+    between rounds.  Each coded reader calls `decode` once per coded
+    source of the facet (the answer does not depend on the vector or the
+    configuration; see the module docstring), so a configuration becomes
+    one tuple of per-process additions, and the round is the union of
+    every vector with every distinct addition tuple.  Uncoded readers add
+    nothing (what they would decode is discarded).  Vertices glue on equal
     (color, knowledge) states.
     """
     if len(c.colors()) > 3:
@@ -181,28 +195,39 @@ def bounded_protocol_complex(
     for f in sorted(c.facets, key=sorted):
         participants = sorted(f)
         color_of = {v: c.vertices[v].color for v in participants}
-        fams = round_views(c, f, IC)
-        vecs: set[tuple] = {
-            tuple(frozenset({(color_of[v], v)}) for v in participants)
-        }
+        # each family as its participants' views, in round_views' order
+        fams = [
+            tuple(gv.views[color_of[p]] for p in participants)
+            for gv in round_views(c, f, IC)
+        ]
+        seen_by = [set(views) for views in zip(*fams)]  # distinct views per reader
+        solo = tuple(frozenset({(color_of[v], v)}) for v in participants)
+        readers = [
+            SimProcessState(color_of[p], p, own) for p, own in zip(participants, solo)
+        ]
+        vecs: set[tuple] = {solo}
         for enc in seq:
-            new_vecs: set[tuple] = set()
-            for vec in vecs:
-                for gv in fams:
-                    nxt = []
-                    for i, p in enumerate(participants):
-                        if enc.value(p) is None:
-                            nxt.append(vec[i])
-                            continue
-                        know = set(vec[i])
-                        st = SimProcessState(color_of[p], p, vec[i])
-                        for q in gv.views[color_of[p]]:
-                            if q != p and enc.value(q) is not None:
-                                x = decode(st, color_of[q], enc.value(q), enc, c)
-                                know.add((color_of[q], x))
-                        nxt.append(frozenset(know))
-                    new_vecs.add(tuple(nxt))
-            vecs = new_vecs
+            codes = {p: enc.value(p) for p in participants}
+            # what each reader adds per view: one decode per coded
+            # (reader, source) pair, nothing for an uncoded reader
+            add_of = []
+            for rd, views in zip(readers, seen_by):
+                got = {}
+                if codes[rd.input_vertex] is not None:
+                    got = {
+                        q: (color_of[q], decode(rd, color_of[q], code, enc, c))
+                        for q, code in codes.items()
+                        if q != rd.input_vertex and code is not None
+                    }
+                add_of.append(
+                    {v: frozenset(got[q] for q in v if q in got) for v in views}
+                )
+            # distinct addition tuples in first-seen order: vecs then fills as
+            # a loop over every family would, and its order breaks the sort's ties
+            adds = dict.fromkeys(
+                tuple(map(dict.__getitem__, add_of, fam)) for fam in fams
+            )
+            vecs = {tuple(map(or_, vec, add)) for vec in vecs for add in adds}
         for vec in sorted(vecs, key=lambda t: sorted(map(sorted, t))):
             facets.append(
                 Simplex(

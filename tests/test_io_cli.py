@@ -17,6 +17,9 @@ Core claims:
       non-integer set-cover items and options a subcommand does not read:
       --seed outside gen, --max-facets outside gen/subdivide/protocol/
       simulate), 3 resources, 4 any other exception
+    - simulate on a non-distinguishing encoding (AmbiguousDecode) exits 1
+    - gen compares the facet count it will build with --max-facets before
+      generating anything
     - --json-out mirrors a machine-readable summary
 """
 
@@ -29,6 +32,7 @@ from itermem import (
     Encoding,
     UnsupportedFormat,
     chromatic_subdivide,
+    code_collision_counterexample,
     export_complex,
     gen_glued,
     gen_random,
@@ -174,7 +178,7 @@ class TestCli:
                      "--verify-against", "ic"]) == 0
         assert main(["verify", "--in", str(src), "--encodings", str(enc)]) == 0
 
-    def test_simulate_flags_broken_sequence(self, tmp_path):
+    def test_simulate_flags_broken_sequence(self, tmp_path, capsys):
         src = self._gen(tmp_path)
         enc = tmp_path / "broken.json"
         enc.write_text(json.dumps(
@@ -182,6 +186,12 @@ class TestCli:
         ))
         assert main(["simulate", "--in", str(src), "--encodings", str(enc),
                      "--verify-against", "ic"]) == 1
+        # the counterexample's shared apex code: decoding alone fails
+        _, broken, _ = code_collision_counterexample()
+        enc.write_text(json.dumps(sequence_to_list(broken)))
+        capsys.readouterr()
+        assert main(["simulate", "--in", str(src), "--encodings", str(enc)]) == 1
+        assert "verification failed" in capsys.readouterr().err
 
     def test_bounds_table(self, capsys):
         assert main(["bounds", "--n", "3", "--r", "1", "--b", "1"]) == 0
@@ -244,6 +254,16 @@ class TestCli:
         src = self._gen(tmp_path)
         assert main(["subdivide", "--in", str(src), "--rounds", "4",
                      "--max-facets", "100"]) == 3
+
+    def test_gen_budget_checked_before_generating(self, monkeypatch):
+        def generated(*args):
+            raise AssertionError("generated past the budget")
+
+        monkeypatch.setattr("itermem.cli.gen_random", generated)
+        assert main(["gen", "random", "--n", "3", "--facets", "100000",
+                     "--max-facets", "10"]) == 3
+        monkeypatch.setattr("itermem.cli.gen_glued", generated)
+        assert main(["gen", "glued", "--k", "11", "--max-facets", "10"]) == 3
 
     def test_seeded_gen_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

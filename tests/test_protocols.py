@@ -5,6 +5,12 @@ Core claims:
     - View counts on the triangle: 13 (immediate snapshot), 19 (atomic
       snapshot), 25 (collect); 3 each on the edge
     - Closed forms equal the brute-force schedule oracle at 2 and 3 colors
+    - The per-size templates equal the product-filter definitions (iis:
+      comparable and immediate; ias: comparable; ic: acyclic misses) for
+      every pattern at 1-4 colors, also when color order differs from vid
+      order; ic family counts are the labeled acyclic digraphs
+      1, 3, 25, 543, 29281; they iterate in the order of the definitions'
+      own enumerations, which fixes the vids one_round hands out
     - Explicit event interleavings reproduce the same view families
     - Strict hierarchy: immediate snapshot < atomic snapshot < collect
     - Every view family member self-includes; misses digraphs are acyclic
@@ -17,7 +23,12 @@ Core claims:
     - Multi-round composition stays consistent
     - Containment monotonicity on sampled raw interleavings
     - Oracle resource caps raise ResourceLimit
+    - Protocol budgets are checked from counted facets (ordered Bell,
+      labeled acyclic digraphs, ias chains; each equal to the template's
+      length), before any view family or template is built
 """
+
+import itertools
 
 import pytest
 
@@ -44,12 +55,78 @@ from itermem import (
     round_views,
     schedule_oracle,
 )
+from itermem.complexes import build_complex
+from itermem.protocols import _family_count
+from itermem.subdivision import partition_views
 
 TRIANGLE_COUNTS = {IIS: 13, IAS: 19, IC: 25}
+IC_COUNTS = (1, 3, 25, 543, 29281)  # labeled acyclic digraphs
 
 
 def _facet(c):
     return next(iter(c.facets))
+
+
+def _misses_acyclic(views: dict[int, frozenset[int]], owner: dict[int, int]) -> bool:
+    """True iff the digraph p -> q (q's vertex not in p's view) has no cycle."""
+    colors = list(views)
+    out = {
+        p: [q for q in colors if q != p and owner[q] not in views[p]] for p in colors
+    }
+    seen: dict[int, int] = {}  # 0 = on stack, 1 = done
+
+    def dfs(p: int) -> bool:
+        seen[p] = 0
+        for q in out[p]:
+            if q not in seen:
+                if not dfs(q):
+                    return False
+            elif seen[q] == 0:
+                return False
+        seen[p] = 1
+        return True
+
+    return all(dfs(p) for p in colors if p not in seen)
+
+
+def _product_filter(c, facet, pattern):
+    """Every self-inclusive view assignment that passes the pattern's definition."""
+    owner = {c.vertices[v].color: v for v in facet}
+    colors = sorted(owner)
+    choices = [
+        [
+            frozenset({owner[p]}) | frozenset(sub)
+            for k in range(len(colors))
+            for sub in itertools.combinations([owner[q] for q in colors if q != p], k)
+        ]
+        for p in colors
+    ]
+    out = set()
+    for combo in itertools.product(*choices):
+        views = dict(zip(colors, combo))
+        comparable = all(a <= b or b <= a for a, b in itertools.combinations(combo, 2))
+        if pattern == IC:
+            ok = _misses_acyclic(views, owner)
+        elif pattern == IAS:
+            ok = comparable
+        else:  # immediate: whoever sees q sees all q saw
+            ok = comparable and all(
+                views[q] <= views[p]
+                for p in colors
+                for q in colors
+                if owner[q] in views[p]
+            )
+        if ok:
+            out.add(GlobalView(views))
+    return frozenset(out)
+
+
+def _by_partitions(c, facet):
+    """iis families built on the facet itself, one per ordered partition."""
+    return frozenset(
+        GlobalView({c.vertices[v].color: view for v, view in views.items()})
+        for views in partition_views(sorted(facet))
+    )
 
 
 class TestViewFamilies:
@@ -99,6 +176,44 @@ class TestViewFamilies:
         c = gen_simplex(1)
         with pytest.raises(InvalidParameters):
             round_views(c, _facet(c), "snapshotty")
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    def test_equal_product_filter(self, n, pattern):
+        # colors in vid order, reversed, and rotated by one
+        orders = {tuple(range(n)), tuple(reversed(range(n))), tuple(range(1, n)) + (0,)}
+        for colors in sorted(orders):
+            c = build_complex([[(col, f"x{i}") for i, col in enumerate(colors)]])
+            f = _facet(c)
+            assert set(round_views(c, f, pattern)) == _product_filter(c, f, pattern)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_same_iteration_order(self, n):
+        # one_round numbers states in this order, so exports depend on it
+        colors = reversed(range(n))
+        c = build_complex([[(col, f"x{i}") for i, col in enumerate(colors)]])
+        f = _facet(c)
+        for pattern in (IC, IAS):
+            got = [gv.views for gv in round_views(c, f, pattern)]
+            assert got == [gv.views for gv in _product_filter(c, f, pattern)]
+        got = [list(gv.views.items()) for gv in round_views(c, f, IIS)]
+        assert got == [list(gv.views.items()) for gv in _by_partitions(c, f)]
+
+    def test_family_counts(self):
+        for n, want in enumerate(IC_COUNTS, start=1):
+            c = gen_simplex(n - 1)
+            assert len(round_views(c, _facet(c), IC)) == want
+            for pat in (IIS, IC) if n == 5 else PATTERNS:
+                assert _family_count(pat, n) == len(round_views(c, _facet(c), pat))
+
+    def test_every_facet_of_a_complex(self):
+        # one template per size, moved onto each facet's own vids
+        c = gen_random(4, 3, 6)
+        for f in c.facets:
+            for pat in PATTERNS:
+                assert set(round_views(c, f, pat)) == _product_filter(c, f, pat)
 
 
 class TestOracleEquivalence:
@@ -235,6 +350,27 @@ class TestProtocolComplex:
     def test_max_facets(self):
         with pytest.raises(ResourceLimit):
             protocol_complex(gen_simplex(2), IC, 2, max_facets=100)
+
+    def test_max_facets_projected_before_building(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("view families were built past the budget")
+
+        monkeypatch.setattr("itermem.protocols.round_views", built)
+        monkeypatch.setattr("itermem.protocols._template", built)
+        with pytest.raises(ResourceLimit):
+            protocol_complex(gen_simplex(4), IC, 1, max_facets=10)
+        for pat in PATTERNS:
+            with pytest.raises(ResourceLimit):
+                protocol_complex(gen_glued(3), pat, 1, max_facets=30)
+            # six processes: 4683, 81663 and 3781503 families per facet
+            with pytest.raises(ResourceLimit):
+                protocol_complex(gen_simplex(5), pat, 1, max_facets=4682)
+        # the budget is the round's whole count: 543 facets fit in 543
+        monkeypatch.undo()
+        x = protocol_complex(gen_simplex(3), IC, 1, max_facets=543)
+        assert len(x.facets) == 543
+        with pytest.raises(ResourceLimit):
+            protocol_complex(gen_simplex(3), IC, 1, max_facets=542)
 
 
 class TestStructuralChecks:

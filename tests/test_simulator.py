@@ -13,6 +13,12 @@ Core claims:
       edge, triangle, glued pair, and seeded random complexes (budgets
       1, 2, 3)
     - Soundness: bounded runs only produce full-information collect views
+    - The per-facet decode table folds to the same export, byte for byte,
+      as the per-vector decode loop it replaced (kept here as the
+      reference), on greedy + split encodings and on random encodings,
+      where both raise AmbiguousDecode on exactly the same inputs
+    - A non-distinguishing encoding (the counterexample's shared apex
+      code) still raises AmbiguousDecode
     - The shared-apex counterexample: merged states break intersection
       preservation; distinct apex codes restore the isomorphism
     - iterate_pipeline composes iterations and counts bounded rounds;
@@ -21,10 +27,14 @@ Core claims:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itermem import (
     IC,
     AmbiguousDecode,
+    ChromaticComplex,
+    StateRegistry,
     Encoding,
     InvalidParameters,
     ResourceLimit,
@@ -44,7 +54,9 @@ from itermem import (
     sequential_schedule,
     split_to_budget,
     code_collision_counterexample,
+    export_complex,
 )
+from itermem.complexes import Simplex
 
 A1, P1, P2, A2 = 0, 1, 2, 3
 
@@ -140,6 +152,85 @@ class TestRunBounded:
         f = next(iter(c.facets))
         with pytest.raises(InvalidParameters):
             run_bounded(c, f, seq, [])
+
+
+def _reference_bounded(c, seq):
+    """The per-vector, per-family decode loop, as it ran before the table."""
+    reg = StateRegistry(c)
+    facets = []
+    for f in sorted(c.facets, key=sorted):
+        participants = sorted(f)
+        color_of = {v: c.vertices[v].color for v in participants}
+        fams = round_views(c, f, IC)
+        vecs = {tuple(frozenset({(color_of[v], v)}) for v in participants)}
+        for enc in seq:
+            new_vecs = set()
+            for vec in vecs:
+                for gv in fams:
+                    nxt = []
+                    for i, p in enumerate(participants):
+                        if enc.value(p) is None:
+                            nxt.append(vec[i])
+                            continue
+                        know = set(vec[i])
+                        reader = SimProcessState(color_of[p], p, vec[i])
+                        for q in gv.views[color_of[p]]:
+                            if q != p and enc.value(q) is not None:
+                                x = decode(reader, color_of[q], enc.value(q), enc, c)
+                                know.add((color_of[q], x))
+                        nxt.append(frozenset(know))
+                    new_vecs.add(tuple(nxt))
+            vecs = new_vecs
+        for vec in sorted(vecs, key=lambda t: sorted(map(sorted, t))):
+            facets.append(
+                Simplex(
+                    reg.get(color_of[p], vec[i]) for i, p in enumerate(participants)
+                )
+            )
+    return export_complex(ChromaticComplex(reg.vertices, facets), "json")
+
+
+def _bounded_or_ambiguous(build, c, seq):
+    try:
+        return build(c, seq)
+    except AmbiguousDecode:
+        return AmbiguousDecode
+
+
+def _new_export(c, seq):
+    return export_complex(bounded_protocol_complex(c, seq), "json")
+
+
+three_color_complexes = st.builds(
+    gen_random, st.integers(0, 10**6), st.just(3), st.integers(1, 5)
+)
+
+
+class TestDecodeTable:
+    @settings(max_examples=30, deadline=None)
+    @given(three_color_complexes, st.sampled_from([1, 2, 3]))
+    def test_fold_equals_reference_on_split_covers(self, c, b):
+        seq, _ = greedy_star(c)
+        sub = split_to_budget(seq, c, b)
+        assert _new_export(c, sub) == _reference_bounded(c, sub)
+
+    @settings(max_examples=40, deadline=None)
+    @given(three_color_complexes, st.data())
+    def test_fold_equals_reference_on_any_encoding(self, c, data):
+        # few codes and bottoms: ambiguous decodes are common
+        code = st.none() | st.integers(0, 1)
+        seq = [
+            Encoding({v: data.draw(code) for v in sorted(c.vertices)})
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        assert _bounded_or_ambiguous(_new_export, c, seq) == _bounded_or_ambiguous(
+            _reference_bounded, c, seq
+        )
+
+    def test_non_distinguishing_encoding_raises(self):
+        c, broken, _ = code_collision_counterexample()
+        with pytest.raises(AmbiguousDecode):
+            bounded_protocol_complex(c, broken)
 
 
 class TestBoundedComplex:
