@@ -18,7 +18,7 @@ from .errors import InvalidParameters
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Formula bounds, plus degree-based bounds when a complex is given."""
+    """Formula bounds, plus the degree lower bound when a complex is given."""
 
     n: int
     r: int
@@ -27,7 +27,6 @@ class BoundsReport:
     snapshot_upper: float
     two_process: bool
     degree_lower: int | None = None
-    degree_upper: int | None = None
     measured_rounds: int | None = None
 
     def rows(self) -> list[tuple[str, object]]:
@@ -42,8 +41,6 @@ class BoundsReport:
             out.append(("two-process round complexity", 1))
         if self.degree_lower is not None:
             out.append(("degree lower bound", self.degree_lower))
-        if self.degree_upper is not None:
-            out.append(("degree upper bound", self.degree_upper))
         if self.measured_rounds is not None:
             out.append(("measured rounds", self.measured_rounds))
         return out
@@ -56,7 +53,7 @@ def bounds_table(
     c: ChromaticComplex | None = None,
     measured_rounds: int | None = None,
 ) -> BoundsReport:
-    """Counting bounds for (n, r, b); degree bounds when c is supplied.
+    """Counting bounds for (n, r, b); the degree lower bound when c is supplied.
 
     n = 2 short-circuits: each iteration costs one round regardless of b,
     so the formula bounds are reported as the iteration count itself.
@@ -71,12 +68,7 @@ def bounds_table(
     else:
         lower = float(factorial(n)) ** (r - 1) * 2.0 ** (n - b)
         upper = n * lower
-    degree_lower = degree_upper = None
-    if c is not None:
-        from .greedy import upper_bound_rounds
-
-        degree_lower = lower_bound_rounds(c, b)
-        degree_upper = upper_bound_rounds(c, b)
+    degree_lower = lower_bound_rounds(c, b) if c is not None else None
     return BoundsReport(
         n=n,
         r=r,
@@ -85,6 +77,5 @@ def bounds_table(
         snapshot_upper=upper,
         two_process=(n == 2),
         degree_lower=degree_lower,
-        degree_upper=degree_upper,
         measured_rounds=measured_rounds,
     )

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .generators import gen_glued, gen_path, gen_random, gen_simplex
-from .greedy import greedy_star, split_to_budget, upper_bound_rounds, verify_cover
+from .greedy import greedy_star, split_to_budget, verify_cover
 from .io import (
     FORMATS,
     export_complex,
@@ -154,7 +154,6 @@ def _cmd_greedy_star(args) -> int:
         "bits": args.bits,
         "cover_verified": covered,
         "degree_lower": lower_bound_rounds(c, args.bits) if args.bits else None,
-        "degree_upper": upper_bound_rounds(c, args.bits) if args.bits else None,
     }
     print(
         f"star cover: {outer} outer rounds, {len(seq)} rounds after split, "
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--r", type=int, required=True)
     b.add_argument("--b", type=int, required=True)
-    b.add_argument("--in", dest="infile", help="complex for degree bounds")
+    b.add_argument("--in", dest="infile", help="complex for the degree lower bound")
     b.add_argument("--measured", type=int, help="measured rounds to report")
     b.set_defaults(func=_cmd_bounds)
 

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import ChromaticComplex, Simplex
-from .encoding import (
-    Encoding,
-    _distinguishable_vids,
-    distinguishable_subcomplex,
-    lower_bound_rounds,
-)
+from .encoding import Encoding, _distinguishable_vids, distinguishable_subcomplex
 from .errors import InvalidParameters, ItermemError
 
 
@@ -236,11 +231,6 @@ def split_to_budget(
             subs = [_facet_encoding(f) for f in sorted(target.facets, key=sorted)]
         out.extend(subs)
     return out
-
-
-def upper_bound_rounds(c: ChromaticComplex, b: int) -> int:
-    """Four times the degree-based round lower bound."""
-    return 4 * lower_bound_rounds(c, b)
 
 
 def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:

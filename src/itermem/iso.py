@@ -2,8 +2,21 @@
 
 Two complexes are isomorphic when a bijection of vertices preserves colors
 and maps the facet set of one exactly onto the facet set of the other.
-``is_isomorphic`` refines vertex classes by structural invariants and then
-backtracks inside classes; ``brute_force_isomorphic`` tries every
+
+``is_isomorphic`` is an individualization-refinement search (McKay and
+Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 2014).
+Refinement colors the vertices of both complexes together, from one shared
+table, until the coloring stops changing: a facet's color is the tuple of
+its vertices' colors in process-color order, and a vertex's next color is
+its color plus the sorted multiset of its facets' colors.  An isomorphism
+keeps refined colors, so if the two sides' color counts differ the coloring
+admits none.  While some class holds several vertices per side, the search
+individualizes: it gives one ``a``-vertex of the smallest such class and
+each same-class ``b``-vertex in turn a fresh shared color, and refines
+again, keeping the branches on an explicit stack.  Once every class holds
+one vertex per side the bijection is forced, and one facet-image check
+decides the branch.  A search that refines more than ``_NODE_BUDGET``
+colorings raises ResourceLimit.  ``brute_force_isomorphic`` tries every
 color-respecting bijection and is usable as an oracle on small inputs.
 """
 
@@ -13,26 +26,30 @@ import itertools
 from collections import Counter
 
 from .complexes import ChromaticComplex, Simplex
-from .errors import InvalidParameters
+from .errors import InvalidParameters, ResourceLimit
 
 _BRUTE_LIMIT = 8
+_NODE_BUDGET = 10_000  # colorings refined by one is_isomorphic call
 
 
-def _signatures(c: ChromaticComplex) -> dict[int, tuple]:
-    """Refined per-vertex invariants, stable under isomorphism."""
-    adj = c.adjacency()
-    facet_dims = {vid: Counter() for vid in c.vertices}
-    for f in c.facets:
-        for vid in f:
-            facet_dims[vid][len(f)] += 1
-    sig = {
-        vid: (c.vertices[vid].color, len(adj[vid]), tuple(sorted(facet_dims[vid].items())))
-        for vid in c.vertices
-    }
-    # one round of neighbor refinement: append sorted multiset of neighbor sigs
-    return {
-        vid: sig[vid] + (tuple(sorted(sig[u] for u in adj[vid])),) for vid in c.vertices
-    }
+def _refine(
+    color: list[int], facets: list[tuple[int, ...]], incidence: list[list[int]]
+) -> list[int]:
+    """The stable refinement of a vertex coloring, recolored 0..k-1."""
+    classes = len(set(color))
+    while True:
+        of_vertex = color.__getitem__
+        table: dict[tuple, int] = {}
+        facet_color = [table.setdefault(tuple(map(of_vertex, f)), len(table)) for f in facets]
+        of_facet = facet_color.__getitem__
+        table = {}
+        new = [
+            table.setdefault((k, tuple(sorted(map(of_facet, incident)))), len(table))
+            for k, incident in zip(color, incidence)
+        ]
+        if len(table) == classes:
+            return new
+        color, classes = new, len(table)
 
 
 def is_isomorphic(
@@ -41,56 +58,52 @@ def is_isomorphic(
     """Decide color-preserving isomorphism; return (answer, vid witness map).
 
     The witness maps vids of ``a`` to vids of ``b`` and is None on failure.
+    Raises ResourceLimit when the search refines more than ``_NODE_BUDGET``
+    colorings.
     """
-    if len(a.vertices) != len(b.vertices) or len(a.facets) != len(b.facets):
+    n = len(a.vertices)
+    if n != len(b.vertices) or len(a.facets) != len(b.facets):
         return False, None
-    if a.f_vector() != b.f_vector():
-        return False, None
-    sig_a, sig_b = _signatures(a), _signatures(b)
-    if Counter(sig_a.values()) != Counter(sig_b.values()):
-        return False, None
-    if not a.vertices:  # both empty
-        return True, {}
+    # a's vertices are 0..n-1 and b's n..2n-1; facets list vertices in
+    # process-color order
+    vids = [*a.vertices, *b.vertices]
+    facets: list[tuple[int, ...]] = []
+    incidence: list[list[int]] = [[] for _ in vids]
+    for c, offset in ((a, 0), (b, n)):
+        index = {vid: offset + i for i, vid in enumerate(c.vertices)}
+        for f in c.facets:
+            facet = tuple(index[vid] for vid in sorted(f, key=lambda u: c.vertices[u].color))
+            for v in facet:
+                incidence[v].append(len(facets))
+            facets.append(facet)
 
-    classes: dict[tuple, list[int]] = {}
-    for vid, s in sig_b.items():
-        classes.setdefault(s, []).append(vid)
-    # assign rarest classes first to fail fast
-    order = sorted(a.vertices, key=lambda vid: (len(classes[sig_a[vid]]), vid))
-    adj_a, adj_b = a.adjacency(), b.adjacency()
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
+    stack = [[v.color for c in (a, b) for v in c.vertices.values()]]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes > _NODE_BUDGET:
+            raise ResourceLimit(f"isomorphism search passed {_NODE_BUDGET} nodes")
+        color = _refine(stack.pop(), facets, incidence)
+        if Counter(color[:n]) != Counter(color[n:]):
+            continue
+        cells: dict[int, list[int]] = {}
+        for v, k in enumerate(color):
+            cells.setdefault(k, []).append(v)
+        # with equal counts every cell holds as many a- as b-vertices, a first
+        open_cells = [cell for cell in cells.values() if len(cell) > 2]
+        if not open_cells:  # the map is forced; checking its image certifies it
+            mapping = {vids[v]: vids[w] for v, w in cells.values()}
             image = frozenset(Simplex(mapping[v] for v in f) for f in a.facets)
-            return image == b.facets
-        va = order[i]
-        for vb in classes[sig_a[va]]:
-            if vb in used:
-                continue
-            # adjacency with already-placed vertices must match both ways
-            ok = all(
-                (u in adj_a[va]) == (mapping[u] in adj_b[vb]) for u in mapping
-            )
-            if not ok:
-                continue
-            mapping[va] = vb
-            used.add(vb)
-            if extend(i + 1):
-                return True
-            del mapping[va]
-            used.remove(vb)
-        return False
-
-    try:
-        found = extend(0)
-    finally:
-        # extend reaches itself through its closure: unbroken, that cycle
-        # keeps both complexes alive until the next full collection
-        del extend
-    return (True, dict(mapping)) if found else (False, None)
+            if image == b.facets:
+                return True, mapping
+            continue
+        cell = min(open_cells, key=len)
+        fresh = len(cells)
+        for w in reversed(cell[len(cell) // 2 :]):
+            child = color.copy()
+            child[cell[0]] = child[w] = fresh
+            stack.append(child)
+    return False, None
 
 
 def brute_force_isomorphic(

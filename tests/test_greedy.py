@@ -38,7 +38,6 @@ from itermem import (
     iterate_subdivide,
     lower_bound_rounds,
     split_to_budget,
-    upper_bound_rounds,
     verify_cover,
 )
 from itermem.greedy import _split_generic, _split_keeps, _split_star_aligned
@@ -230,12 +229,6 @@ class TestSplitToBudget:
 
 
 class TestBounds:
-    def test_upper_is_four_times_lower(self):
-        for seed in range(5):
-            c = gen_random(seed, 3, 5)
-            for b in (1, 2, 3):
-                assert upper_bound_rounds(c, b) == 4 * lower_bound_rounds(c, b)
-
     def test_greedy_between_bounds_when_verified(self):
         for seed in range(8):
             c = gen_random(seed, 3, 5)

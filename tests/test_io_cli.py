@@ -16,7 +16,9 @@ Core claims:
     - Exit codes: 0 success, 1 failed verification, 2 usage (including
       non-integer set-cover items and options a subcommand does not read:
       --seed outside gen, --max-facets outside gen/subdivide/protocol/
-      simulate), 3 resources, 4 any other exception
+      simulate), 3 resources (also an isomorphism search past its node
+      budget), 4 any other exception
+    - verify decides Ch^2 ~= IIS^2 of the 3-simplex (1,124 vertices a side)
     - simulate on a non-distinguishing encoding (AmbiguousDecode) exits 1
     - gen compares the facet count it will build with --max-facets before
       generating anything
@@ -161,6 +163,18 @@ class TestCli:
                      "--rounds", "1", "--out", str(xi)]) == 0
         assert main(["verify", "--a", str(ch), "--b", str(xi)]) == 0
 
+    def test_verify_ch2_of_3_simplex(self, tmp_path):
+        # 1,124 vertices a side: deep enough to overflow a search that
+        # recursed once per vertex
+        src = tmp_path / "d3.json"
+        assert main(["gen", "simplex", "--n", "3", "--out", str(src)]) == 0
+        ch, xi = tmp_path / "ch2d3.json", tmp_path / "iis2d3.json"
+        assert main(["subdivide", "--in", str(src), "--rounds", "2",
+                     "--out", str(ch)]) == 0
+        assert main(["protocol", "--in", str(src), "--pattern", "iis",
+                     "--rounds", "2", "--out", str(xi)]) == 0
+        assert main(["verify", "--a", str(ch), "--b", str(xi)]) == 0
+
     def test_verify_detects_difference(self, tmp_path):
         a = self._gen(tmp_path, "a.json")
         b = tmp_path / "b.json"
@@ -254,6 +268,12 @@ class TestCli:
         src = self._gen(tmp_path)
         assert main(["subdivide", "--in", str(src), "--rounds", "4",
                      "--max-facets", "100"]) == 3
+
+    def test_iso_search_budget_exit_3(self, tmp_path, monkeypatch):
+        # glued(2) swaps its two apexes, so the search needs a second node
+        src = self._gen(tmp_path)
+        monkeypatch.setattr("itermem.iso._NODE_BUDGET", 1)
+        assert main(["verify", "--a", str(src), "--b", str(src)]) == 3
 
     def test_gen_budget_checked_before_generating(self, monkeypatch):
         def generated(*args):
