@@ -156,7 +156,7 @@ def _cmd_greedy_star(args) -> int:
         "degree_lower": lower_bound_rounds(c, args.bits) if args.bits else None,
     }
     print(
-        f"star cover: {outer} outer rounds, {len(seq)} rounds after split, "
+        f"star cover: {outer} outer rounds, {len(seq)} rounds after packing, "
         f"cover {'verified' if covered else 'FAILED'}"
     )
     _emit(args, summary)
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gs = sub.add_parser("greedy-star", parents=[common], help="star-cover encodings")
     gs.add_argument("--in", dest="infile", required=True)
-    gs.add_argument("--bits", type=int, help="split to this register width")
+    gs.add_argument("--bits", type=int, help="pack into rounds of this register width")
     gs.add_argument("--out", help="write the encoding sequence here")
     gs.add_argument("--trace", help="write the round trace here")
     gs.set_defaults(func=_cmd_greedy_star)

@@ -128,7 +128,7 @@ class ChromaticComplex:
         self.vertices: dict[int, Vertex] = table
         self.facets: frozenset[Simplex] = facet_set
         self._faces: frozenset[Simplex] | None = None
-        self._adjacency: dict[int, frozenset[int]] | None = None
+        self._adjacency: dict[int, tuple[int, ...]] | None = None
         self._rivals: Rivals | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -160,15 +160,20 @@ class ChromaticComplex:
         s = Simplex(s)
         return any(s <= f for f in self.facets)
 
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        """vid -> set of neighbor vids in the 1-skeleton (cached)."""
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """vid -> ascending neighbor vids in the 1-skeleton (cached).
+
+        Tuples, not sets: the cache lives as long as the complex, and a
+        tuple of a handful of vids takes about a quarter of a frozenset's
+        memory.
+        """
         if self._adjacency is None:
             adj: dict[int, set[int]] = {vid: set() for vid in self.vertices}
             for f in self.facets:
                 for a, b in itertools.combinations(f, 2):
                     adj[a].add(b)
                     adj[b].add(a)
-            self._adjacency = {vid: frozenset(s) for vid, s in adj.items()}
+            self._adjacency = {vid: tuple(sorted(s)) for vid, s in adj.items()}
         return self._adjacency
 
     def rivals(self) -> Rivals:

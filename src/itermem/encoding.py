@@ -32,19 +32,11 @@ BOTTOM = None
 
 
 class Encoding:
-    """Immutable vid -> code map; missing/None entries are bottom.
+    """Immutable vid -> code map; missing/None entries are bottom."""
 
-    `groups` optionally records blocks of vertices that were coded together
-    (one tuple per block) so budget splitting can keep them in one round.
-    """
+    __slots__ = ("_codes",)
 
-    __slots__ = ("_codes", "groups")
-
-    def __init__(
-        self,
-        codes: Mapping[int, int | None],
-        groups: tuple[tuple[int, ...], ...] | None = None,
-    ):
+    def __init__(self, codes: Mapping[int, int | None]):
         clean: dict[int, int] = {}
         for vid, code in codes.items():
             if code is None:
@@ -53,7 +45,6 @@ class Encoding:
                 raise InvalidParameters(f"code for vid {vid} must be None or >= 0")
             clean[vid] = code
         self._codes = clean
-        self.groups = groups
 
     def value(self, vid: int) -> int | None:
         return self._codes.get(vid)
@@ -135,7 +126,15 @@ def distinguishable_subcomplex(
 
 
 def lower_bound_rounds(c: ChromaticComplex, b: int) -> int:
-    """Ceiling of max-degree over (number of colors times available codes)."""
+    """Ceiling of max-degree over (number of colors times available codes).
+
+    A true lower bound on every sequence `verify_cover` accepts.  Each
+    neighbor u of a vertex v shares a facet with v, and some round codes
+    that facet whole, so u is coded in some round.  Coded same-color
+    neighbors of v are pairwise rivals (v is their common neighbor), so a
+    sound round gives them distinct codes and holds at most 2^b - 1 of them
+    per color.  One round thus codes at most n(2^b - 1) neighbors of v.
+    """
     if b < 1:
         raise InvalidParameters("need b >= 1")
     if not c.facets:

@@ -1,22 +1,29 @@
-"""Greedy star cover and bit-budget splitting of its encoding sequence.
+"""Greedy star cover, first-fit packing into b-bit rounds, cover verification.
 
-Each outer round scans candidate vertices in ascending vid and selects the
-closed star of every vertex whose star keeps a two-hop clearance from the
-stars already selected this round (the star-intersection guard).  Selected
-stars receive disjoint code blocks, so within a round every coded vertex is
-distinguishable outright.  Two repairs over the plain greedy sweep are
-load-bearing and documented inline: candidate re-seeding (termination) and
-round-global per-color code uniqueness (distinguishability across stars).
+Each outer round of the star cover scans candidate vertices in ascending
+vid and selects the closed star of every vertex whose star keeps a two-hop
+clearance from the stars already selected this round (the
+star-intersection guard).  Selected stars receive disjoint code blocks, so
+within a round every coded vertex is distinguishable outright.  Two repairs
+over the plain greedy sweep are load-bearing and documented inline:
+candidate re-seeding (termination) and round-global per-color code
+uniqueness (distinguishability across stars).
+
+`split_to_budget` compiles any sequence to b-bit registers by packing the
+faces it keeps first-fit into rounds, which is first-fit greedy coloring of
+the graph of faces that cannot share a round (Welsh & Powell, Comput. J.
+1967).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
-from .complexes import ChromaticComplex, Simplex
-from .encoding import Encoding, _distinguishable_vids, distinguishable_subcomplex
+from .complexes import ChromaticComplex, Simplex, _maximal
+from .encoding import Encoding
 from .errors import InvalidParameters, ItermemError
 
 
@@ -37,10 +44,6 @@ class StarCoverTrace:
         return len(self.rounds)
 
 
-def _closed_star_vertices(c: ChromaticComplex, v: int) -> frozenset[int]:
-    return c.adjacency()[v] | {v}
-
-
 def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
     """Cover c by vertex stars, one encoding function per round.
 
@@ -48,19 +51,21 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
     this round's covered part" is evaluated as: no vertex within distance 1
     of the candidate star lies in an already-selected star (equivalent,
     since a closed star meets a face-closed set iff their vertex sets meet).
+    Rounds continue until every facet holds a selected center, so every
+    facet is coded whole in the round that selects its first center.
     """
     if not c.facets:
         raise InvalidParameters("need a nonempty complex")
     adj = c.adjacency()
-    centers_ever: set[int] = set()
-
-    def facet_covered(f: Simplex) -> bool:
-        return any(v in centers_ever for v in f)
-
+    through: dict[int, list[Simplex]] = {}
+    for f in c.facets:
+        for v in f:
+            through.setdefault(v, []).append(f)
+    open_facets = set(c.facets)  # facets without a selected center
     pool = set(c.vertices)
     seq: list[Encoding] = []
     rounds: list[StarRound] = []
-    while not all(facet_covered(f) for f in c.facets):
+    while open_facets:
         # every round retires at least one never-before-selected center
         if len(rounds) >= len(c.vertices):  # pragma: no cover
             raise ItermemError("star cover failed to terminate")
@@ -68,109 +73,51 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
             # re-seed with vertices whose closed star is not fully covered;
             # without this the sweep can strand a facet whose vertices were
             # all swallowed by neighboring stars (candidate exhaustion)
-            pool = {
-                v for f in c.facets if not facet_covered(f) for v in f
-            }
-        round_vertex_cover: set[int] = set()  # vertices of this round's stars
+            pool = {v for f in open_facets for v in f}
+        cover: set[int] = set()  # vertices of this round's stars
         selected: list[int] = []
-        used: set[int] = set()
         for v in sorted(pool):
-            star_verts = _closed_star_vertices(c, v)
-            ok = all(
-                not ((adj[w] | {w}) & round_vertex_cover) for w in star_verts
-            )
-            if ok:
+            star_verts = {v, *adj[v]}
+            if all(w not in cover and cover.isdisjoint(adj[w]) for w in star_verts):
                 selected.append(v)
-                round_vertex_cover |= star_verts
-                used |= star_verts
+                cover |= star_verts
         # disjoint per-star code blocks; same-color vertices get distinct
         # codes within a star (per-color rank), and distinct blocks keep
         # same-color vertices of different stars apart: stars selected in
         # one round can sit two hops from each other, inside the window
         # the distinguishability predicate inspects
         codes: dict[int, int] = {}
-        groups: list[tuple[int, ...]] = []
         base = 1
         for v in selected:
-            star_verts = sorted(_closed_star_vertices(c, v))
             per_color: Counter = Counter()
-            for x in star_verts:
+            for x in sorted((v, *adj[v])):
                 codes[x] = base + per_color[c.vertices[x].color]
                 per_color[c.vertices[x].color] += 1
-            groups.append(tuple(star_verts))
             base += max(per_color.values())
-        enc = Encoding(codes, groups=tuple(groups))
-        covered = ChromaticComplex(
-            c.vertices, [f for f in c.facets if f & set(selected)]
-        )
+        enc = Encoding(codes)
+        covered = {f for v in selected for f in through[v]}
         seq.append(enc)
-        rounds.append(StarRound(tuple(selected), covered, enc))
-        centers_ever |= set(selected)
-        pool -= used
+        sub = ChromaticComplex(c.vertices, covered)
+        rounds.append(StarRound(tuple(selected), sub, enc))
+        open_facets -= covered
+        pool -= cover
     return seq, StarCoverTrace(tuple(rounds))
 
 
-# -- budget splitting --------------------------------------------------------
+# -- cover verification and packing -------------------------------------------
 
 
-def _facet_encoding(f: Simplex) -> Encoding:
-    # a rainbow facet coded constant-1 is always distinguishable on its own
-    return Encoding({v: 1 for v in f})
+def _sound(c: ChromaticComplex, enc: Encoding) -> bool:
+    """True iff every vertex of c that enc codes is distinguishable."""
+    of = c.rivals().of
+    by_code: dict[int, set[int]] = {}
+    for v, k in enc.items():
+        by_code.setdefault(k, set()).add(v)
+    return all(by_code[k].isdisjoint(of[v]) for v, k in enc.items() if v in of)
 
 
-def _split_star_aligned(
-    enc: Encoding, c: ChromaticComplex, budget: int
-) -> list[Encoding]:
-    out: list[Encoding] = []
-    batch: list[tuple[int, ...]] = []
-    batch_counts: Counter = Counter()
-
-    def flush():
-        if not batch:
-            return
-        codes: dict[int, int] = {}
-        per_color: Counter = Counter()
-        for grp in batch:
-            for x in sorted(grp):
-                codes[x] = 1 + per_color[c.vertices[x].color]
-                per_color[c.vertices[x].color] += 1
-        out.append(Encoding(codes, groups=tuple(batch)))
-        batch.clear()
-        batch_counts.clear()
-
-    for grp in enc.groups or ():
-        counts = Counter(c.vertices[x].color for x in grp)
-        if max(counts.values()) > budget:
-            # a single star too color-heavy for the budget: code it one
-            # rainbow facet at a time (each such round is self-contained)
-            flush()
-            grp_set = set(grp)
-            for f in sorted(
-                (f for f in c.facets if f <= grp_set), key=sorted
-            ):
-                out.append(_facet_encoding(f))
-            continue
-        if any(batch_counts[col] + k > budget for col, k in counts.items()):
-            flush()
-        batch.append(grp)
-        batch_counts.update(counts)
-    flush()
-    return out
-
-
-def _split_generic(enc: Encoding, budget: int) -> list[Encoding]:
-    image = enc.image()
-    out = []
-    for i in range(0, len(image), budget):
-        chunk = {code: 1 + j for j, code in enumerate(image[i : i + budget])}
-        out.append(
-            Encoding({v: chunk[k] for v, k in enc.items() if k in chunk})
-        )
-    return out
-
-
-def _all_kept(faces: Iterable[Simplex], goods: Iterable[set[int]]) -> bool:
-    """True iff every nonempty face lies inside one of the vertex sets.
+def _unkept(faces: Iterable[Simplex], goods: Iterable[frozenset[int]]) -> set[Simplex]:
+    """The nonempty faces that lie inside none of the vertex sets.
 
     Faces wait under their least vid, so a set only tests the faces waiting
     under its own vertices; the sets are drawn until no face waits.
@@ -186,58 +133,82 @@ def _all_kept(faces: Iterable[Simplex], goods: Iterable[set[int]]) -> bool:
             fs.difference_update([f for f in fs if f <= good])
             if not fs:
                 del waiting[v]
-    return not waiting
+    return set().union(*waiting.values())
 
 
-def _split_keeps(c: ChromaticComplex, enc: Encoding, subs: list[Encoding]) -> bool:
-    """True iff every face enc makes distinguishable, some sub does too.
+def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:
+    """True iff every round is sound and some round codes each facet of c whole.
 
-    The faces enc makes distinguishable are generated by the sets f & good
-    over the facets f; a face is distinguishable under a sub iff its
-    vertices all are, and faces of a kept face are kept.
+    A round is sound when every vertex it codes is distinguishable; an
+    unsound round can make `decode` ambiguous.  A facet counts only in a
+    round that codes all its vertices: an uncoded process discards what it
+    reads, so a facet with an uncoded vertex gains nothing in that round,
+    however distinguishable the vertex is.  On such a sequence the bounded
+    simulation is the full-information collect complex up to isomorphism:
+    the round that codes a facet whole reaches each collect view, and the
+    other rounds only add unions with collect views, which are collect
+    views again.
     """
-    good = _distinguishable_vids(c, enc)
-    faces = {f & good for f in c.facets} - {frozenset()}
-    return _all_kept(faces, (_distinguishable_vids(c, s) for s in subs))
+    return all(_sound(c, e) for e in seq) and not _unkept(
+        c.facets, (e.coded_vids() for e in seq)
+    )
 
 
 def split_to_budget(
     seq: list[Encoding], c: ChromaticComplex, b: int
 ) -> list[Encoding]:
-    """Replace each function by sub-functions with at most 2^b - 1 codes.
+    """Pack the faces seq keeps into rounds of at most 2^b - 1 codes each.
 
-    Functions already within budget pass through unchanged.  Functions with
-    block metadata are split block-aligned (whole stars stay in one
-    sub-round); others by contiguous chunks of their sorted code image.
-    The faces the input made distinguishable must remain so across the
-    union; if a split loses any, it is replaced by one sub-function per
-    facet of the input's distinguishable subcomplex, which never loses.
+    The faces a sequence keeps are those some sound round codes whole (see
+    `verify_cover`); for a covering sequence, such as every `greedy_star`
+    output, they are the facets of c.  Faces are taken in sorted order, and
+    each joins the first round where every vertex of the face is already
+    coded or can take the least code in 1..2^b-1 that none of its coded
+    rivals uses.  The output is a sound sequence that keeps every face seq
+    keeps, so it covers c whenever seq does.
+
+    Per vertex, a bitmask holds the rounds in which its coded rivals use
+    every code; OR-ing the masks of a face's vertices gives its first round
+    with room in one step.  Vertices of a face have distinct colors and so
+    are never rivals of each other: coding one leaves the others' codes free.
     """
     if b < 1:
         raise InvalidParameters("need b >= 1")
-    budget = 2**b - 1
-    out: list[Encoding] = []
-    for enc in seq:
-        if enc.image_size() <= budget:
-            out.append(enc)
-            continue
-        subs = (
-            _split_star_aligned(enc, c, budget)
-            if enc.groups
-            else _split_generic(enc, budget)
-        )
-        if not _split_keeps(c, enc, subs):
-            target = distinguishable_subcomplex(c, [enc])
-            subs = [_facet_encoding(f) for f in sorted(target.facets, key=sorted)]
-        out.extend(subs)
-    return out
-
-
-def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:
-    """True iff the sequence makes every face of c distinguishable.
-
-    A facet f lies in the union iff f is a face of F ∩ D_e for some facet F
-    and function e, with D_e the distinguishable vertices under e; as f is
-    maximal, iff f ⊆ D_e.
-    """
-    return _all_kept(c.facets, (_distinguishable_vids(c, e) for e in seq))
+    of = c.rivals().of
+    # a vertex with fewer rivals than codes always finds a free code, so
+    # codes past the largest rival count plus one are never handed out
+    budget = min(2**b - 1, max(map(len, of.values()), default=0) + 1)
+    every_code = (1 << (budget + 1)) - 2  # bits 1..budget
+    coded = [e.coded_vids() for e in seq if _sound(c, e)]
+    # a facet some round codes whole holds all its cuts, so only the other
+    # facets are cut by every round
+    missed = _unkept(c.facets, coded)
+    faces = _maximal(chain(c.facets - missed, (f & s for f in missed for s in coded)))
+    rounds: list[dict[int, int]] = []  # per round: vid -> code
+    taken: list[dict[int, int]] = []  # per round: open vid -> its rivals' codes
+    full: dict[int, int] = {}  # vid -> rounds with no code left for it
+    for face in sorted(faces, key=sorted):
+        blocked = 0
+        for v in face:
+            blocked |= full.get(v, 0)
+        i = (~blocked & (blocked + 1)).bit_length() - 1
+        if i == len(rounds):
+            rounds.append({})
+            taken.append({})
+        codes, near, bit = rounds[i], taken[i], 1 << i
+        for v in face:
+            if v in codes:
+                continue
+            used = near.pop(v, 0) | 1  # code 0 is never handed out
+            k = (~used & (used + 1)).bit_length() - 1
+            codes[v] = k
+            for x in of[v]:
+                if x in codes or full.get(x, 0) & bit:
+                    continue
+                mask = near.get(x, 0) | (1 << k)
+                if mask == every_code:
+                    full[x] = full.get(x, 0) | bit
+                    near.pop(x, None)
+                else:
+                    near[x] = mask
+    return [Encoding(codes) for codes in rounds]

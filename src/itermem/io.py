@@ -2,9 +2,9 @@
 
 Vertex labels are canonicalized to strings on export (None becomes "",
 tuples and frozensets render sorted), so byte-level round-trip stability
-is export(import_complex(export(c))) == export(c).  Encoding files add an
-optional "groups" key preserving block metadata; readers that ignore it
-still see the plain assignment schema.
+is export(import_complex(export(c))) == export(c).  Encoding files hold
+one "assignment" map; a "groups" key, written by earlier versions, is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -112,23 +112,15 @@ def _to_dot(c: ChromaticComplex) -> str:
 def encoding_to_dict(e: Encoding, vids=None) -> dict:
     """Assignment over vids (default: coded vids only), null for bottom."""
     scope = sorted(vids) if vids is not None else sorted(e.coded_vids())
-    doc: dict = {"assignment": {str(v): e.value(v) for v in scope}}
-    if e.groups is not None:
-        doc["groups"] = [sorted(g) for g in e.groups]
-    return doc
+    return {"assignment": {str(v): e.value(v) for v in scope}}
 
 
 def encoding_from_dict(d: dict) -> Encoding:
     try:
         codes = {int(v): x for v, x in d["assignment"].items()}
-        groups = (
-            tuple(tuple(sorted(int(v) for v in g)) for g in d["groups"])
-            if "groups" in d
-            else None
-        )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise UnsupportedFormat(f"malformed encoding document: {exc}") from exc
-    return Encoding(codes, groups=groups)
+    return Encoding(codes)
 
 
 def sequence_to_list(seq: list[Encoding], vids=None) -> list[dict]:

@@ -170,12 +170,9 @@ def explain_reduction(inst: SetCoverInstance) -> str:
 
 def _conflict_free(c: ChromaticComplex, vids: frozenset) -> bool:
     # all-1 codes: a clash is two same-colored coded vertices with a common
-    # neighbor (same-colored vertices are never adjacent themselves)
-    adj = c.adjacency()
-    for u, v in combinations(sorted(vids), 2):
-        if c.vertices[u].color == c.vertices[v].color and adj[u] & adj[v]:
-            return False
-    return True
+    # neighbor, that is, two coded rivals
+    of = c.rivals().of
+    return all(vids.isdisjoint(of[v]) for v in vids)
 
 
 def exact_min_sequence(c: ChromaticComplex) -> tuple[int, list[Encoding]]:

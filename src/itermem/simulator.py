@@ -72,7 +72,7 @@ def decode(
         return None
     cands = [
         x
-        for x in sorted(c.adjacency()[reader.input_vertex])
+        for x in c.adjacency()[reader.input_vertex]
         if c.vertices[x].color == source and enc.value(x) == value
     ]
     if len(cands) > 1:
@@ -331,8 +331,9 @@ def iterate_pipeline(
     """r full-information iterations, each emulated by budgeted rounds.
 
     Per iteration: build the star-cover sequence for the current complex,
-    split it to the b-bit budget, and fold the bounded runs into the next
-    complex.  Returns the final complex and the total bounded round count.
+    pack its facets into b-bit rounds, and fold the bounded runs into the
+    next complex.  Returns the final complex and the total bounded round
+    count.
     """
     from .greedy import greedy_star, split_to_budget
 

@@ -2,7 +2,7 @@
 Unit tests for encoding functions and distinguishability.
 
 Core claims:
-    - Encoding drops bottoms, validates codes, exposes image/groups
+    - Encoding drops bottoms, validates codes, exposes its image
     - A vertex is distinguishable iff no same-color same-code vertex sits
       within two hops (bottom equals bottom); the library's rival-cache
       predicate matches the pairwise two-hop scan kept here as reference
@@ -88,10 +88,6 @@ class TestEncoding:
     def test_equality(self):
         assert Encoding({0: 1, 1: None}) == Encoding({0: 1})
         assert Encoding({0: 1}) != Encoding({0: 2})
-
-    def test_groups_metadata(self):
-        e = Encoding({0: 1, 1: 2}, groups=((0, 1),))
-        assert e.groups == ((0, 1),)
 
 
 class TestVertexDistinguishability:

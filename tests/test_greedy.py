@@ -1,5 +1,5 @@
 """
-Unit tests for the greedy star cover and budget splitting.
+Unit tests for the greedy star cover, first-fit packing and cover checks.
 
 Core claims:
     - Triangle: one round, constant code 1 on the facet
@@ -8,45 +8,53 @@ Core claims:
     - Same-round stars get disjoint code blocks: whole round distinguishable
     - Round count never exceeds vertex count; trace matches the sequence
     - verify_cover accepts greedy output on seeded random complexes, and
-      agrees with "the distinguishable subcomplex is the whole complex" on
-      random complexes, random encodings and greedy prefixes
-    - split_to_budget: within-budget functions pass unchanged
-    - Generic splitting: image 4 at 3 bits -> 1 function; at 1 bit -> 4
-    - Star-aligned splitting keeps block structure and the covered target
-    - Split output always covers at least what the input covered; the
-      split's loss check agrees with subcomplex containment on random
-      encodings and on greedy ones, including the encodings where the
-      block split loses a face and the fallback fires
-    - Ch^3 of the triangle at b = 1 splits into 3347 covering functions
-    - Upper bound = 4 x lower bound
+      agrees with "every round is sound and the subcomplexes the rounds
+      code whole cover the complex" on random complexes, random encodings
+      and greedy prefixes; a verified sequence simulates to full-information
+      collect, and the glued pair coded by greedy's first round alone is
+      rejected (its uncoded apex discards what it reads), as is any
+      sequence with a round whose codes clash
+    - split_to_budget packs: codes stay within 2^b - 1, every coded vertex
+      is distinguishable in its round, every face the input keeps is kept,
+      on greedy and on random encodings, at any b
+    - Ch^3 of the triangle packs into 148 / 20 / 5 rounds at b = 1 / 2 / 3
+    - Packed round counts never fall below the degree lower bound
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itermem import (
+    IC,
+    AmbiguousDecode,
     Encoding,
     InvalidParameters,
-    distinguishable_subcomplex,
+    bounded_protocol_complex,
     gen_glued,
     gen_path,
     gen_random,
     gen_simplex,
     greedy_star,
-    is_subcomplex_distinguishable,
+    is_isomorphic,
+    is_vertex_distinguishable,
     iterate_subdivide,
     lower_bound_rounds,
+    protocol_complex,
     split_to_budget,
     verify_cover,
 )
-from itermem.greedy import _split_generic, _split_keeps, _split_star_aligned
 
 random_complexes = st.builds(
     gen_random,
     st.integers(0, 10**6),
     st.integers(1, 4),
     st.integers(1, 8),
+)
+
+# bounded_protocol_complex takes at most three colors
+simulable_complexes = st.builds(
+    gen_random, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 5)
 )
 
 
@@ -57,17 +65,41 @@ def encodings(draw, c, codes=2):
     return Encoding({v: draw(code) for v in sorted(c.vertices)})
 
 
+def _sound_rounds(c, seq):
+    """The coded vertex sets of the rounds that code only distinguishable vertices."""
+    return [
+        e.coded_vids()
+        for e in seq
+        if all(is_vertex_distinguishable(c, v, e) for v in e.coded_vids())
+    ]
+
+
+def _kept_faces(c, seq):
+    """The faces some sound round codes whole: the facets cut to each round."""
+    return {f & s for s in _sound_rounds(c, seq) for f in c.facets} - {frozenset()}
+
+
 def _covers_by_subcomplex(c, seq):
-    return distinguishable_subcomplex(c, seq).facets == c.facets
+    """Every round sound, and the subcomplexes they code whole cover c."""
+    sound = _sound_rounds(c, seq)
+    coded = [c.subcomplex(f & s for f in c.facets) for s in sound]
+    return len(sound) == len(seq) and all(
+        any(f in sub.facets for sub in coded) for f in c.facets
+    )
 
 
 def _assert_round_distinguishable(c, seq):
     for e in seq:
-        covered = distinguishable_subcomplex(c, [e])
         for v in e.coded_vids():
-            from itermem import is_vertex_distinguishable
-
             assert is_vertex_distinguishable(c, v, e)
+
+
+def _assert_keeps(c, seq, out):
+    """out keeps every face seq keeps, in rounds that are all sound."""
+    kept = _sound_rounds(c, out)
+    assert len(kept) == len(out)
+    for face in _kept_faces(c, seq):
+        assert any(face <= s for s in kept), sorted(face)
 
 
 class TestGreedyStar:
@@ -141,6 +173,36 @@ class TestGreedyStar:
                 verdicts.add(got)
         assert verdicts == {False, True}
 
+    def test_uncoded_vertex_does_not_count(self):
+        # greedy's first round on the glued pair codes the star of vid 0,
+        # which leaves the apex 3 uncoded; its only rival, vid 0, is coded,
+        # so 3 is distinguishable, yet a process at 3 discards what it reads
+        c = gen_glued(2)
+        first = greedy_star(c)[0][:1]
+        assert first[0].value(3) is None
+        assert is_vertex_distinguishable(c, 3, first[0])
+        assert not verify_cover(c, first)
+        sim = bounded_protocol_complex(c, first)
+        assert not is_isomorphic(sim, protocol_complex(c, IC, 1))[0]
+
+    def test_unsound_round_fails(self):
+        # both facets coded whole, but the apexes share a code and a
+        # neighbor: readers at the shared edge cannot decode them
+        c = gen_glued(2)
+        broken = [Encoding({v: 1 for v in c.vertices})]
+        assert not verify_cover(c, broken)
+        with pytest.raises(AmbiguousDecode):
+            bounded_protocol_complex(c, broken)
+        assert verify_cover(c, broken + greedy_star(c)[0]) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), simulable_complexes)
+    def test_verified_sequences_simulate_to_collect(self, data, c):
+        seq = data.draw(st.lists(encodings(c, codes=3), min_size=1, max_size=4))
+        if verify_cover(c, seq):
+            sim = bounded_protocol_complex(c, seq)
+            assert is_isomorphic(sim, protocol_complex(c, IC, 1))[0]
+
     def test_empty_complex_rejected(self):
         from itermem import ChromaticComplex
 
@@ -154,20 +216,13 @@ class TestSplitToBudget:
         seq, _ = greedy_star(c)
         assert split_to_budget(seq, c, 3) == seq
 
-    def test_generic_chunking_counts(self):
-        c = gen_path(4)  # 6 vertices
-        e = Encoding({v: v + 1 for v in c.vertices if v < 4})  # image {1,2,3,4}
-        assert len(split_to_budget([e], c, 3)) == 1  # budget 7
-        assert len(split_to_budget([e], c, 1)) == 4  # budget 1
-        assert len(split_to_budget([e], c, 2)) == 2  # budget 3
-
     def test_split_codes_fit_budget(self):
         for seed in range(6):
             c = gen_random(seed, 3, 6)
             seq, _ = greedy_star(c)
             for b in (1, 2):
                 for e in split_to_budget(seq, c, b):
-                    assert all(v <= 2**b - 1 for v in e.image())
+                    assert all(1 <= v <= 2**b - 1 for v in e.image())
 
     def test_split_preserves_cover(self):
         for seed in range(8):
@@ -178,50 +233,49 @@ class TestSplitToBudget:
                 assert verify_cover(c, sub)
 
     def test_split_target_containment(self):
-        # even for non-greedy inputs, what the input distinguished stays
-        # distinguished by the split sequence
+        # even for non-greedy inputs, what the input kept stays kept by the
+        # packed sequence
         c = gen_glued(2)
         e = Encoding({0: 5, 3: 6, 1: 7, 2: 8})
-        target = distinguishable_subcomplex(c, [e])
         sub = split_to_budget([e], c, 1)
-        assert target.is_subcomplex_of(distinguishable_subcomplex(c, sub))
+        _assert_keeps(c, [e], sub)
+        assert verify_cover(c, sub)
 
-    def test_loss_check_matches_containment(self):
-        checked = fallbacks = 0
+    def test_packing_keeps_input_faces(self):
+        # single greedy rounds keep proper faces as well as facets
         for seed in range(8):
             c = gen_random(seed, 3, 6)
             seq, _ = greedy_star(c)
             for b in (1, 2, 3):
-                budget = 2**b - 1
                 for e in seq:
-                    if e.image_size() <= budget:
-                        continue
-                    subs = (
-                        _split_star_aligned(e, c, budget)
-                        if e.groups
-                        else _split_generic(e, budget)
-                    )
-                    target = distinguishable_subcomplex(c, [e])
-                    kept = target.is_subcomplex_of(distinguishable_subcomplex(c, subs))
-                    assert _split_keeps(c, e, subs) == kept
-                    checked += 1
-                    fallbacks += not kept
-        assert (checked, fallbacks) == (18, 9)
+                    sub = split_to_budget([e], c, b)
+                    _assert_keeps(c, [e], sub)
+                    assert all(max(s.image()) <= 2**b - 1 for s in sub)
 
-    @given(st.data(), random_complexes, st.integers(1, 2))
-    def test_loss_check_matches_containment_on_random_encodings(self, data, c, b):
-        e = data.draw(encodings(c, codes=5))
-        subs = _split_generic(e, 2**b - 1)
-        target = distinguishable_subcomplex(c, [e])
-        kept = target.is_subcomplex_of(distinguishable_subcomplex(c, subs))
-        assert _split_keeps(c, e, subs) == kept
+    @given(st.data(), random_complexes, st.integers(1, 3))
+    def test_packing_keeps_input_faces_on_random_encodings(self, data, c, b):
+        # few codes and bottoms: unsound rounds, which keep nothing, are common
+        seq = data.draw(st.lists(encodings(c, codes=5), max_size=3))
+        sub = split_to_budget(seq, c, b)
+        _assert_keeps(c, seq, sub)
+        _assert_round_distinguishable(c, sub)
+        assert all(max(e.image()) <= 2**b - 1 for e in sub)
+        assert verify_cover(c, sub) or not verify_cover(c, seq)
+
+    def test_wide_registers(self):
+        # more codes than any vertex has rivals: one round per conflict class
+        c = iterate_subdivide(gen_simplex(2), 2)
+        seq, _ = greedy_star(c)
+        assert split_to_budget(seq, c, 64) == split_to_budget(seq, c, 8)
+        assert len(split_to_budget(seq, c, 64)) == 1
 
     def test_split_of_ch3_triangle_pinned(self):
         c = iterate_subdivide(gen_simplex(2), 3)
         seq, _ = greedy_star(c)
-        split = split_to_budget(seq, c, 1)
-        assert len(split) == 3347
-        assert verify_cover(c, split)
+        for b, rounds in ((1, 148), (2, 20), (3, 5)):
+            split = split_to_budget(seq, c, b)
+            assert len(split) == rounds
+            assert verify_cover(c, split)
 
     def test_bad_bits(self):
         with pytest.raises(InvalidParameters):
@@ -233,8 +287,9 @@ class TestBounds:
         for seed in range(8):
             c = gen_random(seed, 3, 5)
             seq, _ = greedy_star(c)
-            for b in (1, 2):
+            for b in (1, 2, 3):
                 sub = split_to_budget(seq, c, b)
+                assert len(sub) >= lower_bound_rounds(c, b)
                 assert len(sub) <= len(c.vertices) * max(
                     1, lower_bound_rounds(c, b)
                 ) * 4  # loose sanity ceiling; exact sandwich in acceptance

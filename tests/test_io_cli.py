@@ -119,11 +119,12 @@ class TestOtherFormats:
 
 class TestEncodingJson:
     def test_round_trip(self):
-        e = Encoding({0: 1, 3: 2}, groups=((0, 1), (3,)))
+        e = Encoding({0: 1, 3: 2})
         d = encoding_to_dict(e)
-        assert d["assignment"] == {"0": 1, "3": 2}
+        assert d == {"assignment": {"0": 1, "3": 2}}
         assert encoding_from_dict(d) == e
-        assert encoding_from_dict(d).groups == e.groups
+        # files from earlier versions carry block metadata; it is ignored
+        assert encoding_from_dict({**d, "groups": [[0, 1], [3]]}) == e
 
     def test_bottom_round_trip(self):
         d = {"assignment": {"0": 1, "1": None}}

@@ -16,7 +16,8 @@ Core claims:
       verifies; codes are bottom/1; resource caps enforced
     - Full sweep |U| <= 3: reduction + exact search equals the optimum on
       every feasible instance
-    - Greedy length >= exact length on seeded complexes
+    - Greedy length >= exact length on seeded complexes and on every
+      reduced instance of the sweep, whose exact sequences verify
 """
 
 from itertools import combinations
@@ -36,6 +37,7 @@ from itermem import (
     greedy_star,
     set_cover_optimum,
     set_cover_reduce,
+    split_to_budget,
     verify_cover,
 )
 
@@ -134,9 +136,7 @@ class TestExactMin:
 
     def test_greedy_never_beats_exact(self):
         # the exact search uses the bottom/1 family, so compare against
-        # greedy output split down to the same one-value budget
-        from itermem import split_to_budget
-
+        # greedy output packed into the same one-value budget
         for seed in range(10):
             c = gen_random(seed, 3, 4)
             if len(c.vertices) > 12 or len(c.facets) > 12:
@@ -162,8 +162,12 @@ class TestReductionRecoversOptimum:
                 opt = set_cover_optimum(inst)
                 if opt is None:
                     continue  # no complex can witness "no cover exists"
-                length, seq = exact_min_sequence(set_cover_reduce(inst))
+                c = set_cover_reduce(inst)
+                length, seq = exact_min_sequence(c)
                 assert length == opt, (universe, sorted(map(sorted, fam)))
+                assert verify_cover(c, seq)
+                # the packed 1-bit sequence is one the exact search considers
+                assert len(split_to_budget(greedy_star(c)[0], c, 1)) >= length
                 tested += 1
         return tested
 

@@ -22,7 +22,11 @@ Core claims:
     - The shared-apex counterexample: merged states break intersection
       preservation; distinct apex codes restore the isomorphism
     - iterate_pipeline composes iterations and counts bounded rounds;
-      two 1-bit iterations on the triangle take 28 rounds, 625 facets
+      two iterations on the triangle take 26 / 4 / 2 rounds at b = 1 / 2 / 3,
+      625 facets; three at b = 3 take 9 rounds, 15,625 facets
+    - Packed compiles of the simulate benchmark's ladder rungs (3-color
+      simplex, glued fans and paths) are isomorphic to full-information
+      collect, at pinned round counts
     - Color cap raises ResourceLimit
 """
 
@@ -43,6 +47,7 @@ from itermem import (
     concurrent_schedule,
     decode,
     gen_glued,
+    gen_path,
     gen_random,
     gen_simplex,
     greedy_star,
@@ -281,6 +286,14 @@ class TestCounterexample:
         assert repaired[str(A1)] != repaired[str(A2)]
 
 
+# the 3-color bases of the simulate benchmark's ladder
+_LADDER_BASES = {
+    "D2": lambda: gen_simplex(2),
+    **{f"glued{k}": (lambda k=k: gen_glued(k)) for k in (2, 3, 4)},
+    **{f"path{m}": (lambda m=m: gen_path(m)) for m in (1, 2, 3)},
+}
+
+
 class TestIteratePipeline:
     def test_single_iteration_triangle(self):
         c = gen_simplex(2)
@@ -299,10 +312,40 @@ class TestIteratePipeline:
         _, t1 = iterate_pipeline(c, 1, 1)
         out2, t2 = iterate_pipeline(c, 2, 1)
         assert t2 > t1
-        # frozen: the second iteration's greedy choices follow the vid order
-        # of the first iteration's output
-        assert (t2, len(out2.facets)) == (28, 625)
+        # frozen: the second iteration's packing follows the vid order of
+        # the first iteration's output
+        assert (t2, len(out2.facets)) == (26, 625)
         assert is_isomorphic(out2, protocol_complex(c, IC, 2))[0]
+
+    def test_three_iterations_triangle(self):
+        c = gen_simplex(2)
+        out, total = iterate_pipeline(c, 3, 3)
+        assert (total, len(out.facets)) == (9, 15625)
+        assert is_isomorphic(out, protocol_complex(c, IC, 3))[0]
+
+    @pytest.mark.parametrize(
+        "base, r, rounds",
+        [
+            # rounds at b = 1, 2, 3
+            ("D2", 1, (1, 1, 1)),
+            ("glued2", 1, (2, 1, 1)),
+            ("glued3", 1, (3, 1, 1)),
+            ("glued4", 1, (4, 2, 1)),
+            ("path1", 1, (1, 1, 1)),
+            ("path2", 1, (2, 1, 1)),
+            ("path3", 1, (3, 1, 1)),
+            ("D2", 2, (26, 4, 2)),
+            ("path1", 2, (26, 4, 2)),
+            ("glued2", 2, (52, 7, 2)),
+        ],
+    )
+    def test_ladder_rungs_match_collect(self, base, r, rounds):
+        c = _LADDER_BASES[base]()
+        ref = protocol_complex(c, IC, r)
+        for b, want in zip((1, 2, 3), rounds):
+            out, total = iterate_pipeline(c, r, b)
+            assert total == want
+            assert is_isomorphic(out, ref)[0]
 
     def test_bad_parameters(self):
         with pytest.raises(InvalidParameters):
