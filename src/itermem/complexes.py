@@ -45,6 +45,14 @@ class StateRegistry:
     gets a fresh vid above the base's largest, labelled (color, sorted
     payload) for set payloads.  Share one registry between calls to build
     several subcomplexes of the base into one vid space.
+
+    Fresh vids follow the order of first requests, and every builder makes
+    that order a function of content, never of a set's iteration order:
+    facets in sorted order, then within a facet the states of each view
+    family in template order (`protocols.one_round`), of each ordered
+    partition (`subdivision.chromatic_subdivide`), or of each knowledge
+    vector in positional order (`simulator.bounded_protocol_complex`).
+    Equal complexes thus build equal vids however their facets were listed.
     """
 
     def __init__(self, base: "ChromaticComplex"):

@@ -12,20 +12,14 @@ color adjacent to a neighbor of v.  They depend on the complex alone, so
 `ChromaticComplex.rivals` computes them once per complex and every check
 here reads that cache; v is distinguishable iff no rival has v's code.
 This is the same predicate as the two-hop scan, not an approximation.
-Since the relation is symmetric, the distinguishable vertices under one
-function are found from the coded vertices and their rivals, plus the
-vertices without rivals: an uncoded v is distinguishable iff every rival
-is coded, which needs a rival of a coded vertex or no rival at all.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import chain
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .complexes import ChromaticComplex, _maximal, assert_subcomplex
+from .complexes import ChromaticComplex
 from .errors import InvalidParameters, VertexNotInComplex
 
 BOTTOM = None
@@ -52,12 +46,6 @@ class Encoding:
     def coded_vids(self) -> frozenset[int]:
         return frozenset(self._codes)
 
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self._codes.values())))
-
-    def image_size(self) -> int:
-        return len(set(self._codes.values()))
-
     def items(self):
         return self._codes.items()
 
@@ -80,49 +68,6 @@ def is_vertex_distinguishable(c: ChromaticComplex, v: int, enc: Encoding) -> boo
         raise VertexNotInComplex(f"vid {v}")
     code = enc.value(v)
     return all(enc.value(x) != code for x in c.rivals().of[v])
-
-
-def is_subcomplex_distinguishable(
-    c: ChromaticComplex, sub: ChromaticComplex, enc: Encoding
-) -> bool:
-    """Every vertex of sub is distinguishable within the ambient complex."""
-    assert_subcomplex(sub, c)
-    return all(is_vertex_distinguishable(c, v, enc) for v in sub.vertices)
-
-
-def _distinguishable_vids(c: ChromaticComplex, enc: Encoding) -> set[int]:
-    """The distinguishable vertices of c, visiting only coded vertices' rivals.
-
-    A coded v is distinguishable iff no rival has its code; an uncoded v iff
-    every rival is coded.  Rivals are symmetric, so an uncoded vertex with a
-    rival is distinguishable only if it is a rival of some coded vertex, and
-    then iff it is a rival of as many coded vertices as it has rivals.
-    """
-    of, lonely = c.rivals()
-    codes = {v: k for v, k in enc.items() if v in of}
-    by_code: dict[int, set[int]] = {}
-    for v, k in codes.items():
-        by_code.setdefault(k, set()).add(v)
-    good = set(lonely)
-    good.update(v for v, k in codes.items() if by_code[k].isdisjoint(of[v]))
-    hits = Counter(chain.from_iterable(of[v] for v in codes))
-    good.update(
-        x for x, n in hits.items() if n == len(of[x]) and x not in codes
-    )
-    return good
-
-
-def distinguishable_subcomplex(
-    c: ChromaticComplex, seq: Iterable[Encoding]
-) -> ChromaticComplex:
-    """Union over the sequence of the faces each function makes distinguishable.
-
-    A face is distinguishable under one function iff all its vertices are, so
-    per function the distinguishable faces are generated by {F ∩ D : F facet}.
-    """
-    goods = (_distinguishable_vids(c, enc) for enc in seq)
-    gen = (f & good for good in goods for f in c.facets)
-    return ChromaticComplex(c.vertices, _maximal(gen))
 
 
 def lower_bound_rounds(c: ChromaticComplex, b: int) -> int:

@@ -20,16 +20,14 @@ Closed forms (views are self-inclusive subsets of one facet):
 
 The families depend only on the number of processes, so each pattern's are
 built once per facet size, over positions 0..n-1 (`_template`, cached on
-first use), and moved onto a facet's vids.  ias keeps the definition as a
-filter over the product of self-inclusive views; ic is generated instead:
-the misses digraph is acyclic iff some order of the processes lets each one
-see its whole prefix and any subset of its suffix.  Templates list the
-families in the order the product filter met them (ic and ias) or in
-partition order (iis), and positions are color ranks (ic, ias) or vid ranks
-(iis), so `one_round` hands out vids exactly as an enumeration on the facet
-itself would.  `one_round` checks its budget against counts of the
-families (`_family_count`), so a facet too large to enumerate raises
-ResourceLimit without building its template.
+first use), and `_families` moves them onto a facet's vids, positions by
+color rank.  ias keeps the definition as a filter over the product of
+self-inclusive views; ic is generated instead: the misses digraph is
+acyclic iff some order of the processes lets each one see its whole prefix
+and any subset of its suffix.  `one_round` numbers new states by content
+(see `StateRegistry`) and checks its budget against counts of the families
+(`_family_count`), so a facet too large to enumerate raises ResourceLimit
+without building its template.
 """
 
 from __future__ import annotations
@@ -96,44 +94,38 @@ def _with_subsets(base: int, others) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _template(pattern: str, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _template(pattern: str, n: int) -> tuple[tuple[int, ...], ...]:
     """The view families of one round on n processes, over positions 0..n-1.
 
-    Each family lists (position, view mask) pairs in the order its
-    `GlobalView` lists them.  ic and ias families come in the order of the
-    product of each position's self-inclusive views, one pair per position
-    in position order; iis families come one per ordered partition, block
-    by block.
+    Each family is a tuple of view masks, one per position in position
+    order.  ias families come in the order of the product of each
+    position's self-inclusive views, ic families in sorted order, iis
+    families one per ordered partition.
     """
-    # one tuple per (position, mask), shared by every family: a smaller cache
-    pair = [[(i, m) for m in range(1 << n)] for i in range(n)]
     if pattern == IIS:
         return tuple(
-            tuple(pair[i][sum(1 << j for j in view)] for i, view in views.items())
+            tuple(sum(1 << j for j in views[i]) for i in range(n))
             for views in partition_views(list(range(n)))
         )
-    choices = [_with_subsets(1 << i, [j for j in range(n) if j != i]) for i in range(n)]
     if pattern == IAS:
-        fams = [
+        choices = [
+            _with_subsets(1 << i, [j for j in range(n) if j != i]) for i in range(n)
+        ]
+        return tuple(
             combo
             for combo in itertools.product(*choices)
             if all((a & b) in (a, b) for a, b in itertools.combinations(combo, 2))
-        ]
-    else:
-        # acyclic misses: some order in which everyone sees its prefix and
-        # any subset of its suffix; sorted back into the product's order
-        found: set[tuple[int, ...]] = set()
-        for order in itertools.permutations(range(n)):
-            per: list[list[int]] = [[] for _ in range(n)]
-            for j, p in enumerate(order):
-                prefix = sum(1 << q for q in order[: j + 1])
-                per[p] = _with_subsets(prefix, order[j + 1 :])
-            found.update(itertools.product(*per))
-        rank = [{m: r for r, m in enumerate(ms)} for ms in choices]
-        fams = sorted(
-            found, key=lambda combo: [rank[i][m] for i, m in enumerate(combo)]
         )
-    return tuple(tuple(pair[i][m] for i, m in enumerate(combo)) for combo in fams)
+    # acyclic misses: some order in which everyone sees its prefix and any
+    # subset of its suffix
+    found: set[tuple[int, ...]] = set()
+    for order in itertools.permutations(range(n)):
+        per: list[list[int]] = [[] for _ in range(n)]
+        for j, p in enumerate(order):
+            prefix = sum(1 << q for q in order[: j + 1])
+            per[p] = _with_subsets(prefix, order[j + 1 :])
+        found.update(itertools.product(*per))
+    return tuple(sorted(found))
 
 
 @lru_cache(maxsize=None)
@@ -178,29 +170,31 @@ def _chain_count(s: int, u: int) -> int:
     return total
 
 
-def round_views(c: ChromaticComplex, input_facet, pattern: str) -> frozenset[GlobalView]:
-    """Closed-form reachable view configurations for one round on a facet.
+def _families(
+    c: ChromaticComplex, facet: Simplex, pattern: str
+) -> list[list[tuple[int, frozenset[int]]]]:
+    """The view families of one round on a facet of c, in template order.
 
-    The facet's vids take the template's positions: by color for ic and
-    ias, by vid for iis.
+    The facet's vids take the template's positions by color rank, so each
+    family lists its (color, view) pairs in color order.
     """
-    _check_pattern(pattern)
-    facet = assert_facet(c, input_facet)
-    color_of = {v: c.vertices[v].color for v in facet}
-    at = sorted(facet, key=None if pattern == IIS else color_of.__getitem__)
-    colors = [color_of[v] for v in at]
+    at = sorted(facet, key=lambda v: c.vertices[v].color)
+    colors = [c.vertices[v].color for v in at]
     sets = [
         frozenset(v for j, v in enumerate(at) if m >> j & 1)
         for m in range(1 << len(at))
     ]
-    fams = (
-        GlobalView({colors[i]: sets[m] for i, m in fam})
+    return [
+        [(colors[i], sets[m]) for i, m in enumerate(fam)]
         for fam in _template(pattern, len(at))
-    )
-    # frozenset(set(...)) lays out its table unlike frozenset(...); each
-    # pattern keeps the build it always had, so the iteration order, and
-    # with it the vids `one_round` hands out, stays as it was
-    return frozenset(fams) if pattern == IIS else frozenset(set(fams))
+    ]
+
+
+def round_views(c: ChromaticComplex, input_facet, pattern: str) -> frozenset[GlobalView]:
+    """Closed-form reachable view configurations for one round on a facet."""
+    _check_pattern(pattern)
+    facet = assert_facet(c, input_facet)
+    return frozenset(GlobalView(dict(fam)) for fam in _families(c, facet, pattern))
 
 
 # -- brute-force oracle -----------------------------------------------------
@@ -400,10 +394,8 @@ def one_round(
             )
     facets: list[Simplex] = []
     for f in sorted(c.facets, key=sorted):
-        for gv in round_views(c, f, pattern):
-            facets.append(
-                Simplex(registry.get(col, view) for col, view in gv.views.items())
-            )
+        for fam in _families(c, f, pattern):
+            facets.append(Simplex(registry.get(col, view) for col, view in fam))
     return ChromaticComplex(registry.vertices, facets)
 
 

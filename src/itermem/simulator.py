@@ -8,7 +8,10 @@ round keeps its state unchanged — its decoded values are discarded.
 `run_bounded` executes one explicit schedule; `bounded_protocol_complex`
 folds all schedules per round into reachable knowledge vectors (two
 schedule combinations with equal round-k states share all continuations)
-using the oracle-validated one-round view families, with real decode calls.
+using the oracle-validated one-round ic view families of `protocols`, with
+real decode calls.  A vector lists the facet's processes in color order,
+and vectors get their vids in sorted positional order (see
+`StateRegistry`).
 
 Within one facet and one encoding, decoding is a table.  A reader p of the
 facet that reads the register of a coded q of the facet sees q's code, and
@@ -36,12 +39,7 @@ from .encoding import Encoding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
 from .generators import gen_glued
 from .iso import is_isomorphic
-from .protocols import (
-    IC,
-    GlobalView,
-    protocol_complex,
-    round_views,
-)
+from .protocols import IC, GlobalView, _families, protocol_complex
 
 Event = tuple  # ("write", color) | ("read", reader_color, source_color)
 
@@ -193,13 +191,10 @@ def bounded_protocol_complex(
     reg = StateRegistry(c)
     facets: list[Simplex] = []
     for f in sorted(c.facets, key=sorted):
-        participants = sorted(f)
+        participants = sorted(f, key=lambda v: c.vertices[v].color)
         color_of = {v: c.vertices[v].color for v in participants}
-        # each family as its participants' views, in round_views' order
-        fams = [
-            tuple(gv.views[color_of[p]] for p in participants)
-            for gv in round_views(c, f, IC)
-        ]
+        # each family as its participants' views, in color order
+        fams = [tuple(view for _col, view in fam) for fam in _families(c, f, IC)]
         seen_by = [set(views) for views in zip(*fams)]  # distinct views per reader
         solo = tuple(frozenset({(color_of[v], v)}) for v in participants)
         readers = [
@@ -222,13 +217,9 @@ def bounded_protocol_complex(
                 add_of.append(
                     {v: frozenset(got[q] for q in v if q in got) for v in views}
                 )
-            # distinct addition tuples in first-seen order: vecs then fills as
-            # a loop over every family would, and its order breaks the sort's ties
-            adds = dict.fromkeys(
-                tuple(map(dict.__getitem__, add_of, fam)) for fam in fams
-            )
+            adds = {tuple(map(dict.__getitem__, add_of, fam)) for fam in fams}
             vecs = {tuple(map(or_, vec, add)) for vec in vecs for add in adds}
-        for vec in sorted(vecs, key=lambda t: sorted(map(sorted, t))):
+        for vec in sorted(vecs, key=lambda t: tuple(map(sorted, t))):
             facets.append(
                 Simplex(
                     reg.get(color_of[p], vec[i])
@@ -255,11 +246,11 @@ def _observation_complex(
     invert; equal observation sets from different executions merge.
     """
     facets: list[Simplex] = []
-    for f in sub.facets:
+    for f in sorted(sub.facets, key=sorted):
         vid_of = {sub.vertices[v].color: v for v in f}
-        for gv in round_views(sub, f, IC):
+        for fam in _families(sub, f, IC):
             verts = []
-            for col, view in gv.views.items():
+            for col, view in fam:
                 p = vid_of[col]
                 obs = frozenset(
                     (c.vertices[x].color, enc.value(x))

@@ -2,16 +2,12 @@
 Unit tests for encoding functions and distinguishability.
 
 Core claims:
-    - Encoding drops bottoms, validates codes, exposes its image
+    - Encoding drops bottoms and validates codes
     - A vertex is distinguishable iff no same-color same-code vertex sits
       within two hops (bottom equals bottom); the library's rival-cache
       predicate matches the pairwise two-hop scan kept here as reference
     - The two-triangle complex with both apexes coded 1 is the canonical
       failure; distinct apex codes repair it
-    - distinguishable_subcomplex unions per-function distinguishable faces,
-      and equals the complex built face by face from that definition on
-      random complexes and random encodings with bottoms
-    - Sequence union can cover what no single function covers
     - Degree lower bound: frozen values on the triangle, glued pair, and
       one subdivision round; bad parameters raise
 """
@@ -26,11 +22,9 @@ from itermem import (
     InvalidParameters,
     VertexNotInComplex,
     chromatic_subdivide,
-    distinguishable_subcomplex,
     gen_glued,
     gen_random,
     gen_simplex,
-    is_subcomplex_distinguishable,
     is_vertex_distinguishable,
     lower_bound_rounds,
 )
@@ -76,8 +70,6 @@ class TestEncoding:
         assert e.value(1) is None
         assert e.value(99) is None
         assert e.coded_vids() == frozenset({0, 2})
-        assert e.image() == (1, 2)
-        assert e.image_size() == 2
 
     def test_code_validation(self):
         with pytest.raises(InvalidParameters):
@@ -133,62 +125,9 @@ class TestVertexDistinguishability:
         alpha = c.subcomplex([[A1, P1, P2]])
         e = Encoding({A1: 1, P1: 1, P2: 1})
         # a2 is bottom, a1 coded: the pair is distinguishable, alpha passes
-        assert is_subcomplex_distinguishable(c, alpha, e)
+        assert all(is_vertex_distinguishable(c, v, e) for v in alpha.vertices)
         shared = Encoding({A1: 1, A2: 1, P1: 1, P2: 1})
-        assert not is_subcomplex_distinguishable(c, alpha, shared)
-
-
-class TestDistinguishableSubcomplex:
-    def test_single_constant_function_on_simplex(self):
-        c = gen_simplex(2)
-        d = distinguishable_subcomplex(c, [Encoding({v: 1 for v in c.vertices})])
-        assert d == c
-
-    def test_shared_code_loses_both_triangles(self):
-        c = _glued()
-        shared = Encoding({A1: 1, A2: 1, P1: 1, P2: 1})
-        d = distinguishable_subcomplex(c, [shared])
-        # neither triangle survives: apexes are ambiguous from p1/p2
-        assert frozenset({A1, P1, P2}) not in d.facets
-        assert frozenset({A2, P1, P2}) not in d.facets
-
-    def test_one_coded_apex_distinguishes_both(self):
-        # a2 at bottom differs from a1's code, so one function covers all
-        c = _glued()
-        first = Encoding({A1: 1, P1: 1, P2: 1})
-        assert distinguishable_subcomplex(c, [first]) == c
-
-    def test_sequence_union_covers(self):
-        # three apexes: any all-1 function leaves two bottoms in conflict,
-        # so single functions cover one triangle and unions accumulate
-        c = gen_glued(3)
-        p1 = 1
-        p2 = 2
-        apexes = [v for v in c.vertices if c.vertices[v].color == 0]
-        seq = [Encoding({a: 1, p1: 1, p2: 1}) for a in sorted(apexes)]
-        covered = [
-            len(distinguishable_subcomplex(c, seq[: k + 1]).facets)
-            for k in range(3)
-        ]
-        assert covered == [1, 2, 3]
-        assert distinguishable_subcomplex(c, seq) == c
-
-    def test_empty_sequence(self):
-        c = gen_simplex(2)
-        d = distinguishable_subcomplex(c, [])
-        assert not d.facets
-
-    @given(st.data(), random_complexes)
-    def test_matches_definition(self, data, c):
-        # the faces some function makes distinguishable: all their vertices
-        # pass the pairwise reference under that one function
-        seq = data.draw(st.lists(encodings(c), max_size=3))
-        faces = [
-            s
-            for s in c.faces()
-            if any(all(reference_distinguishable(c, v, e) for v in s) for e in seq)
-        ]
-        assert distinguishable_subcomplex(c, seq) == c.subcomplex(faces)
+        assert not all(is_vertex_distinguishable(c, v, shared) for v in alpha.vertices)
 
 
 class TestLowerBound:

@@ -222,7 +222,7 @@ class TestSplitToBudget:
             seq, _ = greedy_star(c)
             for b in (1, 2):
                 for e in split_to_budget(seq, c, b):
-                    assert all(1 <= v <= 2**b - 1 for v in e.image())
+                    assert all(1 <= k <= 2**b - 1 for _, k in e.items())
 
     def test_split_preserves_cover(self):
         for seed in range(8):
@@ -250,7 +250,7 @@ class TestSplitToBudget:
                 for e in seq:
                     sub = split_to_budget([e], c, b)
                     _assert_keeps(c, [e], sub)
-                    assert all(max(s.image()) <= 2**b - 1 for s in sub)
+                    assert all(k <= 2**b - 1 for s in sub for _, k in s.items())
 
     @given(st.data(), random_complexes, st.integers(1, 3))
     def test_packing_keeps_input_faces_on_random_encodings(self, data, c, b):
@@ -259,7 +259,7 @@ class TestSplitToBudget:
         sub = split_to_budget(seq, c, b)
         _assert_keeps(c, seq, sub)
         _assert_round_distinguishable(c, sub)
-        assert all(max(e.image()) <= 2**b - 1 for e in sub)
+        assert all(k <= 2**b - 1 for e in sub for _, k in e.items())
         assert verify_cover(c, sub) or not verify_cover(c, seq)
 
     def test_wide_registers(self):

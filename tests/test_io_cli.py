@@ -11,8 +11,9 @@ Core claims:
     - CLI: gen/subdivide/protocol/greedy-star/simulate/verify/bounds/
       reduce-setcover/exact-min/export/counterexample wire together
     - Vid numbering follows the facet set, not the order the facets were
-      listed in: equal complexes export equal bytes after subdivision and
-      protocol rounds
+      listed in: equal complexes export equal bytes after subdivision,
+      protocol rounds (ic, ias, iis) and greedy + 1-bit packing + bounded
+      simulation
     - Exit codes: 0 success, 1 failed verification, 2 usage (including
       non-integer set-cover items and options a subcommand does not read:
       --seed outside gen, --max-facets outside gen/subdivide/protocol/
@@ -33,6 +34,7 @@ from itermem import (
     ChromaticComplex,
     Encoding,
     UnsupportedFormat,
+    bounded_protocol_complex,
     chromatic_subdivide,
     code_collision_counterexample,
     export_complex,
@@ -42,6 +44,7 @@ from itermem import (
     greedy_star,
     import_complex,
     protocol_complex,
+    split_to_budget,
 )
 from itermem.cli import main
 from itermem.io import (
@@ -63,8 +66,12 @@ class TestComplexJson:
     def test_export_ignores_facet_listing_order(self):
         builds = (
             chromatic_subdivide,
+            lambda c: protocol_complex(c, "ic", 1),
             lambda c: protocol_complex(c, "ias", 1),
             lambda c: protocol_complex(c, "iis", 2),
+            lambda c: bounded_protocol_complex(
+                c, split_to_budget(greedy_star(c)[0], c, 1)
+            ),
         )
         for seed in range(60):
             c = gen_random(seed, 3, 2 + seed % 5)
@@ -211,7 +218,8 @@ class TestCli:
     def test_bounds_table(self, capsys):
         assert main(["bounds", "--n", "3", "--r", "1", "--b", "1"]) == 0
         out = capsys.readouterr().out
-        assert "round lower bound: 4.0" in out
+        assert "paper counting bound: 4.0" in out
+        assert "lower bound: 4.0" not in out
         assert "snapshot upper bound: 12.0" in out
 
     def test_bounds_two_process_row(self, capsys):

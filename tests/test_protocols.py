@@ -9,8 +9,9 @@ Core claims:
       comparable and immediate; ias: comparable; ic: acyclic misses) for
       every pattern at 1-4 colors, also when color order differs from vid
       order; ic family counts are the labeled acyclic digraphs
-      1, 3, 25, 543, 29281; they iterate in the order of the definitions'
-      own enumerations, which fixes the vids one_round hands out
+      1, 3, 25, 543, 29281
+    - one_round numbers new states by content: facets in sorted order,
+      then families in template order, each in color order
     - Explicit event interleavings reproduce the same view families
     - Strict hierarchy: immediate snapshot < atomic snapshot < collect
     - Every view family member self-includes; misses digraphs are acyclic
@@ -56,8 +57,7 @@ from itermem import (
     schedule_oracle,
 )
 from itermem.complexes import build_complex
-from itermem.protocols import _family_count
-from itermem.subdivision import partition_views
+from itermem.protocols import _family_count, _template
 
 TRIANGLE_COUNTS = {IIS: 13, IAS: 19, IC: 25}
 IC_COUNTS = (1, 3, 25, 543, 29281)  # labeled acyclic digraphs
@@ -119,14 +119,6 @@ def _product_filter(c, facet, pattern):
         if ok:
             out.add(GlobalView(views))
     return frozenset(out)
-
-
-def _by_partitions(c, facet):
-    """iis families built on the facet itself, one per ordered partition."""
-    return frozenset(
-        GlobalView({c.vertices[v].color: view for v, view in views.items()})
-        for views in partition_views(sorted(facet))
-    )
 
 
 class TestViewFamilies:
@@ -191,15 +183,24 @@ class TestTemplates:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_same_iteration_order(self, n):
-        # one_round numbers states in this order, so exports depend on it
-        colors = reversed(range(n))
-        c = build_complex([[(col, f"x{i}") for i, col in enumerate(colors)]])
-        f = _facet(c)
-        for pattern in (IC, IAS):
-            got = [gv.views for gv in round_views(c, f, pattern)]
-            assert got == [gv.views for gv in _product_filter(c, f, pattern)]
-        got = [list(gv.views.items()) for gv in round_views(c, f, IIS)]
-        assert got == [list(gv.views.items()) for gv in _by_partitions(c, f)]
+        # one_round numbers new states in the order it first asks for them:
+        # facets sorted, families in template order, positions by color rank
+        colors = list(reversed(range(n)))
+        first = [(col, f"x{i}") for i, col in enumerate(colors)]
+        c = build_complex([first, first[1:] + [(colors[0], "y")]])
+        for pattern in PATTERNS:
+            want = []
+            for f in sorted(c.facets, key=sorted):
+                at = sorted(f, key=lambda v: c.vertices[v].color)
+                for fam in _template(pattern, n):
+                    for i, m in enumerate(fam):
+                        view = tuple(sorted(v for j, v in enumerate(at) if m >> j & 1))
+                        label = (c.vertices[at[i]].color, view)
+                        if len(view) > 1 and label not in want:
+                            want.append(label)
+            x = one_round(c, pattern, StateRegistry(c))
+            new = sorted(x.vertices.keys() - c.vertices.keys())
+            assert [x.vertices[v].label for v in new] == want
 
     def test_family_counts(self):
         for n, want in enumerate(IC_COUNTS, start=1):
@@ -355,7 +356,7 @@ class TestProtocolComplex:
         def built(*args):
             raise AssertionError("view families were built past the budget")
 
-        monkeypatch.setattr("itermem.protocols.round_views", built)
+        monkeypatch.setattr("itermem.protocols._families", built)
         monkeypatch.setattr("itermem.protocols._template", built)
         with pytest.raises(ResourceLimit):
             protocol_complex(gen_simplex(4), IC, 1, max_facets=10)

@@ -128,7 +128,7 @@ class TestExactMin:
     def test_codes_are_binary(self):
         _, seq = exact_min_sequence(gen_glued(3))
         for e in seq:
-            assert set(e.image()) <= {1}
+            assert {k for _, k in e.items()} <= {1}
 
     def test_resource_caps(self):
         with pytest.raises(ResourceLimit):
