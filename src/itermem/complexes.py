@@ -213,12 +213,20 @@ class ChromaticComplex:
         return max((len(s) for s in self.adjacency().values()), default=0)
 
     def f_vector(self) -> tuple[int, ...]:
-        """(f_0, f_1, ..., f_dim); empty tuple for the empty complex."""
+        """(f_0, f_1, ..., f_dim); empty tuple for the empty complex.
+
+        Faces of each size are counted as sorted vid tuples, one size at a
+        time; no face is built as a Simplex and `faces()` is not cached.
+        """
         if not self.facets:
             return ()
-        counts = [0] * (self.dimension + 1)
-        for s in self.faces():
-            counts[len(s) - 1] += 1
+        sized = [sorted(f) for f in self.facets]
+        counts = []
+        for k in range(1, self.dimension + 2):
+            seen: set[tuple[int, ...]] = set()
+            for vids in sized:
+                seen.update(itertools.combinations(vids, k))
+            counts.append(len(seen))
         return tuple(counts)
 
     def euler_characteristic(self) -> int:

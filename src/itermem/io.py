@@ -5,6 +5,12 @@ tuples and frozensets render sorted), so byte-level round-trip stability
 is export(import_complex(export(c))) == export(c).  Encoding files hold
 one "assignment" map; a "groups" key, written by earlier versions, is
 accepted and ignored.
+
+A complex's JSON is, byte for byte, what
+``json.dumps(complex_to_dict(c), indent=2, sort_keys=True) + "\n"``
+writes, but it is built from rows by `str.join`: with any ``indent`` the
+stdlib runs its pure-Python encoder, which was most of the cost of an
+export.  Labels are escaped by the C-backed ``json.dumps(label)``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,16 @@ FORMATS = ("json", "dot", "csv-fvector")
 
 
 def _canonical_label(label) -> str:
+    if type(label) is tuple and len(label) == 2:
+        # the (color, (vid, ...)) labels StateRegistry writes, rendered as
+        # the general rule below would render them
+        color, vids = label
+        if (
+            type(color) is int
+            and type(vids) is tuple
+            and all(type(v) is int for v in vids)
+        ):
+            return f"({color},({','.join(map(str, vids))}))"
     if label is None:
         return ""
     if isinstance(label, str):
@@ -69,14 +85,34 @@ def complex_from_dict(d: dict) -> ChromaticComplex:
 def export_complex(c: ChromaticComplex, fmt: str) -> bytes:
     """Deterministic byte stream in one of json | dot | csv-fvector."""
     if fmt == "json":
-        return (
-            json.dumps(complex_to_dict(c), indent=2, sort_keys=True) + "\n"
-        ).encode()
+        return _json_document(complex_to_dict(c)).encode()
     if fmt == "dot":
         return _to_dot(c).encode()
     if fmt == "csv-fvector":
         return ",".join(str(k) for k in c.f_vector()).encode()
     raise UnsupportedFormat(f"unknown export format {fmt!r}")
+
+
+def _json_list(rows: list[str]) -> str:
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
+def _json_document(doc: dict) -> str:
+    """A `complex_to_dict` document in the indent=2, sort_keys=True layout."""
+    facets = [
+        "    [\n      " + ",\n      ".join(map(str, f)) + "\n    ]"
+        for f in doc["facets"]
+    ]
+    vertices = [
+        f'    {{\n      "color": {v["color"]},\n'
+        f'      "label": {json.dumps(v["label"])},\n'
+        f'      "vid": {v["vid"]}\n    }}'
+        for v in doc["vertices"]
+    ]
+    return (
+        f'{{\n  "facets": {_json_list(facets)},\n  "n": {doc["n"]},\n'
+        f'  "vertices": {_json_list(vertices)}\n}}\n'
+    )
 
 
 def import_complex(data: bytes | str | dict) -> ChromaticComplex:

@@ -21,10 +21,11 @@ Closed forms (views are self-inclusive subsets of one facet):
 The families depend only on the number of processes, so each pattern's are
 built once per facet size, over positions 0..n-1 (`_template`, cached on
 first use), and `_families` moves them onto a facet's vids, positions by
-color rank.  ias keeps the definition as a filter over the product of
-self-inclusive views; ic is generated instead: the misses digraph is
-acyclic iff some order of the processes lets each one see its whole prefix
-and any subset of its suffix.  `one_round` numbers new states by content
+color rank.  ias keeps the definition, the pairwise comparable members of
+the product of self-inclusive views, searched depth-first so that an
+incomparable prefix is dropped once.  ic is generated instead: the misses
+digraph is acyclic iff some order of the processes lets each one see its
+whole prefix and any subset of its suffix.  `one_round` numbers new states by content
 (see `StateRegistry`) and checks its budget against counts of the families
 (`_family_count`), so a facet too large to enumerate raises ResourceLimit
 without building its template.
@@ -68,6 +69,14 @@ class GlobalView:
         self.views = {c: frozenset(v) for c, v in views.items()}
         self._key = frozenset(self.views.items())
 
+    @classmethod
+    def _of(cls, pairs) -> "GlobalView":
+        """From (color, frozenset view) pairs with distinct colors, as given."""
+        gv = cls.__new__(cls)
+        gv.views = dict(pairs)
+        gv._key = frozenset(pairs)
+        return gv
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GlobalView):
             return NotImplemented
@@ -93,6 +102,21 @@ def _with_subsets(base: int, others) -> list[int]:
     ]
 
 
+def _comparable_product(choices: list[list[int]], chosen: tuple[int, ...]):
+    """Extensions of `chosen` in `product(*choices)` with comparable masks.
+
+    Depth-first over positions, so they come in product order; a mask is
+    kept only if it is comparable with every mask already chosen, which
+    prunes each incomparable prefix once instead of per completion.
+    """
+    if len(chosen) == len(choices):
+        yield chosen
+        return
+    for m in choices[len(chosen)]:
+        if all((m & a) in (a, m) for a in chosen):
+            yield from _comparable_product(choices, chosen + (m,))
+
+
 @lru_cache(maxsize=None)
 def _template(pattern: str, n: int) -> tuple[tuple[int, ...], ...]:
     """The view families of one round on n processes, over positions 0..n-1.
@@ -111,11 +135,7 @@ def _template(pattern: str, n: int) -> tuple[tuple[int, ...], ...]:
         choices = [
             _with_subsets(1 << i, [j for j in range(n) if j != i]) for i in range(n)
         ]
-        return tuple(
-            combo
-            for combo in itertools.product(*choices)
-            if all((a & b) in (a, b) for a, b in itertools.combinations(combo, 2))
-        )
+        return tuple(_comparable_product(choices, ()))
     # acyclic misses: some order in which everyone sees its prefix and any
     # subset of its suffix
     found: set[tuple[int, ...]] = set()
@@ -194,7 +214,7 @@ def round_views(c: ChromaticComplex, input_facet, pattern: str) -> frozenset[Glo
     """Closed-form reachable view configurations for one round on a facet."""
     _check_pattern(pattern)
     facet = assert_facet(c, input_facet)
-    return frozenset(GlobalView(dict(fam)) for fam in _families(c, facet, pattern))
+    return frozenset(GlobalView._of(fam) for fam in _families(c, facet, pattern))
 
 
 # -- brute-force oracle -----------------------------------------------------

@@ -2,7 +2,8 @@
 Unit tests for the chromatic complex core.
 
 Core claims:
-    - Facet-generated closure: faces, f-vector, Euler characteristic
+    - Facet-generated closure: faces, f-vector, Euler characteristic; the
+      f-vector counts faces() by size, also on complexes that are not pure
     - Validation rejects duplicate colors, contained facets, dangling vids
     - _maximal agrees with the pairwise antichain definition, and the
       constructor rejects exactly the families it would reduce
@@ -93,6 +94,14 @@ class TestConstruction:
         else:
             with pytest.raises(FacetContainment):
                 ChromaticComplex(vs, fam)
+
+    @given(
+        st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=10)
+    )
+    def test_f_vector_counts_faces(self, fam):
+        c = ChromaticComplex({v: Vertex(v, v) for v in range(8)}, _maximal(fam))
+        sizes = [len(s) for s in c.faces()]
+        assert c.f_vector() == tuple(sizes.count(k) for k in range(1, c.dimension + 2))
 
     def test_dangling_vid_rejected(self):
         with pytest.raises(DanglingVertexReference):

@@ -3,6 +3,11 @@ Unit tests for serialization and the command-line interface.
 
 Core claims:
     - JSON export is byte-stable through import/export round-trips
+    - JSON export is, byte for byte, json.dumps(complex_to_dict(c),
+      indent=2, sort_keys=True) + "\n": on random complexes with arbitrary
+      labels, on registry-labelled Ch/IIS/IC/IAS outputs, on one-vertex and
+      empty complexes; the layout of the edge's export is pinned literally
+    - Registry labels (color, (vid, ...)) render by the general label rule
     - Exported documents carry n, vids, colors, string labels, facets
     - DOT export: one node per vertex with a color attribute, one edge per
       1-skeleton edge; csv-fvector matches the frozen subdivision value
@@ -29,11 +34,14 @@ Core claims:
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from itermem import (
     ChromaticComplex,
     Encoding,
     UnsupportedFormat,
+    Vertex,
     bounded_protocol_complex,
     chromatic_subdivide,
     code_collision_counterexample,
@@ -48,12 +56,125 @@ from itermem import (
 )
 from itermem.cli import main
 from itermem.io import (
+    _canonical_label,
     complex_to_dict,
     encoding_from_dict,
     encoding_to_dict,
     sequence_from_list,
     sequence_to_list,
 )
+
+
+def _stdlib_json(c):
+    """The export's reference: the stdlib's own indent=2, sort_keys layout."""
+    return (json.dumps(complex_to_dict(c), indent=2, sort_keys=True) + "\n").encode()
+
+
+def _label_reference(label) -> str:
+    """The canonical label rule, without the fast path for registry labels."""
+    if label is None:
+        return ""
+    if isinstance(label, str):
+        return label
+    if isinstance(label, (tuple, list)):
+        return "(" + ",".join(map(_label_reference, label)) + ")"
+    if isinstance(label, (set, frozenset)):
+        return "{" + ",".join(sorted(map(_label_reference, label))) + "}"
+    return str(label)
+
+
+labels = st.recursive(
+    st.none() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=3).map(tuple)
+    | st.frozensets(inner, max_size=3),
+    max_leaves=6,
+)
+
+odd_labels = [
+    'quote " and backslash \\',
+    "caf\u00e9 \u2203\U0001f600",
+    "new\nline\ttab\r\x00\x1f\x7f",
+    None,
+    -3,
+    (0, (4, 5)),
+    (1, ()),
+    ("a", (None, 2)),
+    frozenset({"b", "a", (1, 2)}),
+    "",
+]
+
+
+@st.composite
+def relabelled_complexes(draw):
+    c = gen_random(
+        draw(st.integers(0, 10**6)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    )
+    vertices = {vid: Vertex(vid, v.color, draw(labels)) for vid, v in c.vertices.items()}
+    return ChromaticComplex(vertices, c.facets)
+
+
+registry_builds = [
+    chromatic_subdivide,
+    lambda c: protocol_complex(c, "iis", 2),
+    lambda c: protocol_complex(c, "ic", 1),
+    lambda c: protocol_complex(c, "ias", 1),
+]
+
+
+class TestJsonLayout:
+    @given(relabelled_complexes())
+    @example(ChromaticComplex({}, []))
+    @example(ChromaticComplex({0: Vertex(0, 0, "solo")}, [[0]]))
+    @example(
+        ChromaticComplex(
+            {i: Vertex(i, i, label) for i, label in enumerate(odd_labels)},
+            [[i] for i in range(len(odd_labels))],
+        )
+    )
+    def test_equals_stdlib_layout(self, c):
+        assert export_complex(c, "json") == _stdlib_json(c)
+
+    @given(
+        st.builds(gen_random, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3)),
+        st.sampled_from(registry_builds),
+    )
+    def test_equals_stdlib_layout_on_registry_labels(self, base, build):
+        c = build(base)
+        assert export_complex(c, "json") == _stdlib_json(c)
+
+    @given(labels)
+    @example((2, (3, 11)))
+    @example((1, ()))
+    @example((0, (None, "a")))
+    @example((None, (1, 2)))
+    @example((True, (1,)))
+    def test_label_rule(self, label):
+        assert _canonical_label(label) == _label_reference(label)
+
+    def test_edge_pinned(self):
+        assert export_complex(gen_simplex(1), "json") == (
+            b"{\n"
+            b'  "facets": [\n'
+            b"    [\n"
+            b"      0,\n"
+            b"      1\n"
+            b"    ]\n"
+            b"  ],\n"
+            b'  "n": 2,\n'
+            b'  "vertices": [\n'
+            b"    {\n"
+            b'      "color": 0,\n'
+            b'      "label": "s0",\n'
+            b'      "vid": 0\n'
+            b"    },\n"
+            b"    {\n"
+            b'      "color": 1,\n'
+            b'      "label": "s1",\n'
+            b'      "vid": 1\n'
+            b"    }\n"
+            b"  ]\n"
+            b"}\n"
+        )
 
 
 class TestComplexJson:

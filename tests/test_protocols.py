@@ -5,6 +5,8 @@ Core claims:
     - View counts on the triangle: 13 (immediate snapshot), 19 (atomic
       snapshot), 25 (collect); 3 each on the edge
     - Closed forms equal the brute-force schedule oracle at 2 and 3 colors
+    - The ias template is the filtered product of self-inclusive views, in
+      product order, at 1-4 colors, and has the counted length at 5
     - The per-size templates equal the product-filter definitions (iis:
       comparable and immediate; ias: comparable; ic: acyclic misses) for
       every pattern at 1-4 colors, also when color order differs from vid
@@ -57,7 +59,7 @@ from itermem import (
     schedule_oracle,
 )
 from itermem.complexes import build_complex
-from itermem.protocols import _family_count, _template
+from itermem.protocols import _family_count, _template, _with_subsets
 
 TRIANGLE_COUNTS = {IIS: 13, IAS: 19, IC: 25}
 IC_COUNTS = (1, 3, 25, 543, 29281)  # labeled acyclic digraphs
@@ -201,6 +203,21 @@ class TestTemplates:
             x = one_round(c, pattern, StateRegistry(c))
             new = sorted(x.vertices.keys() - c.vertices.keys())
             assert [x.vertices[v].label for v in new] == want
+
+    def test_ias_template_in_product_order(self):
+        for n in range(1, 5):
+            # the filtered product the pruned search replaced, same order
+            choices = [
+                _with_subsets(1 << i, [j for j in range(n) if j != i])
+                for i in range(n)
+            ]
+            product = [
+                combo
+                for combo in itertools.product(*choices)
+                if all(a & b in (a, b) for a, b in itertools.combinations(combo, 2))
+            ]
+            assert _template(IAS, n) == tuple(product)
+        assert len(_template(IAS, 5)) == _family_count(IAS, 5)
 
     def test_family_counts(self):
         for n, want in enumerate(IC_COUNTS, start=1):
