@@ -69,7 +69,6 @@ from .setcover import (
     set_cover_reduce,
 )
 from .simulator import (
-    SimProcessState,
     bounded_protocol_complex,
     concurrent_schedule,
     decode,
@@ -109,7 +108,6 @@ __all__ = [
     "PATTERNS",
     "ResourceLimit",
     "SetCoverInstance",
-    "SimProcessState",
     "Simplex",
     "SimplexNotInComplex",
     "StarCoverTrace",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from typing import Hashable, Iterable, Iterator
 
 from .errors import (
     DanglingVertexReference,
@@ -51,8 +51,11 @@ class StateRegistry:
     facets in sorted order, then within a facet the states of each view
     family in template order (`protocols.one_round`), of each ordered
     partition (`subdivision.chromatic_subdivide`), or of each knowledge
-    vector in positional order (`simulator.bounded_protocol_complex`).
-    Equal complexes thus build equal vids however their facets were listed.
+    vector, a tuple of view masks, in sorted order of the vectors
+    (`simulator.bounded_protocol_complex`; the ic template is itself
+    sorted, so a vector set equal to it is numbered as `one_round` numbers
+    it).  Equal complexes thus build equal vids however their facets were
+    listed.
     """
 
     def __init__(self, base: "ChromaticComplex"):
@@ -95,13 +98,6 @@ def _maximal(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
     return frozenset(out)
 
 
-class Rivals(NamedTuple):
-    """Same-color two-hop rivals: ``of[v]`` and the vertices with none."""
-
-    of: dict[int, tuple[int, ...]]
-    lonely: frozenset[int]
-
-
 class ChromaticComplex:
     """A finite chromatic simplicial complex.
 
@@ -137,7 +133,7 @@ class ChromaticComplex:
         self.facets: frozenset[Simplex] = facet_set
         self._faces: frozenset[Simplex] | None = None
         self._adjacency: dict[int, tuple[int, ...]] | None = None
-        self._rivals: Rivals | None = None
+        self._rivals: dict[int, tuple[int, ...]] | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -184,8 +180,8 @@ class ChromaticComplex:
             self._adjacency = {vid: tuple(sorted(s)) for vid, s in adj.items()}
         return self._adjacency
 
-    def rivals(self) -> Rivals:
-        """Same-color two-hop rivals of every vertex (cached).
+    def rivals(self) -> dict[int, tuple[int, ...]]:
+        """vid -> ascending same-color two-hop rivals (cached).
 
         The rivals of v are the vertices x != v of v's color that are
         adjacent to a neighbor of v.  The relation is symmetric.
@@ -199,8 +195,7 @@ class ChromaticComplex:
                 found = {x for u in nbrs for x in adj[u] if color[x] == col}
                 found.discard(v)
                 of[v] = tuple(sorted(found))
-            lonely = frozenset(v for v, found in of.items() if not found)
-            self._rivals = Rivals(of, lonely)
+            self._rivals = of
         return self._rivals
 
     def degree(self, vid: int) -> int:

@@ -35,8 +35,10 @@ class Encoding:
         for vid, code in codes.items():
             if code is None:
                 continue
-            if not isinstance(code, int) or code < 0:
-                raise InvalidParameters(f"code for vid {vid} must be None or >= 0")
+            if type(code) is not int or code < 0:
+                raise InvalidParameters(
+                    f"code for vid {vid} must be None or an int >= 0, not {code!r}"
+                )
             clean[vid] = code
         self._codes = clean
 
@@ -67,7 +69,7 @@ def is_vertex_distinguishable(c: ChromaticComplex, v: int, enc: Encoding) -> boo
     if v not in c.vertices:
         raise VertexNotInComplex(f"vid {v}")
     code = enc.value(v)
-    return all(enc.value(x) != code for x in c.rivals().of[v])
+    return all(enc.value(x) != code for x in c.rivals()[v])
 
 
 def lower_bound_rounds(c: ChromaticComplex, b: int) -> int:

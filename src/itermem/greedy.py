@@ -109,7 +109,7 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
 
 def _sound(c: ChromaticComplex, enc: Encoding) -> bool:
     """True iff every vertex of c that enc codes is distinguishable."""
-    of = c.rivals().of
+    of = c.rivals()
     by_code: dict[int, set[int]] = {}
     for v, k in enc.items():
         by_code.setdefault(k, set()).add(v)
@@ -174,7 +174,7 @@ def split_to_budget(
     """
     if b < 1:
         raise InvalidParameters("need b >= 1")
-    of = c.rivals().of
+    of = c.rivals()
     # a vertex with fewer rivals than codes always finds a free code, so
     # codes past the largest rival count plus one are never handed out
     budget = min(2**b - 1, max(map(len, of.values()), default=0) + 1)

@@ -66,15 +66,24 @@ def complex_to_dict(c: ChromaticComplex) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    """x if it is a JSON integer; bools, floats and strings are rejected."""
+    if type(x) is not int:
+        raise UnsupportedFormat(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def complex_from_dict(d: dict) -> ChromaticComplex:
     try:
-        n = d["n"]
-        vertices = {
-            int(row["vid"]): Vertex(int(row["vid"]), int(row["color"]), row["label"])
-            for row in d["vertices"]
-        }
-        facets = [Simplex(int(v) for v in f) for f in d["facets"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = _json_int(d["n"], "n")
+        vertices = {}
+        for row in d["vertices"]:
+            vid = _json_int(row["vid"], "vid")
+            vertices[vid] = Vertex(vid, _json_int(row["color"], "color"), row["label"])
+        facets = [
+            Simplex(_json_int(v, "facet entry") for v in f) for f in d["facets"]
+        ]
+    except (KeyError, TypeError) as exc:
         raise UnsupportedFormat(f"malformed complex document: {exc}") from exc
     colors = {v.color for v in vertices.values()}
     if colors and n < max(colors) + 1:
@@ -145,10 +154,9 @@ def _to_dot(c: ChromaticComplex) -> str:
 # -- encodings ------------------------------------------------------------------
 
 
-def encoding_to_dict(e: Encoding, vids=None) -> dict:
-    """Assignment over vids (default: coded vids only), null for bottom."""
-    scope = sorted(vids) if vids is not None else sorted(e.coded_vids())
-    return {"assignment": {str(v): e.value(v) for v in scope}}
+def encoding_to_dict(e: Encoding) -> dict:
+    """Assignment over the coded vids; bottom entries are left out."""
+    return {"assignment": {str(v): k for v, k in sorted(e.items())}}
 
 
 def encoding_from_dict(d: dict) -> Encoding:
@@ -159,8 +167,8 @@ def encoding_from_dict(d: dict) -> Encoding:
     return Encoding(codes)
 
 
-def sequence_to_list(seq: list[Encoding], vids=None) -> list[dict]:
-    return [encoding_to_dict(e, vids) for e in seq]
+def sequence_to_list(seq: list[Encoding]) -> list[dict]:
+    return [encoding_to_dict(e) for e in seq]
 
 
 def sequence_from_list(doc) -> list[Encoding]:

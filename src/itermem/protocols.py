@@ -190,20 +190,30 @@ def _chain_count(s: int, u: int) -> int:
     return total
 
 
+def _placement(
+    c: ChromaticComplex, facet: Simplex
+) -> tuple[list[int], list[int], list[frozenset[int]]]:
+    """A facet's vids on template positions by color rank.
+
+    Returns the vid and the color at each position, and the vid set of
+    every view mask over those positions.
+    """
+    at = sorted(facet, key=lambda v: c.vertices[v].color)
+    sets = [
+        frozenset(v for j, v in enumerate(at) if m >> j & 1)
+        for m in range(1 << len(at))
+    ]
+    return at, [c.vertices[v].color for v in at], sets
+
+
 def _families(
     c: ChromaticComplex, facet: Simplex, pattern: str
 ) -> list[list[tuple[int, frozenset[int]]]]:
     """The view families of one round on a facet of c, in template order.
 
-    The facet's vids take the template's positions by color rank, so each
-    family lists its (color, view) pairs in color order.
+    Each family lists its (color, view) pairs in color order (`_placement`).
     """
-    at = sorted(facet, key=lambda v: c.vertices[v].color)
-    colors = [c.vertices[v].color for v in at]
-    sets = [
-        frozenset(v for j, v in enumerate(at) if m >> j & 1)
-        for m in range(1 << len(at))
-    ]
+    at, colors, sets = _placement(c, facet)
     return [
         [(colors[i], sets[m]) for i, m in enumerate(fam)]
         for fam in _template(pattern, len(at))

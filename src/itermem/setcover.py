@@ -171,7 +171,7 @@ def explain_reduction(inst: SetCoverInstance) -> str:
 def _conflict_free(c: ChromaticComplex, vids: frozenset) -> bool:
     # all-1 codes: a clash is two same-colored coded vertices with a common
     # neighbor, that is, two coded rivals
-    of = c.rivals().of
+    of = c.rivals()
     return all(vids.isdisjoint(of[v]) for v in vids)
 
 

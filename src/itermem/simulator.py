@@ -5,13 +5,15 @@ a schedule, and inverts each non-bottom value back to the unique candidate
 neighbor state (`decode`).  A process whose own vertex is uncoded this
 round keeps its state unchanged — its decoded values are discarded.
 
-`run_bounded` executes one explicit schedule; `bounded_protocol_complex`
-folds all schedules per round into reachable knowledge vectors (two
-schedule combinations with equal round-k states share all continuations)
-using the oracle-validated one-round ic view families of `protocols`, with
-real decode calls.  A vector lists the facet's processes in color order,
-and vectors get their vids in sorted positional order (see
-`StateRegistry`).
+A process state is the one the full-information protocol has: a color and
+the set of facet vids it has seen.  `run_bounded` executes one explicit
+schedule; `bounded_protocol_complex` folds all schedules per round into
+reachable knowledge vectors, one view mask per process of the facet (two
+schedule combinations with equal round-k states share all continuations),
+over the oracle-validated one-round ic template of `protocols`, with real
+decode calls.  States are numbered as `protocols.one_round` numbers them
+(see `StateRegistry`), so the simulation of a covering sequence is the
+one-round collect complex itself, vids and labels included.
 
 Within one facet and one encoding, decoding is a table.  A reader p of the
 facet that reads the register of a coded q of the facet sees q's code, and
@@ -25,8 +27,7 @@ so decoding each pair once raises exactly when the per-read loop would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from operator import or_
+from operator import and_, or_
 
 from .complexes import (
     DEFAULT_MAX_FACETS,
@@ -39,28 +40,26 @@ from .encoding import Encoding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
 from .generators import gen_glued
 from .iso import is_isomorphic
-from .protocols import IC, GlobalView, _families, protocol_complex
+from .protocols import (
+    IC,
+    GlobalView,
+    _families,
+    _placement,
+    _template,
+    protocol_complex,
+)
 
 Event = tuple  # ("write", color) | ("read", reader_color, source_color)
 
 
-@dataclass(frozen=True)
-class SimProcessState:
-    """A process mid-run: its color, input vertex, and decoded knowledge."""
-
-    color: int
-    input_vertex: int
-    knowledge: frozenset  # of (color, vid), own pair always present
-
-
 def decode(
-    reader: SimProcessState,
+    reader: int,
     source: int,
     value: int | None,
     enc: Encoding,
     c: ChromaticComplex,
 ) -> int | None:
-    """Invert a register value to the unique matching neighbor vertex.
+    """Invert a register value to the unique matching neighbor of vid `reader`.
 
     Bottom carries no information.  Two matching candidates mean the
     encoding failed to keep same-color two-hop states apart; that is always
@@ -70,18 +69,18 @@ def decode(
         return None
     cands = [
         x
-        for x in c.adjacency()[reader.input_vertex]
+        for x in c.adjacency()[reader]
         if c.vertices[x].color == source and enc.value(x) == value
     ]
     if len(cands) > 1:
         raise AmbiguousDecode(
             f"value {value} from color {source} matches vids {cands} "
-            f"near vid {reader.input_vertex}"
+            f"near vid {reader}"
         )
     if not cands:
         raise ItermemError(
             f"no candidate for value {value} from color {source} "
-            f"near vid {reader.input_vertex}"
+            f"near vid {reader}"
         )
     return cands[0]
 
@@ -138,13 +137,11 @@ def run_bounded(
         raise InvalidParameters("need exactly one schedule per encoding function")
     vid_of = {c.vertices[v].color: v for v in f}
     colors = set(vid_of)
-    states = {
-        p: SimProcessState(p, v, frozenset({(p, v)})) for p, v in vid_of.items()
-    }
+    views = {p: {v} for p, v in vid_of.items()}
     for enc, sched in zip(seq, schedules):
         _validate_schedule(sched, colors)
         cells: dict[int, int | None] = {p: None for p in colors}
-        buf: dict[int, set] = {p: set() for p in colors}
+        buf: dict[int, set[int]] = {p: set() for p in colors}
         for ev in sched:
             if ev[0] == "write":
                 cells[ev[1]] = enc.value(vid_of[ev[1]])
@@ -152,18 +149,14 @@ def run_bounded(
                 _, rd, src = ev
                 if src == rd:
                     continue  # own cell: self-knowledge is initial state
-                x = decode(states[rd], src, cells[src], enc, c)
+                x = decode(vid_of[rd], src, cells[src], enc, c)
                 if x is not None:
-                    buf[rd].add((src, x))
+                    buf[rd].add(x)
         for p in colors:
             if enc.value(vid_of[p]) is not None:
-                states[p] = replace(
-                    states[p], knowledge=states[p].knowledge | buf[p]
-                )
+                views[p] |= buf[p]
             # an uncoded process discards what it decoded this round
-    return GlobalView(
-        {p: frozenset(v for (_q, v) in s.knowledge) for p, s in states.items()}
-    )
+    return GlobalView(views)
 
 
 # -- all-schedules protocol complex -------------------------------------------
@@ -176,56 +169,41 @@ def bounded_protocol_complex(
 ) -> ChromaticComplex:
     """Reachable final states over every schedule combination, as a complex.
 
-    Per facet and per round, the reachable knowledge vectors are composed
-    against every one-round read configuration; vectors are deduplicated
-    between rounds.  Each coded reader calls `decode` once per coded
-    source of the facet (the answer does not depend on the vector or the
-    configuration; see the module docstring), so a configuration becomes
-    one tuple of per-process additions, and the round is the union of
-    every vector with every distinct addition tuple.  Uncoded readers add
-    nothing (what they would decode is discarded).  Vertices glue on equal
-    (color, knowledge) states.
+    Per facet, a knowledge vector holds one view mask per position of
+    `protocols._placement`, starting from the solo masks.  Each round,
+    every coded reader calls `decode` once per coded source of the facet
+    (the answer does not depend on the vector or the schedule; see the
+    module docstring).  A coded reader whose ic view is m adds m & the
+    sources it decoded, an uncoded reader adds nothing (what it would
+    decode is discarded), and the round joins every vector with every
+    distinct addition tuple.  States are registered as (color, view) in
+    sorted order of the vectors, as `protocols.one_round` registers the
+    sorted ic template, so a covering sequence yields
+    ``protocol_complex(c, IC, 1)`` itself.
     """
     if len(c.colors()) > 3:
         raise ResourceLimit("bounded enumeration is capped at 3 process colors")
     reg = StateRegistry(c)
     facets: list[Simplex] = []
     for f in sorted(c.facets, key=sorted):
-        participants = sorted(f, key=lambda v: c.vertices[v].color)
-        color_of = {v: c.vertices[v].color for v in participants}
-        # each family as its participants' views, in color order
-        fams = [tuple(view for _col, view in fam) for fam in _families(c, f, IC)]
-        seen_by = [set(views) for views in zip(*fams)]  # distinct views per reader
-        solo = tuple(frozenset({(color_of[v], v)}) for v in participants)
-        readers = [
-            SimProcessState(color_of[p], p, own) for p, own in zip(participants, solo)
-        ]
-        vecs: set[tuple] = {solo}
+        at, colors, sets = _placement(c, f)
+        pos = {v: i for i, v in enumerate(at)}
+        fams = _template(IC, len(at))
+        vecs = {tuple(1 << i for i in range(len(at)))}
         for enc in seq:
-            codes = {p: enc.value(p) for p in participants}
-            # what each reader adds per view: one decode per coded
-            # (reader, source) pair, nothing for an uncoded reader
-            add_of = []
-            for rd, views in zip(readers, seen_by):
-                got = {}
-                if codes[rd.input_vertex] is not None:
-                    got = {
-                        q: (color_of[q], decode(rd, color_of[q], code, enc, c))
-                        for q, code in codes.items()
-                        if q != rd.input_vertex and code is not None
-                    }
-                add_of.append(
-                    {v: frozenset(got[q] for q in v if q in got) for v in views}
-                )
-            adds = {tuple(map(dict.__getitem__, add_of, fam)) for fam in fams}
+            codes = [enc.value(v) for v in at]
+            decoded = []  # per reader, the mask of the sources it decoded
+            for i, p in enumerate(at):
+                got = 0
+                if codes[i] is not None:
+                    for j, code in enumerate(codes):
+                        if j != i and code is not None:
+                            got |= 1 << pos[decode(p, colors[j], code, enc, c)]
+                decoded.append(got)
+            adds = {tuple(map(and_, fam, decoded)) for fam in fams}
             vecs = {tuple(map(or_, vec, add)) for vec in vecs for add in adds}
-        for vec in sorted(vecs, key=lambda t: tuple(map(sorted, t))):
-            facets.append(
-                Simplex(
-                    reg.get(color_of[p], vec[i])
-                    for i, p in enumerate(participants)
-                )
-            )
+        for vec in sorted(vecs):
+            facets.append(Simplex(reg.get(col, sets[m]) for col, m in zip(colors, vec)))
         if len(facets) > max_facets:
             raise ResourceLimit(f"bounded protocol exceeded {max_facets} facets")
     return ChromaticComplex(reg.vertices, facets)

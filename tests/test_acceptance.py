@@ -18,8 +18,8 @@ Core claims:
     4.  No-input-edges and intersection preservation hold on 50 seeded
         random inputs, all patterns
     5.  Headline: greedy cover + budget split + bounded simulation is
-        isomorphic to the one-round full-information collect complex on
-        8 inputs x 3 register widths
+        isomorphic, and equal with the same export bytes, to the one-round
+        full-information collect complex on 8 inputs x 3 register widths
     6.  The stock counterexample merges two views under the broken
         encoding and the repaired encoding restores isomorphism
     7.  Decoding a greedy cover reproduces the input complex, 50 seeds
@@ -48,6 +48,7 @@ from itermem import (
     check_no_input_edges,
     chromatic_subdivide,
     exact_min_sequence,
+    export_complex,
     gen_glued,
     gen_random,
     gen_simplex,
@@ -190,13 +191,16 @@ def test_criterion_05_bounded_simulation_headline():
             subs = split_to_budget(seq, c, b)
             sim = bounded_protocol_complex(c, subs)
             iso, _ = is_isomorphic(sim, fi)
+            same = sim == fi and (
+                export_complex(sim, "json") == export_complex(fi, "json")
+            )
             checked += 1
-            if not iso:
-                bad.append((i, b))
+            if not (iso and same):
+                bad.append((i, b, iso, same))
     ok = not bad
     dt = time.perf_counter() - t0
-    _verdict(5, ok, f"bounded simulation ~= full-information collect on "
-                    f"{checked} input/width pairs ({dt:.2f}s)")
+    _verdict(5, ok, f"bounded simulation == full-information collect, same "
+                    f"export bytes, on {checked} input/width pairs ({dt:.2f}s)")
     assert ok, bad
     assert dt < 120.0
 

@@ -76,6 +76,8 @@ class TestEncoding:
             Encoding({0: -1})
         with pytest.raises(InvalidParameters):
             Encoding({0: "x"})
+        with pytest.raises(InvalidParameters):
+            Encoding({0: True})  # would be written back as `true`
 
     def test_equality(self):
         assert Encoding({0: 1, 1: None}) == Encoding({0: 1})

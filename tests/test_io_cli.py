@@ -228,6 +228,29 @@ class TestComplexJson:
                  "facets": [[0]]}
             )  # n below the colors present
 
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            (("vertices", 0, "color"), 1.9),
+            (("vertices", 0, "color"), True),
+            (("vertices", 0, "vid"), "0"),
+            (("vertices", 0, "vid"), 0.0),
+            (("facets", 0, 1), 1.7),
+            (("facets", 0, 0), False),
+            (("n",), 3.0),
+            (("n",), "3"),
+        ],
+    )
+    def test_import_rejects_non_integers(self, path, bad):
+        doc = complex_to_dict(gen_simplex(2))
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = bad
+        with pytest.raises(UnsupportedFormat):
+            import_complex(json.dumps(doc))
+
     def test_unknown_format(self):
         with pytest.raises(UnsupportedFormat):
             export_complex(gen_simplex(1), "yaml")
@@ -378,6 +401,19 @@ class TestCli:
         assert main(["subdivide", "--in", str(src), "--seed", "3"]) == 2
         assert main(["export", "--in", str(src), "--max-facets", "9"]) == 2
         assert main(["subdivide", "--in", str(src), "--max-facets", "99"]) == 0
+
+    def test_non_integer_documents_exit_2(self, tmp_path, capsys):
+        src = self._gen(tmp_path)
+        doc = json.loads(src.read_text())
+        doc["vertices"][0]["color"] = 1.9
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["export", "--in", str(bad)]) == 2
+        assert "color must be an integer" in capsys.readouterr().err
+        enc = tmp_path / "enc.json"
+        enc.write_text('[{"assignment": {"0": true}}]')
+        assert main(["simulate", "--in", str(src), "--encodings", str(enc)]) == 2
+        assert "must be None or an int" in capsys.readouterr().err
 
     def test_non_integer_instance_exits_2(self, capsys):
         assert main(["reduce-setcover", "--universe", "a,b", "--subsets", "1"]) == 2
