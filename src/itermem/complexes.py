@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import Hashable, Iterable, Iterator
 
 from .errors import (
@@ -56,6 +58,11 @@ class StateRegistry:
     sorted, so a vector set equal to it is numbered as `one_round` numbers
     it).  Equal complexes thus build equal vids however their facets were
     listed.
+
+    The round builders request a facet's states through `emit`, from a
+    template compiled by `compile_rows`: its distinct states listed in
+    first-use order, so the first request for each state, and hence each
+    fresh vid, comes in the order the per-family requests would make.
     """
 
     def __init__(self, base: "ChromaticComplex"):
@@ -75,6 +82,52 @@ class StateRegistry:
                 payload = tuple(sorted(payload))
             self.vertices[vid] = Vertex(vid, color, (color, payload))
         return vid
+
+    def emit(
+        self,
+        colors: list[int],
+        sets: list[Simplex],
+        compiled: "CompiledRows",
+        out: list[Simplex],
+    ) -> None:
+        """Append one facet of states per compiled row to `out`.
+
+        A state (i, m) of `compiled` is the process at position i, of color
+        colors[i], with view sets[m]; each is requested once, in first-use
+        order.
+        """
+        states, rows = compiled
+        get = self.get
+        vids = [get(colors[i], sets[m]) for i, m in states]
+        out += [Simplex(row(vids)) for row in rows]
+
+
+CompiledRows = tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...]]
+
+
+def compile_rows(families: Iterable[Iterable[tuple[int, int]]]) -> CompiledRows:
+    """A round template as its distinct (position, mask) states, in first-use
+    order, and each family as an `itemgetter` of its indices into them."""
+    index: dict[tuple[int, int], int] = {}
+    rows = [[index.setdefault(state, len(index)) for state in fam] for fam in families]
+    return tuple(index), tuple(map(_row_getter, rows))
+
+
+def _row_getter(row: list[int]) -> itemgetter:
+    # itemgetter(i) returns the item itself, not a 1-tuple
+    return itemgetter(*row) if len(row) > 1 else itemgetter(slice(row[0], row[0] + 1))
+
+
+def mask_sets(at: list[int]) -> list[Simplex]:
+    """The vid set of every mask over positions at[0], at[1], ...: bit j is at[j]."""
+    sets = [Simplex()]
+    for v in at:
+        sets += [s | {v} for s in sets]
+    return sets
+
+
+_vid = attrgetter("vid")
+_color = attrgetter("color")
 
 
 def _maximal(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
@@ -109,26 +162,32 @@ class ChromaticComplex:
     __slots__ = ("vertices", "facets", "_faces", "_adjacency", "_rivals")
 
     def __init__(self, vertices: dict[int, Vertex], facets: Iterable[Simplex]):
-        facet_set = frozenset(Simplex(f) for f in facets if f)
-        used: set[int] = set()
-        for f in facet_set:
-            used |= f
-        for vid in used:
-            if vid not in vertices:
-                raise DanglingVertexReference(f"facet references unknown vid {vid}")
+        # every check runs in C-level loops (map, set.union); a Python loop
+        # runs only to name the first offender once a check has failed
+        facet_set = frozenset(filter(None, map(Simplex, facets)))
+        used: set[int] = set().union(*facet_set)
+        if not vertices.keys() >= used:
+            for vid in used:
+                if vid not in vertices:
+                    raise DanglingVertexReference(f"facet references unknown vid {vid}")
         # keep only referenced vertices so equality is structural
-        table = {vid: vertices[vid] for vid in used}
-        for vid, v in table.items():
-            if v.vid != vid:
-                raise DanglingVertexReference(f"vertex table key {vid} != vid {v.vid}")
-        for f in facet_set:
-            colors = [table[vid].color for vid in f]
-            if len(set(colors)) != len(colors):
-                raise DuplicateColorInFacet(f"facet {sorted(f)} repeats a color")
-        nested = facet_set - _maximal(facet_set)
-        if nested:
-            least = sorted(min(nested, key=lambda s: (len(s), sorted(s))))
-            raise FacetContainment(f"facet {least} is contained in another facet")
+        table = dict(zip(used, map(vertices.__getitem__, used)))
+        if list(map(_vid, table.values())) != list(table):
+            for vid, v in table.items():
+                if v.vid != vid:
+                    raise DanglingVertexReference(f"vertex table key {vid} != vid {v.vid}")
+        color = dict(zip(table, map(_color, table.values())))
+        sizes = list(map(len, facet_set))
+        if list(map(len, map(set, map(map, repeat(color.__getitem__), facet_set)))) != sizes:
+            for f in facet_set:
+                if len(set(map(color.__getitem__, f))) != len(f):
+                    raise DuplicateColorInFacet(f"facet {sorted(f)} repeats a color")
+        # facets of one size are never nested
+        if len(set(sizes)) > 1:
+            nested = facet_set - _maximal(facet_set)
+            if nested:
+                least = sorted(min(nested, key=lambda s: (len(s), sorted(s))))
+                raise FacetContainment(f"facet {least} is contained in another facet")
         self.vertices: dict[int, Vertex] = table
         self.facets: frozenset[Simplex] = facet_set
         self._faces: frozenset[Simplex] | None = None
@@ -144,7 +203,7 @@ class ChromaticComplex:
     @property
     def dimension(self) -> int:
         """Dimension of the largest facet; -1 for the empty complex."""
-        return max((len(f) for f in self.facets), default=0) - 1
+        return max(map(len, self.facets), default=0) - 1
 
     def colors(self) -> frozenset[int]:
         return frozenset(v.color for v in self.vertices.values())
@@ -210,18 +269,25 @@ class ChromaticComplex:
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, f_1, ..., f_dim); empty tuple for the empty complex.
 
-        Faces of each size are counted as sorted vid tuples, one size at a
-        time; no face is built as a Simplex and `faces()` is not cached.
+        The ends need no enumeration: every vertex lies in a facet, so f_0
+        is the vertex count, and a face of the largest size is a facet.
+        Faces of each size in between are counted as sorted vid tuples, one
+        size at a time; no face is built as a Simplex and `faces()` is not
+        cached.
         """
         if not self.facets:
             return ()
-        sized = [sorted(f) for f in self.facets]
-        counts = []
-        for k in range(1, self.dimension + 2):
+        sizes = list(map(len, self.facets))
+        top = max(sizes)
+        counts = [len(self.vertices)]
+        sized = [sorted(f) for f in self.facets] if top > 2 else []
+        for k in range(2, top):
             seen: set[tuple[int, ...]] = set()
             for vids in sized:
                 seen.update(itertools.combinations(vids, k))
             counts.append(len(seen))
+        if top > 1:
+            counts.append(sizes.count(top))
         return tuple(counts)
 
     def euler_characteristic(self) -> int:

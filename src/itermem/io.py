@@ -16,7 +16,8 @@ export.  Labels are escaped by the C-backed ``json.dumps(label)``.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 
 from .complexes import ChromaticComplex, Simplex, Vertex
 from .encoding import Encoding
@@ -73,6 +74,14 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+def _all_ints(rows) -> bool:
+    """Whether every entry of every row is a JSON integer, in one C-level pass."""
+    try:
+        return set(map(type, chain.from_iterable(rows))) <= {int}
+    except TypeError:  # a row that is not iterable
+        return False
+
+
 def complex_from_dict(d: dict) -> ChromaticComplex:
     try:
         n = _json_int(d["n"], "n")
@@ -80,9 +89,11 @@ def complex_from_dict(d: dict) -> ChromaticComplex:
         for row in d["vertices"]:
             vid = _json_int(row["vid"], "vid")
             vertices[vid] = Vertex(vid, _json_int(row["color"], "color"), row["label"])
-        facets = [
-            Simplex(_json_int(v, "facet entry") for v in f) for f in d["facets"]
-        ]
+        rows = d["facets"]
+        if _all_ints(rows):
+            facets = list(map(Simplex, rows))
+        else:  # name the first offending entry
+            facets = [Simplex(_json_int(v, "facet entry") for v in f) for f in rows]
     except (KeyError, TypeError) as exc:
         raise UnsupportedFormat(f"malformed complex document: {exc}") from exc
     colors = {v.color for v in vertices.values()}
@@ -106,12 +117,16 @@ def _json_list(rows: list[str]) -> str:
     return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
 
 
+@lru_cache(maxsize=None)
+def _facet_row(size: int) -> str:
+    """The %-template of a facet row with `size` vids."""
+    return "    [\n      " + ",\n      ".join(["%d"] * size) + "\n    ]"
+
+
 def _json_document(doc: dict) -> str:
     """A `complex_to_dict` document in the indent=2, sort_keys=True layout."""
-    facets = [
-        "    [\n      " + ",\n      ".join(map(str, f)) + "\n    ]"
-        for f in doc["facets"]
-    ]
+    # one %-format per facet row, in place of a str per vid and three joins
+    facets = [_facet_row(len(f)) % tuple(f) for f in doc["facets"]]
     vertices = [
         f'    {{\n      "color": {v["color"]},\n'
         f'      "label": {json.dumps(v["label"])},\n'
@@ -159,10 +174,21 @@ def encoding_to_dict(e: Encoding) -> dict:
     return {"assignment": {str(v): k for v, k in sorted(e.items())}}
 
 
+def _vid_key(key: str) -> int:
+    """An assignment key as a vid; only the digits `str(vid)` writes are read."""
+    try:
+        vid = int(key)
+    except (TypeError, ValueError):
+        vid = None
+    if vid is None or str(vid) != key:
+        raise UnsupportedFormat(f"assignment key {key!r} is not a canonical vid")
+    return vid
+
+
 def encoding_from_dict(d: dict) -> Encoding:
     try:
-        codes = {int(v): x for v, x in d["assignment"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        codes = {_vid_key(v): x for v, x in d["assignment"].items()}
+    except (KeyError, TypeError, AttributeError) as exc:
         raise UnsupportedFormat(f"malformed encoding document: {exc}") from exc
     return Encoding(codes)
 

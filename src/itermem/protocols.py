@@ -28,7 +28,9 @@ digraph is acyclic iff some order of the processes lets each one see its
 whole prefix and any subset of its suffix.  `one_round` numbers new states by content
 (see `StateRegistry`) and checks its budget against counts of the families
 (`_family_count`), so a facet too large to enumerate raises ResourceLimit
-without building its template.
+without building its template.  It emits a facet's families from the
+template compiled once per size (`_compiled`): each distinct (position,
+view) state is requested once per facet, in first-use order.
 """
 
 from __future__ import annotations
@@ -41,9 +43,12 @@ from math import comb
 from .complexes import (
     DEFAULT_MAX_FACETS,
     ChromaticComplex,
+    CompiledRows,
     Simplex,
     StateRegistry,
     assert_facet,
+    compile_rows,
+    mask_sets,
 )
 from .errors import InvalidParameters, ResourceLimit
 from .subdivision import ordered_bell, ordered_set_partitions, partition_views
@@ -149,6 +154,12 @@ def _template(pattern: str, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _compiled(pattern: str, n: int) -> CompiledRows:
+    """`_template(pattern, n)` as compiled rows of (position, mask) states."""
+    return compile_rows(enumerate(fam) for fam in _template(pattern, n))
+
+
+@lru_cache(maxsize=None)
 def _family_count(pattern: str, n: int) -> int:
     """len(_template(pattern, n)), counted without building a family.
 
@@ -199,11 +210,7 @@ def _placement(
     every view mask over those positions.
     """
     at = sorted(facet, key=lambda v: c.vertices[v].color)
-    sets = [
-        frozenset(v for j, v in enumerate(at) if m >> j & 1)
-        for m in range(1 << len(at))
-    ]
-    return at, [c.vertices[v].color for v in at], sets
+    return at, [c.vertices[v].color for v in at], mask_sets(at)
 
 
 def _families(
@@ -424,8 +431,8 @@ def one_round(
             )
     facets: list[Simplex] = []
     for f in sorted(c.facets, key=sorted):
-        for fam in _families(c, f, pattern):
-            facets.append(Simplex(registry.get(col, view) for col, view in fam))
+        at, colors, sets = _placement(c, f)
+        registry.emit(colors, sets, _compiled(pattern, len(at)), facets)
     return ChromaticComplex(registry.vertices, facets)
 
 

@@ -27,6 +27,8 @@ so decoding each pair once raises exactly when the per-read loop would.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from operator import and_, or_
 
 from .complexes import (
@@ -176,13 +178,20 @@ def bounded_protocol_complex(
     module docstring).  A coded reader whose ic view is m adds m & the
     sources it decoded, an uncoded reader adds nothing (what it would
     decode is discarded), and the round joins every vector with every
-    distinct addition tuple.  States are registered as (color, view) in
+    distinct addition tuple.  A round that codes fewer than two vertices of
+    the facet decodes nothing there and adds nothing, so the fold visits
+    only the rounds that code two or more of them, found from one index of
+    the rounds coding each vid.  States are registered as (color, view) in
     sorted order of the vectors, as `protocols.one_round` registers the
     sorted ic template, so a covering sequence yields
     ``protocol_complex(c, IC, 1)`` itself.
     """
     if len(c.colors()) > 3:
         raise ResourceLimit("bounded enumeration is capped at 3 process colors")
+    coding: dict[int, list[int]] = {}  # vid -> the rounds that code it
+    for k, enc in enumerate(seq):
+        for v, _code in enc.items():
+            coding.setdefault(v, []).append(k)
     reg = StateRegistry(c)
     facets: list[Simplex] = []
     for f in sorted(c.facets, key=sorted):
@@ -190,7 +199,9 @@ def bounded_protocol_complex(
         pos = {v: i for i, v in enumerate(at)}
         fams = _template(IC, len(at))
         vecs = {tuple(1 << i for i in range(len(at)))}
-        for enc in seq:
+        hits = Counter(chain.from_iterable(coding.get(v, ()) for v in at))
+        for k in sorted(k for k, coded in hits.items() if coded > 1):
+            enc = seq[k]
             codes = [enc.value(v) for v in at]
             decoded = []  # per reader, the mask of the sources it decoded
             for i, p in enumerate(at):

@@ -7,15 +7,34 @@ carrier {v} are identified with the original vertex v, so vertex identity
 (and hence per-vertex degree) is preserved across iterations.  Facets of
 neighboring base facets glue automatically because equal (color, carrier)
 pairs receive equal vids.
+
+The partitions depend only on the facet size, so they are compiled once
+per size over positions 0..k-1 (`_compiled`): the distinct (position,
+carrier) states in first-use order, and each partition as a row of indices
+into them.  A facet places its vids on positions in vid order, requests
+each distinct state once, and reads its facets off the rows; the states
+are requested in the order a partition-by-partition walk would first
+request them, so vids and labels do not depend on the compilation.  The
+template stays separate from `protocols._template(IIS)`, which orders
+positions by color.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, Simplex, StateRegistry
+from .complexes import (
+    DEFAULT_MAX_FACETS,
+    ChromaticComplex,
+    CompiledRows,
+    Simplex,
+    StateRegistry,
+    compile_rows,
+    mask_sets,
+)
 from .errors import InvalidParameters, ResourceLimit
 
 
@@ -56,6 +75,19 @@ def partition_views(vids: list) -> Iterator[dict[int, Simplex]]:
         yield views
 
 
+@lru_cache(maxsize=None)
+def _compiled(n: int) -> CompiledRows:
+    """The ordered partitions of positions 0..n-1 as compiled rows.
+
+    A state is (position, carrier mask), listed per partition block by
+    block, as `partition_views` lists them.
+    """
+    return compile_rows(
+        ((i, sum(1 << j for j in carrier)) for i, carrier in views.items())
+        for views in partition_views(list(range(n)))
+    )
+
+
 def chromatic_subdivide(
     c: ChromaticComplex, registry: StateRegistry | None = None
 ) -> ChromaticComplex:
@@ -65,11 +97,11 @@ def chromatic_subdivide(
     subcomplexes into a common vid space.
     """
     reg = registry if registry is not None else StateRegistry(c)
-    facets = [
-        Simplex(reg.get(c.vertices[v].color, carrier) for v, carrier in views.items())
-        for f in sorted(c.facets, key=sorted)
-        for views in partition_views(sorted(f))
-    ]
+    facets: list[Simplex] = []
+    for f in sorted(c.facets, key=sorted):
+        at = sorted(f)
+        colors = [c.vertices[v].color for v in at]
+        reg.emit(colors, mask_sets(at), _compiled(len(at)), facets)
     return ChromaticComplex(reg.vertices, facets)
 
 

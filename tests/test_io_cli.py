@@ -11,7 +11,8 @@ Core claims:
     - Exported documents carry n, vids, colors, string labels, facets
     - DOT export: one node per vertex with a color attribute, one edge per
       1-skeleton edge; csv-fvector matches the frozen subdivision value
-    - Unknown formats and malformed documents are rejected
+    - Unknown formats and malformed documents are rejected, including
+      encoding keys that are not the digits str(vid) writes
     - Encoding sequences round-trip, including block metadata
     - CLI: gen/subdivide/protocol/greedy-star/simulate/verify/bounds/
       reduce-setcover/exact-min/export/counterexample wire together
@@ -294,6 +295,21 @@ class TestEncodingJson:
         with pytest.raises(UnsupportedFormat):
             sequence_from_list({"assignment": {}})
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            {" +1_0 ": 1, "١": 2},  # int() reads these as 10 and 1
+            {"1": 1, "01": 2},  # int() merges these into one vid
+            {"+3": 1},
+            {"-0": 1},
+            {"3 ": 1},
+            {"x": 1},
+        ],
+    )
+    def test_non_canonical_keys_rejected(self, assignment):
+        with pytest.raises(UnsupportedFormat, match="not a canonical vid"):
+            encoding_from_dict({"assignment": assignment})
+
 
 class TestCli:
     def _gen(self, tmp_path, name="c.json", kind="glued", extra=()):
@@ -414,6 +430,9 @@ class TestCli:
         enc.write_text('[{"assignment": {"0": true}}]')
         assert main(["simulate", "--in", str(src), "--encodings", str(enc)]) == 2
         assert "must be None or an int" in capsys.readouterr().err
+        enc.write_text('[{"assignment": {"1": 1, "01": 2}}]')
+        assert main(["verify", "--in", str(src), "--encodings", str(enc)]) == 2
+        assert "'01' is not a canonical vid" in capsys.readouterr().err
 
     def test_non_integer_instance_exits_2(self, capsys):
         assert main(["reduce-setcover", "--universe", "a,b", "--subsets", "1"]) == 2
