@@ -53,7 +53,8 @@ class StateRegistry:
     facets in sorted order, then within a facet the states of each view
     family in template order (`protocols.one_round`), of each ordered
     partition (`subdivision.chromatic_subdivide`), or of each knowledge
-    vector, a tuple of view masks, in sorted order of the vectors
+    vector, view masks packed into an int whose order is the order of the
+    mask tuples, in sorted order of the vectors
     (`simulator.bounded_protocol_complex`; the ic template is itself
     sorted, so a vector set equal to it is numbered as `one_round` numbers
     it).  Equal complexes thus build equal vids however their facets were

@@ -8,12 +8,18 @@ round keeps its state unchanged — its decoded values are discarded.
 A process state is the one the full-information protocol has: a color and
 the set of facet vids it has seen.  `run_bounded` executes one explicit
 schedule; `bounded_protocol_complex` folds all schedules per round into
-reachable knowledge vectors, one view mask per process of the facet (two
-schedule combinations with equal round-k states share all continuations),
-over the oracle-validated one-round ic template of `protocols`, with real
-decode calls.  States are numbered as `protocols.one_round` numbers them
-(see `StateRegistry`), so the simulation of a covering sequence is the
+reachable knowledge vectors, one view mask per process of the facet packed
+into one int (two schedule combinations with equal round-k states share
+all continuations), over the one-round ic template of `protocols`, with
+real decode calls.  States are numbered as `protocols.one_round` numbers
+them (see `StateRegistry`), so the simulation of a covering sequence is the
 one-round collect complex itself, vids and labels included.
+
+The fold has no color cap: a facet-count projection made before any fold
+work bounds its cost.  Up to 3 processes the ic template is checked by the
+independent schedule oracle of `protocols`; at 4 the oracle is capped, and
+the template is checked by its count (`_family_count`) and, in the tests,
+by the per-vector reference fold.
 
 Within one facet and one encoding, decoding is a table.  A reader p of the
 facet that reads the register of a coded q of the facet sees q's code, and
@@ -29,14 +35,15 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from operator import and_, or_
 
 from .complexes import (
     DEFAULT_MAX_FACETS,
     ChromaticComplex,
+    CompiledRows,
     Simplex,
     StateRegistry,
     assert_facet,
+    compile_rows,
 )
 from .encoding import Encoding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
@@ -46,6 +53,7 @@ from .protocols import (
     IC,
     GlobalView,
     _families,
+    _family_count,
     _placement,
     _template,
     protocol_complex,
@@ -171,53 +179,96 @@ def bounded_protocol_complex(
 ) -> ChromaticComplex:
     """Reachable final states over every schedule combination, as a complex.
 
-    Per facet, a knowledge vector holds one view mask per position of
-    `protocols._placement`, starting from the solo masks.  Each round,
-    every coded reader calls `decode` once per coded source of the facet
-    (the answer does not depend on the vector or the schedule; see the
-    module docstring).  A coded reader whose ic view is m adds m & the
-    sources it decoded, an uncoded reader adds nothing (what it would
-    decode is discarded), and the round joins every vector with every
-    distinct addition tuple.  A round that codes fewer than two vertices of
-    the facet decodes nothing there and adds nothing, so the fold visits
-    only the rounds that code two or more of them, found from one index of
-    the rounds coding each vid.  States are registered as (color, view) in
-    sorted order of the vectors, as `protocols.one_round` registers the
-    sorted ic template, so a covering sequence yields
+    Per facet on k positions of `protocols._placement`, a knowledge vector
+    is one int holding one view mask per position: position i's mask in
+    bits [(k-1-i)k, (k-i)k), so integer order is the order of the mask
+    tuples.  It starts from the solo masks.  Each round, every coded reader
+    calls `decode` once per coded source of the facet (the answer does not
+    depend on the vector or the schedule; see the module docstring).  A
+    coded reader whose ic view is m adds m & the sources it decoded, an
+    uncoded reader adds nothing (what it would decode is discarded), so a
+    family adds its packed masks & the packed decoded masks, and the round
+    ors every vector with every distinct addition.  A round that codes
+    fewer than two vertices of the facet decodes nothing there and adds
+    nothing, so the fold visits only these active rounds, found from one
+    index of the rounds coding each vid.
+
+    Before any fold work the facet count is projected: each active round
+    multiplies a facet's vectors by at most ``_family_count(IC, k)``, and a
+    facet has at most 2^(k(k-1)) vectors, since each position always sees
+    itself.  A projection over `max_facets` raises ResourceLimit, as does
+    an emitted facet count over it.
+
+    States are registered through `StateRegistry.emit`, from the sorted
+    vectors compiled once per distinct vector set, as `protocols.one_round`
+    registers the sorted ic template, so a covering sequence yields
     ``protocol_complex(c, IC, 1)`` itself.
     """
-    if len(c.colors()) > 3:
-        raise ResourceLimit("bounded enumeration is capped at 3 process colors")
     coding: dict[int, list[int]] = {}  # vid -> the rounds that code it
-    for k, enc in enumerate(seq):
+    for r, enc in enumerate(seq):
         for v, _code in enc.items():
-            coding.setdefault(v, []).append(k)
+            coding.setdefault(v, []).append(r)
+    plan = []  # per facet in sorted order: the facet and its active rounds
+    projected = 0
+    for f in sorted(c.facets, key=sorted):
+        hits = Counter(chain.from_iterable(coding.get(v, ()) for v in f))
+        active = sorted(r for r, coded in hits.items() if coded > 1)
+        k = len(f)
+        projected += min(1 << k * (k - 1), _family_count(IC, k) ** len(active))
+        plan.append((f, active))
+    if projected > max_facets:
+        raise ResourceLimit(
+            f"bounded protocol could make {projected} facets, over {max_facets}"
+        )
+    packed: dict[int, list[int]] = {}  # k -> the packed ic template
+    compiled: dict[tuple[int, frozenset[int]], CompiledRows] = {}  # (k, vectors) -> rows
     reg = StateRegistry(c)
     facets: list[Simplex] = []
-    for f in sorted(c.facets, key=sorted):
+    for f, active in plan:
         at, colors, sets = _placement(c, f)
+        k = len(at)
         pos = {v: i for i, v in enumerate(at)}
-        fams = _template(IC, len(at))
-        vecs = {tuple(1 << i for i in range(len(at)))}
-        hits = Counter(chain.from_iterable(coding.get(v, ()) for v in at))
-        for k in sorted(k for k, coded in hits.items() if coded > 1):
-            enc = seq[k]
+        vecs = {_pack([1 << i for i in range(k)], k)}
+        if active and k not in packed:
+            packed[k] = [_pack(fam, k) for fam in _template(IC, k)]
+        for r in active:
+            enc = seq[r]
             codes = [enc.value(v) for v in at]
-            decoded = []  # per reader, the mask of the sources it decoded
+            decoded = 0  # packed: per reader, the mask of the sources it decoded
             for i, p in enumerate(at):
                 got = 0
                 if codes[i] is not None:
                     for j, code in enumerate(codes):
                         if j != i and code is not None:
                             got |= 1 << pos[decode(p, colors[j], code, enc, c)]
-                decoded.append(got)
-            adds = {tuple(map(and_, fam, decoded)) for fam in fams}
-            vecs = {tuple(map(or_, vec, add)) for vec in vecs for add in adds}
-        for vec in sorted(vecs):
-            facets.append(Simplex(reg.get(col, sets[m]) for col, m in zip(colors, vec)))
+                decoded = decoded << k | got
+            adds = set(map(decoded.__and__, packed[k]))
+            new: set[int] = set()
+            for vec in vecs:
+                new.update(map(vec.__or__, adds))
+            vecs = new
+        key = k, frozenset(vecs)
+        rows = compiled.get(key)
+        if rows is None:
+            rows = compiled[key] = compile_rows(enumerate(_unpack(v, k)) for v in sorted(vecs))
+        reg.emit(colors, sets, rows, facets)
         if len(facets) > max_facets:
             raise ResourceLimit(f"bounded protocol exceeded {max_facets} facets")
     return ChromaticComplex(reg.vertices, facets)
+
+
+def _pack(masks, k: int) -> int:
+    """View masks on k positions as one int, position 0 in the top k bits."""
+    vec = 0
+    for m in masks:
+        vec = vec << k | m
+    return vec
+
+
+def _unpack(vec: int, k: int) -> list[int]:
+    """The view masks of a packed vector, in position order."""
+    low = (1 << k) - 1
+    return [vec >> (k - 1 - i) * k & low for i in range(k)]
 
 
 # -- single-function counterexample -------------------------------------------

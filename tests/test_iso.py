@@ -12,6 +12,10 @@ Core claims:
     - Random vid permutations of seeded complexes stay isomorphic
     - Ch^2 ~= IIS^2 of a seeded random complex is decided quickly
     - Running past the search-node budget raises ResourceLimit
+    - Refinement over column groups gives the same vertex partition as the
+      per-facet, per-vertex passes it replaced (kept here as the reference),
+      on random complexes and after one pair is individualized, and the
+      search returns the same witness under either refinement
 """
 
 import random
@@ -39,6 +43,7 @@ from itermem import (
     iterate_subdivide,
     protocol_complex,
 )
+from itermem.iso import _layout, _refine
 
 
 def _permuted(c: ChromaticComplex, seed: int) -> ChromaticComplex:
@@ -226,6 +231,86 @@ def test_near_misses_agree_with_brute_force(c, perm, data):
     assert ok == brute_force_isomorphic(c, d)[0]
     if ok:
         _check_map(c, d, m)
+
+
+def _reference_refine(color, facets, incidence):
+    """The per-facet, per-vertex passes `_refine` replaced, recoloring 0..k-1."""
+    classes = len(set(color))
+    while True:
+        of_vertex = color.__getitem__
+        table = {}
+        facet_color = [table.setdefault(tuple(map(of_vertex, f)), len(table)) for f in facets]
+        of_facet = facet_color.__getitem__
+        table = {}
+        new = [
+            table.setdefault((k, tuple(sorted(map(of_facet, incident)))), len(table))
+            for k, incident in zip(color, incidence)
+        ]
+        if len(table) == classes:
+            return new
+        color, classes = new, len(table)
+
+
+def _incidence(facets, size):
+    incidence = [[] for _ in range(size)]
+    for i, f in enumerate(facets):
+        for v in f:
+            incidence[v].append(i)
+    return incidence
+
+
+def _refinement_input(c: ChromaticComplex):
+    """Colors, facets in color order and incidence lists over positions of c's vids."""
+    index = {vid: i for i, vid in enumerate(c.vertices)}
+    facets = [
+        tuple(index[v] for v in sorted(f, key=lambda u: c.vertices[u].color))
+        for f in c.facets
+    ]
+    return [v.color for v in c.vertices.values()], facets, _incidence(facets, len(index))
+
+
+def _classes(color):
+    cells = {}
+    for v, k in enumerate(color):
+        cells.setdefault(k, set()).add(v)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+_random_complexes = st.builds(
+    gen_random, st.integers(0, 10**6), st.integers(2, 4), st.integers(1, 8)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=_random_complexes | _small_complexes(), data=st.data())
+def test_refinement_matches_reference(c, data):
+    color, facets, incidence = _refinement_input(c)
+    layout = _layout(facets, len(color))
+    refined = _refine(color, *layout)
+    assert _classes(refined) == _classes(_reference_refine(color, facets, incidence))
+    # individualize one pair, as the search does, and refine again
+    v, w = (data.draw(st.integers(0, len(color) - 1)) for _ in range(2))
+    child = refined.copy()
+    child[v] = child[w] = max(refined) + 1
+    assert _classes(_refine(child, *layout)) == _classes(
+        _reference_refine(child, facets, incidence)
+    )
+
+
+@pytest.mark.parametrize(
+    "c",
+    [gen_glued(2), gen_glued(3), chromatic_subdivide(gen_glued(2)),
+     chromatic_subdivide(gen_glued(3)), gen_path(5), _cycles(6, 12)],
+    ids=["glued2", "glued3", "ch_glued2", "ch_glued3", "path5", "cycles6_12"],
+)
+def test_witness_matches_reference_refinement(monkeypatch, c):
+    for seed in range(3):
+        d = _permuted(c, seed)
+        got = is_isomorphic(c, d)
+        with monkeypatch.context() as m:
+            m.setattr("itermem.iso._layout", lambda f, size: (f, _incidence(f, size)))
+            m.setattr("itermem.iso._refine", _reference_refine)
+            assert is_isomorphic(c, d) == got
 
 
 def test_ch2_of_random_complex_matches_iis2():

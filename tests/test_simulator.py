@@ -12,7 +12,8 @@ Core claims:
     - Bounded complexes of greedy + split covers equal the 1-round
       full-information collect complex, vids, labels and export bytes
       included, on the edge, triangle, glued pair and random 3-color
-      complexes (budgets 1, 2, 3)
+      complexes (budgets 1, 2, 3), and on the 3-simplex (budgets 1, 2, 3)
+      and its chromatic subdivision (budgets 2, 3)
     - Any encoding that decodes keeps every input vertex, vid and Vertex,
       as the state of a process that saw only itself
     - Soundness: bounded runs only produce full-information collect views
@@ -20,7 +21,7 @@ Core claims:
       (color, view) states, as the per-vector decode loop it
       replaced (kept here as the reference), on greedy + split encodings
       and on random encodings, where both raise AmbiguousDecode on exactly
-      the same inputs
+      the same inputs, over random 3- and 4-color complexes
     - A non-distinguishing encoding (the counterexample's shared apex
       code) still raises AmbiguousDecode
     - The shared-apex counterexample: merged states break intersection
@@ -33,8 +34,12 @@ Core claims:
     - Packed compiles of the simulate benchmark's ladder rungs (3-color
       simplex, glued fans and paths) equal full-information collect, at
       pinned round counts
-    - Color cap raises ResourceLimit
+    - Four colors run: with no rounds the 3-simplex comes back as it is;
+      a 5-vertex facet coded in two rounds raises ResourceLimit from the
+      facet projection, before any fold work
 """
+
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -48,6 +53,7 @@ from itermem import (
     ResourceLimit,
     bounded_protocol_complex,
     bounds_table,
+    chromatic_subdivide,
     concurrent_schedule,
     decode,
     gen_glued,
@@ -210,24 +216,31 @@ def _new_facets(c, seq):
 three_color_complexes = st.builds(
     gen_random, st.integers(0, 10**6), st.just(3), st.integers(1, 5)
 )
+# the reference joins every vector with each of the 543 ic families of four
+# processes, so these stay at one or two facets
+four_color_complexes = st.builds(
+    gen_random, st.integers(0, 10**6), st.just(4), st.integers(1, 2)
+)
 
 
 class TestDecodeTable:
     @settings(max_examples=30, deadline=None)
-    @given(three_color_complexes, st.sampled_from([1, 2, 3]))
+    @given(three_color_complexes | four_color_complexes, st.sampled_from([1, 2, 3]))
     def test_fold_equals_reference_on_split_covers(self, c, b):
         seq, _ = greedy_star(c)
         sub = split_to_budget(seq, c, b)
         assert _new_facets(c, sub) == _reference_bounded(c, sub)
 
     @settings(max_examples=40, deadline=None)
-    @given(three_color_complexes, st.data())
+    @given(three_color_complexes | four_color_complexes, st.data())
     def test_fold_equals_reference_on_any_encoding(self, c, data):
-        # few codes and bottoms: ambiguous decodes are common
+        # few codes and bottoms: ambiguous decodes are common; on four
+        # colors a second active round costs the reference seconds
         code = st.none() | st.integers(0, 1)
+        rounds = st.integers(1, 3) if len(c.colors()) < 4 else st.just(1)
         seq = [
             Encoding({v: data.draw(code) for v in sorted(c.vertices)})
-            for _ in range(data.draw(st.integers(1, 3)))
+            for _ in range(data.draw(rounds))
         ]
         assert _bounded_or_ambiguous(_new_facets, c, seq) == _bounded_or_ambiguous(
             _reference_bounded, c, seq
@@ -249,6 +262,20 @@ class TestBoundedComplex:
             fi = protocol_complex(c, IC, 1)
             assert gs == fi
             assert export_complex(gs, "json") == export_complex(fi, "json")
+
+    @pytest.mark.parametrize(
+        "c, b",
+        # Ch of the 3-simplex at b = 1 (75 rounds) takes seconds and is left out
+        [(gen_simplex(3), b) for b in (1, 2, 3)]
+        + [(chromatic_subdivide(gen_simplex(3)), b) for b in (2, 3)],
+        ids=["D3-b1", "D3-b2", "D3-b3", "ChD3-b2", "ChD3-b3"],
+    )
+    def test_matches_collect_on_four_colors(self, c, b):
+        seq, _ = greedy_star(c)
+        gs = bounded_protocol_complex(c, split_to_budget(seq, c, b))
+        fi = protocol_complex(c, IC, 1)
+        assert gs == fi
+        assert export_complex(gs, "json") == export_complex(fi, "json")
 
     def test_matches_collect_on_seeded(self):
         for seed in (0, 1, 2):
@@ -280,9 +307,18 @@ class TestBoundedComplex:
             assume(False)
         assert c.vertices.items() <= gs.vertices.items()
 
-    def test_color_cap(self):
+    def test_four_colors_without_rounds_is_solo(self):
+        c = gen_simplex(3)
+        assert bounded_protocol_complex(c, []) == c
+
+    def test_facet_projection_raises_before_folding(self):
+        # a 5-vertex facet coded in two rounds could reach 2^20 vectors
+        c = gen_simplex(4)
+        seq, _ = greedy_star(c)
+        t0 = time.perf_counter()
         with pytest.raises(ResourceLimit):
-            bounded_protocol_complex(gen_simplex(3), [])
+            bounded_protocol_complex(c, seq * 2)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_facet_budget(self):
         c = gen_simplex(2)
