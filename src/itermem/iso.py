@@ -4,32 +4,39 @@ Two complexes are isomorphic when a bijection of vertices preserves colors
 and maps the facet set of one exactly onto the facet set of the other.
 
 ``is_isomorphic`` is an individualization-refinement search (McKay and
-Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 2014).
-Refinement (`_refine`) colors the vertices of both complexes together,
-from one shared table, until the coloring stops changing: a facet's color
-is the tuple of its vertices' colors in process-color order, and a
-vertex's next color is its color plus the sorted multiset of its facets'
-colors.  Each pass reads the facets grouped by size and the vertices
-grouped by degree, column by column (`_layout`), in C-level ``map`` and
-``zip`` chains, and a class is numbered by the position of its first
-member, so the ids of k classes are not 0..k-1 but lie below the 2n
-vertices of the pair.  An isomorphism keeps refined colors, so if the two
-sides' color counts differ the coloring admits none.  While some class
-holds several vertices per side, the search individualizes: it gives one
-``a``-vertex of the smallest such class and each same-class ``b``-vertex
-in turn the fresh shared color 2n, and refines again, keeping the branches
-on an explicit stack.  Once every class holds one vertex per side the
-bijection is forced, and one facet-image check decides the branch.  A
-search that refines more than ``_NODE_BUDGET`` colorings raises
-ResourceLimit.  ``brute_force_isomorphic`` tries every color-respecting
-bijection and is usable as an oracle on small inputs.
+Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 2014).  Each
+side's vertices are numbered color-major, ``a``'s as 0..n-1 and ``b``'s as
+n..2n-1, so a facet's sorted indices list its vertices in process-color
+order.  Refinement (`_refine`) colors the vertices of both complexes
+together, from one shared table: a facet's color is the tuple of its
+vertices' colors in that order, and a vertex's next color is its color
+plus the sorted multiset of its facets' colors.  Each pass reads the
+facets grouped by size and the vertices grouped by degree, column by
+column (`_layout`), in C-level ``map`` and ``zip`` chains, and a class is
+numbered by the position of its first member, so the ids of k classes are
+not 0..k-1 but lie below the 2n vertices of the pair.  The search starts
+from the (color, degree) classes.  On a pure complex they are what a
+first pass from the process colors gives, and in general they lie between
+the two, so they refine to the same stable coloring.  Refinement stops
+when the coloring is stable or holds n classes.  An isomorphism keeps refined colors, so if the two
+sides' color counts differ the coloring admits none; with equal counts, n
+classes hold one vertex per side each, and the bijection is forced.
+While some class holds several vertices per side, the search
+individualizes: it gives one ``a``-vertex of the smallest such class and
+each same-class ``b``-vertex in turn the fresh shared color 2n, and
+refines again, keeping the branches on an explicit stack.  A forced
+bijection is decided by one facet-image check, which also stands in for
+the pass that would confirm the coloring stable.  A search that refines
+more than ``_NODE_BUDGET`` colorings raises ResourceLimit.
+``brute_force_isomorphic`` tries every color-respecting bijection and is
+usable as an oracle on small inputs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from itertools import chain, count, groupby, permutations, product, repeat
+from operator import attrgetter
 
 from .complexes import ChromaticComplex, Simplex
 from .errors import InvalidParameters, ResourceLimit
@@ -37,46 +44,46 @@ from .errors import InvalidParameters, ResourceLimit
 _BRUTE_LIMIT = 8
 _NODE_BUDGET = 10_000  # colorings refined by one is_isomorphic call
 
+# facet columns by size, incidence columns by degree, degree-order positions
+_Layout = tuple[list[list[tuple[int, ...]]], list[list[tuple[int, ...]]], list[int]]
 
-def _layout(
-    facets: list[tuple[int, ...]], size: int
-) -> tuple[list[list[tuple[int, ...]]], list[list[tuple[int, ...]]], list[int]]:
-    """What `_refine` reads of the facets over vertices 0..size-1.
 
-    The facets grouped by size, and each vertex's incident facets grouped
-    by degree, each group as its columns; and each vertex's position in
-    the degree order.
+def _layout(facets: list[tuple[int, ...]], size: int) -> tuple[_Layout, list[int]]:
+    """What `_refine` reads of the facets over vertices 0..size-1, and degrees.
+
+    The layout holds the facets grouped by size, and each vertex's incident
+    facets grouped by degree, each group as its columns; and each vertex's
+    position in the degree order.  The second value is each vertex's degree.
     """
     facets = sorted(facets, key=len)
     incidence: list[list[int]] = [[] for _ in range(size)]
     for i, facet in enumerate(facets):
         for v in facet:
             incidence[v].append(i)
-    degree = list(map(len, incidence)).__getitem__
-    order = sorted(range(size), key=degree)
+    degree = list(map(len, incidence))
+    order = sorted(range(size), key=degree.__getitem__)
     position = [0] * size
     for p, v in enumerate(order):
         position[v] = p
     facet_columns = [list(zip(*group)) for _, group in groupby(facets, len)]
     vertex_columns = [
-        list(zip(*map(incidence.__getitem__, group))) for _, group in groupby(order, degree)
+        list(zip(*map(incidence.__getitem__, group)))
+        for _, group in groupby(order, degree.__getitem__)
     ]
-    return facet_columns, vertex_columns, position
+    return (facet_columns, vertex_columns, position), degree
 
 
-def _refine(
-    color: list[int],
-    facet_columns: list[list[tuple[int, ...]]],
-    vertex_columns: list[list[tuple[int, ...]]],
-    position: list[int],
-) -> list[int]:
-    """The stable refinement of a vertex coloring, over a `_layout`.
+def _refine(color: list[int], layout: _Layout, stop: int) -> list[int]:
+    """Refine a vertex coloring over a `_layout` until it is stable or has
+    ``stop`` classes.
 
-    Each class is numbered by the position of its first vertex, so ids lie
-    below len(color) but are not 0..k-1.
+    A refined class is numbered by the position of its first vertex, so ids
+    lie below len(color) but are not 0..k-1.  A coloring that already has
+    ``stop`` classes comes back as it is.
     """
+    facet_columns, vertex_columns, position = layout
     classes = len(set(color))
-    while True:
+    while classes < stop:
         # each facet, then each vertex, gets the first position of its key;
         # a group of keys is zipped from its columns
         table: dict[tuple, int] = {}
@@ -97,6 +104,7 @@ def _refine(
         if len(table) == classes:
             return new
         color, classes = new, len(table)
+    return color
 
 
 def is_isomorphic(
@@ -111,24 +119,27 @@ def is_isomorphic(
     n = len(a.vertices)
     if n != len(b.vertices) or len(a.facets) != len(b.facets):
         return False, None
-    # a's vertices are 0..n-1 and b's n..2n-1; facets list vertices in
-    # process-color order
-    vids = [*a.vertices, *b.vertices]
+    # a's vertices are 0..n-1 and b's n..2n-1, each side numbered
+    # color-major, so a facet's sorted indices are in process-color order
+    by_color = attrgetter("color")
+    verts = [v for c in (a, b) for v in sorted(c.vertices.values(), key=by_color)]
+    vids = list(map(attrgetter("vid"), verts))
     facets: list[tuple[int, ...]] = []
     for c, offset in ((a, 0), (b, n)):
-        index = dict(zip(c.vertices, count(offset)))
-        col = {vid: v.color for vid, v in c.vertices.items()}
-        in_color_order = map(partial(sorted, key=col.__getitem__), c.facets)
-        facets += map(tuple, map(map, repeat(index.__getitem__), in_color_order))
-    layout = _layout(facets, 2 * n)
+        index = dict(zip(vids[offset : offset + n], count(offset)))
+        facets += map(tuple, map(sorted, map(map, repeat(index.__getitem__), c.facets)))
+    layout, degree = _layout(facets, 2 * n)
 
-    stack = [[v.color for c in (a, b) for v in c.vertices.values()]]
+    # (color, degree) classes, numbered like refined ones, save the first pass
+    seed: dict[tuple[int, int], int] = {}
+    stack = [list(map(seed.setdefault, zip(map(by_color, verts), degree), count()))]
     nodes = 0
     while stack:
         nodes += 1
         if nodes > _NODE_BUDGET:
             raise ResourceLimit(f"isomorphism search passed {_NODE_BUDGET} nodes")
-        color = _refine(stack.pop(), *layout)
+        # n classes with equal counts leave one vertex per side in each
+        color = _refine(stack.pop(), layout, n)
         if Counter(color[:n]) != Counter(color[n:]):
             continue
         cells: dict[int, list[int]] = {}
@@ -143,7 +154,7 @@ def is_isomorphic(
                 return True, mapping
             continue
         cell = min(open_cells, key=len)
-        fresh = 2 * n  # refined ids are first positions, below 2n
+        fresh = 2 * n  # seeded and refined ids are first positions, below 2n
         for w in reversed(cell[len(cell) // 2 :]):
             child = color.copy()
             child[cell[0]] = child[w] = fresh

@@ -4,7 +4,8 @@ Unit tests for color-preserving isomorphism.
 Core claims:
     - Relabeled copies are isomorphic; the returned map is a certificate,
       also on symmetric inputs where refinement leaves classes to search
-    - Color swaps and shape changes are rejected
+    - Color swaps and shape changes are rejected, also when the map is
+      forced before refinement and only the facet-image check can tell
     - The search agrees with the brute-force matcher on small complexes:
       relabeled copies and near-misses with one facet vertex swapped for
       another vertex of its color
@@ -14,24 +15,36 @@ Core claims:
     - Running past the search-node budget raises ResourceLimit
     - Refinement over column groups gives the same vertex partition as the
       per-facet, per-vertex passes it replaced (kept here as the reference),
-      on random complexes and after one pair is individualized, and the
-      search returns the same witness under either refinement
+      on random complexes and after one pair is individualized; so does
+      refinement seeded with the (color, degree) classes, and a refinement
+      stopped early at k classes is a coarsening of that partition with at
+      least k classes; the search returns the same witness when the
+      reference refinement, run to stability, replaces its own
+    - The search agrees in verdict with the one before color-major
+      numbering, degree seeding and the early stop (kept here as the
+      reference), on bounded simulations of random 3-color bases against
+      their IC round, relabelled copies and near misses, and its witnesses
+      map facets onto facets
 """
 
 import random
 import time
+from collections import Counter
+from itertools import count
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from itermem import (
+    IC,
     IIS,
     ChromaticComplex,
     InvalidParameters,
     ResourceLimit,
     Simplex,
     Vertex,
+    bounded_protocol_complex,
     brute_force_isomorphic,
     build_complex,
     chromatic_subdivide,
@@ -39,9 +52,11 @@ from itermem import (
     gen_path,
     gen_random,
     gen_simplex,
+    greedy_star,
     is_isomorphic,
     iterate_subdivide,
     protocol_complex,
+    split_to_budget,
 )
 from itermem.iso import _layout, _refine
 
@@ -166,6 +181,16 @@ class TestIsomorphic:
         assert ok
         _check_map(c, d, m)
 
+    def test_forced_map_checked_against_facets(self):
+        # the (color, degree) seed pairs each a-vertex with one b-vertex, so
+        # the map is forced before any refinement pass, yet it sends a's
+        # facets off b's: a has a facet of three degree-2 vertices, b none
+        verts = {v: Vertex(v, v // 2) for v in range(6)}
+        a = ChromaticComplex(verts, map(Simplex, [(0, 3, 4), (1, 2, 5), (1, 3, 5)]))
+        b = ChromaticComplex(verts, map(Simplex, [(0, 2, 5), (0, 3, 4), (1, 2, 4)]))
+        assert not brute_force_isomorphic(a, b)[0]
+        assert is_isomorphic(a, b) == (False, None)
+
 
 class TestBruteForceAgreement:
     def test_agreement_on_random_pairs(self):
@@ -281,20 +306,41 @@ _random_complexes = st.builds(
 )
 
 
+def _coarsens(coarse, fine):
+    """Every class of ``fine`` lies inside one class of ``coarse``."""
+    return all(any(cell <= big for big in coarse) for cell in fine)
+
+
 @settings(max_examples=100, deadline=None)
 @given(c=_random_complexes | _small_complexes(), data=st.data())
 def test_refinement_matches_reference(c, data):
     color, facets, incidence = _refinement_input(c)
-    layout = _layout(facets, len(color))
-    refined = _refine(color, *layout)
-    assert _classes(refined) == _classes(_reference_refine(color, facets, incidence))
+    size = len(color)
+    layout, degree = _layout(facets, size)
+    assert degree == list(map(len, incidence))
+    stable = _classes(_reference_refine(color, facets, incidence))
+    refined = _refine(color, layout, size)  # size classes is no early stop
+    assert _classes(refined) == stable
+    # the (color, degree) classes refine to the same partition
+    seed = {}
+    seeded = [seed.setdefault(key, len(seed)) for key in zip(color, degree)]
+    assert _classes(_refine(seeded, layout, size)) == stable
+    # stopped at k classes: the stable partition, or a coarsening with k or more
+    stop = data.draw(st.integers(1, size))
+    early = _classes(_refine(color, layout, stop))
+    assert early == stable or (len(early) >= stop and _coarsens(early, stable))
     # individualize one pair, as the search does, and refine again
-    v, w = (data.draw(st.integers(0, len(color) - 1)) for _ in range(2))
+    v, w = (data.draw(st.integers(0, size - 1)) for _ in range(2))
     child = refined.copy()
     child[v] = child[w] = max(refined) + 1
-    assert _classes(_refine(child, *layout)) == _classes(
+    assert _classes(_refine(child, layout, size)) == _classes(
         _reference_refine(child, facets, incidence)
     )
+
+
+def _reference_layout(facets, size):
+    incidence = _incidence(facets, size)
+    return (facets, incidence), list(map(len, incidence))
 
 
 @pytest.mark.parametrize(
@@ -308,9 +354,77 @@ def test_witness_matches_reference_refinement(monkeypatch, c):
         d = _permuted(c, seed)
         got = is_isomorphic(c, d)
         with monkeypatch.context() as m:
-            m.setattr("itermem.iso._layout", lambda f, size: (f, _incidence(f, size)))
-            m.setattr("itermem.iso._refine", _reference_refine)
+            m.setattr("itermem.iso._layout", _reference_layout)
+            # the reference ignores the stop and refines to stability
+            m.setattr("itermem.iso._refine",
+                      lambda color, layout, stop: _reference_refine(color, *layout))
             assert is_isomorphic(c, d) == got
+
+
+def _reference_is_isomorphic(a, b):
+    """The search before color-major numbering, degree seeding and the early
+    stop: vertices in dict order, each facet sorted by color, and every node
+    refined from its coloring to stability."""
+    n = len(a.vertices)
+    if n != len(b.vertices) or len(a.facets) != len(b.facets):
+        return False, None
+    vids = [*a.vertices, *b.vertices]
+    facets = []
+    for c, offset in ((a, 0), (b, n)):
+        index = dict(zip(c.vertices, count(offset)))
+        facets += [
+            tuple(index[v] for v in sorted(f, key=lambda u: c.vertices[u].color))
+            for f in c.facets
+        ]
+    incidence = _incidence(facets, 2 * n)
+    stack = [[v.color for c in (a, b) for v in c.vertices.values()]]
+    while stack:
+        color = _reference_refine(stack.pop(), facets, incidence)
+        if Counter(color[:n]) != Counter(color[n:]):
+            continue
+        cells = {}
+        for v, k in enumerate(color):
+            cells.setdefault(k, []).append(v)
+        open_cells = [cell for cell in cells.values() if len(cell) > 2]
+        if not open_cells:
+            mapping = {vids[v]: vids[w] for v, w in cells.values()}
+            if {Simplex(mapping[v] for v in f) for f in a.facets} == b.facets:
+                return True, mapping
+            continue
+        cell = min(open_cells, key=len)
+        for w in reversed(cell[len(cell) // 2 :]):
+            child = color.copy()
+            child[cell[0]] = child[w] = 2 * n  # reference ids are 0..k-1
+            stack.append(child)
+    return False, None
+
+
+@st.composite
+def _simulations(draw):
+    """A bounded simulation of a random 3-color base, and the base's IC round."""
+    base = gen_random(draw(st.integers(0, 10**6)), 3, draw(st.integers(1, 4)))
+    seq, _ = greedy_star(base)
+    sim = bounded_protocol_complex(base, split_to_budget(seq, base, draw(st.integers(1, 3))))
+    return sim, protocol_complex(base, IC, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_simulations(), perm=st.integers(0, 10_000), data=st.data())
+def test_agrees_with_reference_on_simulations(pair, perm, data):
+    sim, ic = pair
+    facet = data.draw(st.sampled_from(sorted(sim.facets, key=sorted)))
+    old = data.draw(st.sampled_from(sorted(facet)))
+    color = sim.vertices[old].color
+    others = [v for v in sorted(sim.vertices) if v not in facet and sim.vertices[v].color == color]
+    near = _swapped(sim, facet, old, data.draw(st.sampled_from(others))) if others else None
+    cases = [(sim, ic), (sim, _permuted(ic, perm))]
+    if near is not None:
+        cases += [(near, ic), (_permuted(near, perm), sim)]
+    for a, b in cases:
+        ok, m = is_isomorphic(a, b)
+        assert ok == _reference_is_isomorphic(a, b)[0]
+        if ok:
+            _check_map(a, b, m)
 
 
 def test_ch2_of_random_complex_matches_iis2():
