@@ -34,7 +34,6 @@ usable as an oracle on small inputs.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, count, groupby, permutations, product, repeat
 from operator import attrgetter
 
@@ -140,7 +139,7 @@ def is_isomorphic(
             raise ResourceLimit(f"isomorphism search passed {_NODE_BUDGET} nodes")
         # n classes with equal counts leave one vertex per side in each
         color = _refine(stack.pop(), layout, n)
-        if Counter(color[:n]) != Counter(color[n:]):
+        if sorted(color[:n]) != sorted(color[n:]):
             continue
         cells: dict[int, list[int]] = {}
         for v, k in enumerate(color):

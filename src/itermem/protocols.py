@@ -5,10 +5,10 @@ Three per-round read disciplines are supported: register-by-register reads
 as a single combined step ("iis").  Each discipline has a closed-form
 characterization of its reachable view configurations (`round_views`) plus
 a brute-force interleaving enumerator (`schedule_oracle`); agreement of the
-two routes is a test gate for everything downstream.  For ic and ias the
-oracle walks register-level events and is independent of the closed form;
-for iis it replays block semantics over ordered set partitions, the same
-construction as the closed form, so there it is a consistency check only.
+two routes is a test gate for everything downstream.  The oracle walks
+register-level events and uses no closed form: iis runs the ias events
+(write, then snapshot) and keeps the immediate outcomes, where whoever saw
+q saw everything q saw (Borowsky & Gafni, PODC 1993).
 
 Closed forms (views are self-inclusive subsets of one facet):
   iis: ordered set partitions; a view is the union of the blocks up to and
@@ -51,7 +51,7 @@ from .complexes import (
     mask_sets,
 )
 from .errors import InvalidParameters, ResourceLimit
-from .subdivision import ordered_bell, ordered_set_partitions, partition_views
+from .subdivision import ordered_bell, partition_views
 
 IC = "ic"
 IAS = "ias"
@@ -237,48 +237,53 @@ def round_views(c: ChromaticComplex, input_facet, pattern: str) -> frozenset[Glo
 # -- brute-force oracle -----------------------------------------------------
 
 
+def _immediate(masks: tuple[int, ...]) -> bool:
+    """Whoever saw q saw everything q saw (masks by position, self bits set)."""
+    return all(
+        m & masks[q] == masks[q] for m in masks for q in range(len(masks)) if m >> q & 1
+    )
+
+
+def _outcome_views(
+    c: ChromaticComplex, vids: list[int], pattern: str, outcomes
+) -> frozenset[GlobalView]:
+    """Per-position seen masks over sorted `vids` as GlobalViews.
+
+    Adds each position's own bit; for iis keeps only the `_immediate` ones.
+    """
+    colors = [c.vertices[v].color for v in vids]
+    sets = mask_sets(vids)
+    out = set()
+    for seen in outcomes:
+        masks = tuple(m | 1 << i for i, m in enumerate(seen))
+        if pattern != IIS or _immediate(masks):
+            out.add(GlobalView._of([(colors[i], sets[m]) for i, m in enumerate(masks)]))
+    return frozenset(out)
+
+
 def schedule_oracle(
     c: ChromaticComplex, input_facet, pattern: str
 ) -> frozenset[GlobalView]:
     """Enumerate every event interleaving respecting program order.
 
-    For ic and ias, independent of round_views: reads are evaluated against
-    write positions along each explored schedule; outcomes are deduplicated
-    as view sets.  States that agree on (writes done, reads done, values
-    seen) share all continuations, which keeps the walk polynomial in
-    practice.  For iis, each ordered partition is replayed as block writes
-    followed by block snapshots, which is the closed form's own
-    construction, not an independent one.
+    Independent of round_views: reads are evaluated against write
+    positions along each explored schedule; outcomes are deduplicated as
+    view sets.  States that agree on (writes done, reads done, values seen)
+    share all continuations, which keeps the walk polynomial in practice.
+    ic runs a write, then n register reads in any order; ias and iis run a
+    write, then one snapshot, and iis keeps the `_immediate` outcomes.
     """
     _check_pattern(pattern)
     facet = assert_facet(c, input_facet)
     vids = sorted(facet)
     n = len(vids)
-    color_of = {v: c.vertices[v].color for v in vids}
-    colors = [color_of[v] for v in vids]
 
     if pattern == IC and n > 3:
         raise ResourceLimit("collect-schedule oracle is capped at 3 processes")
     if pattern in (IAS, IIS) and n > 4:
         raise ResourceLimit("snapshot-schedule oracles are capped at 4 processes")
 
-    if pattern == IIS:
-        out: set[GlobalView] = set()
-        for partition in ordered_set_partitions(vids):
-            # simulate block semantics: all of the block writes, then all read
-            written: list[int] = []
-            views: dict[int, frozenset[int]] = {}
-            for block in partition:
-                written.extend(block)
-                snap = frozenset(written)
-                for v in block:
-                    views[color_of[v]] = snap
-            out.add(GlobalView(views))
-        return frozenset(out)
-
-    full = (1 << n) - 1
-
-    if pattern == IAS:
+    if pattern != IC:
         # events: write_i, snapshot_i (write precedes snapshot)
         @lru_cache(maxsize=None)
         def walk(written: int, snapped: tuple[int | None, ...]) -> frozenset:
@@ -321,17 +326,10 @@ def schedule_oracle(
                             results |= walk_ic(written, head + (rl & ~b,) + tail, s)
             return frozenset(results)
 
-        outcomes = walk_ic(0, (full,) * n, (0,) * n)
+        outcomes = walk_ic(0, ((1 << n) - 1,) * n, (0,) * n)
         walk_ic.cache_clear()
 
-    out = set()
-    for seen in outcomes:
-        views = {
-            colors[i]: frozenset(vids[j] for j in range(n) if (seen[i] | (1 << i)) & (1 << j))
-            for i in range(n)
-        }
-        out.add(GlobalView(views))
-    return frozenset(out)
+    return _outcome_views(c, vids, pattern, outcomes)
 
 
 def raw_interleaving_views(
@@ -339,39 +337,32 @@ def raw_interleaving_views(
 ) -> frozenset[GlobalView]:
     """Evaluate explicit event sequences one by one (no state sharing).
 
-    A second, slower cross-check of `schedule_oracle`.  Enumerates every
-    linear extension when feasible; with `sample` set, draws that many
-    random extensions instead (used for the 12-event collect case).
+    A second, slower cross-check of `schedule_oracle`, with the same event
+    programs and the same iis filter.  Enumerates every linear extension
+    when feasible; with `sample` set, draws that many random extensions
+    instead (used for the 12-event collect case).
     """
     _check_pattern(pattern)
-    if pattern == IIS:
-        return schedule_oracle(c, input_facet, pattern)
     facet = assert_facet(c, input_facet)
     vids = sorted(facet)
     n = len(vids)
-    color_of = {v: c.vertices[v].color for v in vids}
 
     # per-process event lists in program order; reads may permute
-    def run(sequence: list[tuple]) -> GlobalView:
-        written: set[int] = set()
-        seen: dict[int, set[int]] = {i: set() for i in range(n)}
+    def run(sequence: list[tuple]) -> tuple[int, ...]:
+        written = 0
+        seen = [0] * n
         for ev in sequence:
             if ev[0] == "w":
-                written.add(ev[1])
+                written |= 1 << ev[1]
             elif ev[0] == "snap":
                 seen[ev[1]] |= written
             else:  # ("r", reader, target)
-                if ev[2] in written:
-                    seen[ev[1]].add(ev[2])
-        views = {
-            color_of[vids[i]]: frozenset(vids[j] for j in seen[i] | {i})
-            for i in range(n)
-        }
-        return GlobalView(views)
+                seen[ev[1]] |= written & 1 << ev[2]
+        return tuple(seen)
 
     per_proc: list[list[list[tuple]]] = []
     for i in range(n):
-        if pattern == IAS:
+        if pattern != IC:
             per_proc.append([[("w", i), ("snap", i)]])
         else:
             reads = [("r", i, j) for j in range(n)]
@@ -387,11 +378,11 @@ def raw_interleaving_views(
                 for tail in interleavings(rest):
                     yield [s[0]] + tail
 
-    out: set[GlobalView] = set()
+    outcomes: set[tuple[int, ...]] = set()
     if sample is None:
         for program in itertools.product(*per_proc):
             for seq in interleavings(tuple(tuple(p) for p in program)):
-                out.add(run(seq))
+                outcomes.add(run(seq))
     else:
         rng = random.Random(seed)
         for _ in range(sample):
@@ -401,8 +392,8 @@ def raw_interleaving_views(
             while any(pending):
                 i = rng.choice([k for k in range(n) if pending[k]])
                 seq.append(pending[i].pop(0))
-            out.add(run(seq))
-    return frozenset(out)
+            outcomes.add(run(seq))
+    return _outcome_views(c, vids, pattern, outcomes)
 
 
 # -- protocol complexes ------------------------------------------------------
@@ -465,12 +456,10 @@ def check_no_input_edges(c: ChromaticComplex, pattern: str) -> bool:
     return all(len(f & c.vertices.keys()) < 2 for f in xi.facets)
 
 
-def subcomplex_sample(
-    c: ChromaticComplex, rng: random.Random, max_faces: int = 4
-) -> ChromaticComplex:
-    """A random face-generated subcomplex (deterministic under the rng)."""
+def subcomplex_sample(c: ChromaticComplex, rng: random.Random) -> ChromaticComplex:
+    """A random subcomplex generated by 1-4 faces (deterministic under the rng)."""
     faces = sorted(c.faces(), key=lambda s: (len(s), sorted(s)))
-    k = rng.randint(1, min(max_faces, len(faces)))
+    k = rng.randint(1, min(4, len(faces)))
     return c.subcomplex(rng.sample(faces, k))
 
 

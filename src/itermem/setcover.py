@@ -65,8 +65,8 @@ def set_cover_optimum(inst: SetCoverInstance) -> int | None:
 # -- reduction -----------------------------------------------------------------
 
 
-def _glued_pairs(inst: SetCoverInstance) -> list[tuple]:
-    """Element pairs forced into different rounds.
+def _glued_pairs(inst: SetCoverInstance) -> tuple[list[tuple], bool]:
+    """Element pairs forced into different rounds, and whether the tie-break fired.
 
     A pair is glued iff no subset contains both; additionally, when all
     three pairs of a 3-element universe co-occur pairwise but no single
@@ -74,18 +74,18 @@ def _glued_pairs(inst: SetCoverInstance) -> list[tuple]:
     one round could cover facets that no single subset justifies.
     """
     elems = sorted(inst.universe)
-    co = {
-        (u, v): any(u in s and v in s for s in inst.subsets)
+    glued = [
+        (u, v)
         for u, v in combinations(elems, 2)
-    }
-    glued = [p for p, ok in co.items() if not ok]
+        if not any(u in s and v in s for s in inst.subsets)
+    ]
     if (
         len(elems) == 3
         and not glued
         and not any(set(elems) <= s for s in inst.subsets)
     ):
-        glued = [tuple(elems[:2])]
-    return glued
+        return [tuple(elems[:2])], True
+    return glued, False
 
 
 def set_cover_reduce(inst: SetCoverInstance) -> ChromaticComplex:
@@ -101,7 +101,7 @@ def set_cover_reduce(inst: SetCoverInstance) -> ChromaticComplex:
     if len(elems) > 3:
         raise InvalidParameters("reduction supports at most 3 universe elements")
     slots = len(elems) + 1  # facet dimension |U|
-    glued = _glued_pairs(inst)
+    glued, _ = _glued_pairs(inst)
 
     vertices: dict[int, Vertex] = {}
     next_vid = 0
@@ -137,7 +137,7 @@ def set_cover_reduce(inst: SetCoverInstance) -> ChromaticComplex:
 def explain_reduction(inst: SetCoverInstance) -> str:
     """Narrate the reduction choices on this instance."""
     elems = sorted(inst.universe)
-    glued = _glued_pairs(inst)
+    glued, tie_break = _glued_pairs(inst)
     lines = [
         f"universe: {elems}",
         f"subsets: {[sorted(s) for s in inst.subsets]}",
@@ -146,10 +146,7 @@ def explain_reduction(inst: SetCoverInstance) -> str:
         " the facets of every element pair that shares no subset; glued"
         " facets can never be distinguishable in the same round",
     ]
-    if len(elems) == 3 and glued == [tuple(elems[:2])] and all(
-        any(u in s and v in s for s in inst.subsets)
-        for u, v in combinations(elems, 2)
-    ):
+    if tie_break:
         lines.append(
             "tie-break: all pairs co-occur but no subset holds all three"
             f" elements, so {glued[0]} is glued to keep one round from"

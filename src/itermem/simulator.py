@@ -353,12 +353,7 @@ def code_collision_counterexample() -> tuple[ChromaticComplex, list[Encoding], d
 # -- end-to-end pipeline -------------------------------------------------------
 
 
-def iterate_pipeline(
-    c: ChromaticComplex,
-    r: int,
-    b: int,
-    max_facets: int = DEFAULT_MAX_FACETS,
-) -> tuple[ChromaticComplex, int]:
+def iterate_pipeline(c: ChromaticComplex, r: int, b: int) -> tuple[ChromaticComplex, int]:
     """r full-information iterations, each emulated by budgeted rounds.
 
     Per iteration: build the star-cover sequence for the current complex,
@@ -376,5 +371,5 @@ def iterate_pipeline(
         seq, _trace = greedy_star(cur)
         seq = split_to_budget(seq, cur, b)
         total += len(seq)
-        cur = bounded_protocol_complex(cur, seq, max_facets=max_facets)
+        cur = bounded_protocol_complex(cur, seq)
     return cur, total

@@ -128,9 +128,7 @@ class GrowthRow:
     ratio: float  # max_degree divided by the previous row's (r=1 row: vs the base simplex)
 
 
-def degree_growth_table(
-    n: int, r_max: int, max_facets: int = DEFAULT_MAX_FACETS
-) -> list[GrowthRow]:
+def degree_growth_table(n: int, r_max: int) -> list[GrowthRow]:
     """Exact max-degree of Ch^r of the n-simplex for r = 1..r_max."""
     from .generators import gen_simplex
 
@@ -140,7 +138,7 @@ def degree_growth_table(
     prev = cur.max_degree()
     rows: list[GrowthRow] = []
     for r in range(1, r_max + 1):
-        cur = iterate_subdivide(cur, 1, max_facets=max_facets)
+        cur = iterate_subdivide(cur, 1)
         deg = cur.max_degree()
         rows.append(GrowthRow(r, deg, deg / prev))
         prev = deg

@@ -5,7 +5,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 
 Core claims:
     1.  One immediate-snapshot round on the 2-simplex is the chromatic
-        subdivision, f-vector (12,24,13), exactly; r IIS rounds are
+        subdivision, f-vector (12,24,13), exactly; the facets of the
+        chromatic subdivision of the 2- and 3-simplex, each vertex read
+        as a (color, view) state, are the 13 and 75 outcomes the schedule
+        oracle finds by executing one IIS round; r IIS rounds are
         isomorphic to Ch^r at r = 3 on the 2-simplex and r = 2 on the
         3-simplex, each decided in under 2 s, and at r = 4 on the
         2-simplex (28,561 facets), decided in under 8 s
@@ -13,9 +16,10 @@ Core claims:
         with every level matching the schedule oracle
     3.  Closed-form view families equal the schedule oracle for every
         pattern at two and three processes (gates the later criteria).
-        For IC and IAS the oracle walks register-level events; for IIS it
-        replays block semantics, the closed form's own construction, so
-        the IIS check is a consistency check, not an independent one
+        The oracle walks register-level events for every pattern: IIS runs
+        the IAS events (write, then snapshot) and keeps the immediate
+        outcomes, where whoever saw q saw all q saw, so no pattern is
+        checked against the construction of its own closed form
     4.  No-input-edges and intersection preservation hold on 50 seeded
         random inputs, all patterns
     5.  Headline: greedy cover + budget split + bounded simulation is
@@ -42,6 +46,7 @@ from itermem import (
     IC,
     IIS,
     PATTERNS,
+    GlobalView,
     SetCoverInstance,
     StateRegistry,
     bounded_protocol_complex,
@@ -106,6 +111,29 @@ def test_criterion_01_subdivision_identity():
     _verdict(1, ok, f"one IIS round ~= chromatic subdivision, f={fv} ({dt:.2f}s)")
     assert ok
     assert dt < 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_criterion_01_subdivision_equals_executions(n):
+    t0 = time.perf_counter()
+    base = gen_simplex(n)
+    ch = chromatic_subdivide(base)
+
+    def view(v):  # a base vid is its solo view; a new label is (color, vids)
+        if v in base.vertices:
+            return frozenset({v})
+        return frozenset(ch.vertices[v].label[1])
+
+    facets = frozenset(
+        GlobalView({ch.vertices[v].color: view(v) for v in f}) for f in ch.facets
+    )
+    executions = schedule_oracle(base, next(iter(base.facets)), IIS)
+    ok = facets == executions and len(executions) == _ONE_ROUND_FACETS[n]
+    dt = time.perf_counter() - t0
+    _verdict(1, ok, f"Ch of the {n}-simplex == one IIS round's executions, "
+                    f"{len(executions)} facets ({dt:.2f}s)")
+    assert ok
+    assert dt < 2.0
 
 
 # seconds allowed for deciding each rung; Ch^4 of the 2-simplex takes 1-2 s

@@ -4,7 +4,8 @@ Unit tests for read-pattern view families and protocol complexes.
 Core claims:
     - View counts on the triangle: 13 (immediate snapshot), 19 (atomic
       snapshot), 25 (collect); 3 each on the edge
-    - Closed forms equal the brute-force schedule oracle at 2 and 3 colors
+    - Closed forms equal the brute-force schedule oracle at 2 and 3 colors,
+      and at 4 colors for the snapshot patterns
     - The ias template is the filtered product of self-inclusive views, in
       product order, at 1-4 colors, and has the counted length at 5
     - The per-size templates equal the product-filter definitions (iis:
@@ -14,7 +15,13 @@ Core claims:
       1, 3, 25, 543, 29281
     - one_round numbers new states by content: facets in sorted order,
       then families in template order, each in color order
-    - Explicit event interleavings reproduce the same view families
+    - Explicit event interleavings reproduce the same view families, iis
+      on the edge, the triangle and the 3-simplex included
+    - Both oracles run iis as atomic-snapshot events and keep the immediate
+      outcomes; they equal the block replay over ordered partitions on
+      every facet of the 1- to 3-simplex and of seeded 3- and 4-color
+      complexes, and on the triangle the filter drops exactly 6 ias
+      outcomes, each with a p that saw q but not all q saw
     - Strict hierarchy: immediate snapshot < atomic snapshot < collect
     - Every view family member self-includes; misses digraphs are acyclic
     - One collect round on the edge is a 4-vertex path
@@ -60,6 +67,7 @@ from itermem import (
 )
 from itermem.complexes import build_complex
 from itermem.protocols import _family_count, _template, _with_subsets
+from itermem.subdivision import ordered_set_partitions
 
 TRIANGLE_COUNTS = {IIS: 13, IAS: 19, IC: 25}
 IC_COUNTS = (1, 3, 25, 543, 29281)  # labeled acyclic digraphs
@@ -67,6 +75,23 @@ IC_COUNTS = (1, 3, 25, 543, 29281)  # labeled acyclic digraphs
 
 def _facet(c):
     return next(iter(c.facets))
+
+
+def _reference_block_replay(c, facet) -> frozenset[GlobalView]:
+    """iis by blocks: per ordered partition, each block writes, then snapshots."""
+    vids = sorted(facet)
+    color_of = {v: c.vertices[v].color for v in vids}
+    out = set()
+    for partition in ordered_set_partitions(vids):
+        written: list[int] = []
+        views: dict[int, frozenset[int]] = {}
+        for block in partition:
+            written.extend(block)
+            snap = frozenset(written)
+            for v in block:
+                views[color_of[v]] = snap
+        out.add(GlobalView(views))
+    return frozenset(out)
 
 
 def _misses_acyclic(views: dict[int, frozenset[int]], owner: dict[int, int]) -> bool:
@@ -235,8 +260,10 @@ class TestTemplates:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    @pytest.mark.parametrize(
+        "pattern, n",
+        [(p, n) for p in sorted(PATTERNS) for n in (1, 2)] + [(IAS, 3), (IIS, 3)],
+    )
     def test_closed_form_equals_oracle(self, n, pattern):
         c = gen_simplex(n)
         f = _facet(c)
@@ -266,6 +293,36 @@ class TestOracleEquivalence:
         assert set(raw_interleaving_views(c, f, IAS)) == set(
             round_views(c, f, IAS)
         )
+
+    @pytest.mark.parametrize("n", [2, 3])  # the edge: test_raw_interleavings_edge
+    def test_raw_interleavings_immediate_snapshot(self, n):
+        c = gen_simplex(n)
+        f = _facet(c)
+        assert raw_interleaving_views(c, f, IIS) == round_views(c, f, IIS)
+
+    def test_iis_oracles_equal_block_replay(self):
+        inputs = [gen_simplex(n) for n in (1, 2, 3)]
+        inputs += [gen_random(seed, 3, 4) for seed in range(4)]
+        inputs += [gen_random(seed, 4, 3) for seed in range(2)]
+        for c in inputs:
+            for f in c.facets:
+                want = _reference_block_replay(c, f)
+                assert schedule_oracle(c, f, IIS) == want
+                assert raw_interleaving_views(c, f, IIS) == want
+
+    def test_immediate_filter_drops_six_triangle_outcomes(self):
+        c = gen_simplex(2)
+        f = _facet(c)
+        owner = {c.vertices[v].color: v for v in f}
+        dropped = schedule_oracle(c, f, IAS) - schedule_oracle(c, f, IIS)
+        assert len(dropped) == 6
+        for gv in dropped:
+            views = gv.views
+            assert any(
+                owner[q] in views[p] and not views[q] <= views[p]
+                for p in views
+                for q in views
+            )
 
     def test_sampled_collect_interleavings_are_sound(self):
         c = gen_simplex(2)

@@ -11,7 +11,8 @@ Core claims:
       elements are rejected
     - Glued pairs cannot share a round; clique-cover equals cover optimum
     - Tie-break: pairwise co-residency without a common triple glues one
-      pair, keeping the optimum at 2
+      pair, keeping the optimum at 2; explain_reduction names the
+      tie-break only when it fired
     - exact_min_sequence: triangle 1, glued pair 2; output sequence
       verifies; codes are bottom/1; resource caps enforced
     - Full sweep |U| <= 3: reduction + exact search equals the optimum on
@@ -107,6 +108,15 @@ class TestReduction:
         text = explain_reduction(_inst({1, 2}, [{1}, {2}]))
         assert "glue" in text
         assert "(1, 2)" in text
+
+    def test_explain_tie_break(self):
+        text = explain_reduction(_inst({1, 2, 3}, [{1, 2}, {2, 3}, {1, 3}]))
+        assert "tie-break" in text
+        assert "glued pairs: [(1, 2)]" in text
+        # (1, 2) shares no subset here, so it is glued by the rule itself
+        text = explain_reduction(_inst({1, 2, 3}, [{1, 3}, {2, 3}]))
+        assert "tie-break" not in text
+        assert "glued pairs: [(1, 2)]" in text
 
     def test_explain_flags_infeasible(self):
         text = explain_reduction(_inst({1, 2}, [{1}]))
