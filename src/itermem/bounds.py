@@ -34,7 +34,6 @@ class BoundsReport:
     r: int
     b: int
     lower_formula: float
-    snapshot_upper: float
     two_process: bool
     degree_lower: int | None = None
     measured_rounds: int | None = None
@@ -45,7 +44,6 @@ class BoundsReport:
             ("iterations", self.r),
             ("bits", self.b),
             ("paper counting bound", self.lower_formula),
-            ("snapshot upper bound", self.snapshot_upper),
         ]
         if self.two_process:
             out.append(("two-process round complexity", 1))
@@ -63,28 +61,25 @@ def bounds_table(
     c: ChromaticComplex | None = None,
     measured_rounds: int | None = None,
 ) -> BoundsReport:
-    """Counting bounds for (n, r, b); the degree lower bound when c is supplied.
+    """Counting bound for (n, r, b); the degree lower bound when c is supplied.
 
     n = 2 short-circuits: each iteration costs one round regardless of b,
-    so the formula bounds are reported as the iteration count itself.
+    so the formula bound is reported as the iteration count itself.
     """
     if n < 2:
         raise InvalidParameters("need at least two processes")
     if r < 1 or b < 1:
         raise InvalidParameters("need r >= 1 and b >= 1")
     if n == 2:
-        lower: float = float(r)
-        upper: float = float(r)
+        lower = float(r)
     else:
         lower = float(factorial(n)) ** (r - 1) * 2.0 ** (n - b)
-        upper = n * lower
     degree_lower = lower_bound_rounds(c, b) if c is not None else None
     return BoundsReport(
         n=n,
         r=r,
         b=b,
         lower_formula=lower,
-        snapshot_upper=upper,
         two_process=(n == 2),
         degree_lower=degree_lower,
         measured_rounds=measured_rounds,

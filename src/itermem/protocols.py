@@ -4,11 +4,14 @@ Three per-round read disciplines are supported: register-by-register reads
 (collect, "ic"), one atomic multi-register read ("ias"), and write-and-read
 as a single combined step ("iis").  Each discipline has a closed-form
 characterization of its reachable view configurations (`round_views`) plus
-a brute-force interleaving enumerator (`schedule_oracle`); agreement of the
-two routes is a test gate for everything downstream.  The oracle walks
-register-level events and uses no closed form: iis runs the ias events
-(write, then snapshot) and keeps the immediate outcomes, where whoever saw
-q saw everything q saw (Borowsky & Gafni, PODC 1993).
+two brute-force interleaving enumerators (`schedule_oracle`,
+`raw_interleaving_views`); agreement of the routes is a test gate for
+everything downstream.  The oracles use no closed form and share one event
+rule: each process writes its register, then reads in steps until no
+register is left, and a read sees the written registers its step covers.
+The patterns differ only in what one step covers (`_steps`): one register
+for ic, all of them for ias and iis.  iis keeps the immediate outcomes,
+where whoever saw q saw everything q saw (Borowsky & Gafni, PODC 1993).
 
 Closed forms (views are self-inclusive subsets of one facet):
   iis: ordered set partitions; a view is the union of the blocks up to and
@@ -261,75 +264,98 @@ def _outcome_views(
     return frozenset(out)
 
 
+def _steps(pattern: str, left: int) -> list[int]:
+    """The register masks one read step may cover, given the registers `left`.
+
+    Each single register for collect; all of `left` at once for a snapshot.
+    """
+    if pattern == IC:
+        return [1 << j for j in range(left.bit_length()) if left >> j & 1]
+    return [left]
+
+
 def schedule_oracle(
     c: ChromaticComplex, input_facet, pattern: str
 ) -> frozenset[GlobalView]:
     """Enumerate every event interleaving respecting program order.
 
-    Independent of round_views: reads are evaluated against write
-    positions along each explored schedule; outcomes are deduplicated as
-    view sets.  States that agree on (writes done, reads done, values seen)
-    share all continuations, which keeps the walk polynomial in practice.
-    ic runs a write, then n register reads in any order; ias and iis run a
-    write, then one snapshot, and iis keeps the `_immediate` outcomes.
+    Independent of round_views.  Each process writes its register, then
+    reads in steps (`_steps`) until no register is left; a read sees
+    `written & step`.  States that agree on (registers written, registers
+    left per process, values seen) share all continuations, which keeps
+    the walk polynomial in practice.  iis keeps the `_immediate` outcomes.
+    Capped at 3 processes for ic and 4 for snapshots (ResourceLimit).
     """
     _check_pattern(pattern)
     facet = assert_facet(c, input_facet)
     vids = sorted(facet)
     n = len(vids)
+    cap = 3 if pattern == IC else 4
+    if n > cap:
+        raise ResourceLimit(f"{pattern} schedule oracle is capped at {cap} processes")
 
-    if pattern == IC and n > 3:
-        raise ResourceLimit("collect-schedule oracle is capped at 3 processes")
-    if pattern in (IAS, IIS) and n > 4:
-        raise ResourceLimit("snapshot-schedule oracles are capped at 4 processes")
+    bits = [1 << i for i in range(n)]
+    full = (1 << n) - 1
+    steps = [_steps(pattern, left) for left in range(full + 1)]
 
-    if pattern != IC:
-        # events: write_i, snapshot_i (write precedes snapshot)
-        @lru_cache(maxsize=None)
-        def walk(written: int, snapped: tuple[int | None, ...]) -> frozenset:
-            if all(s is not None for s in snapped):
-                return frozenset({snapped})
-            results: set = set()
-            for i in range(n):
-                if not written & (1 << i):
-                    results |= walk(written | (1 << i), snapped)
-                elif snapped[i] is None:
-                    nxt = snapped[:i] + (written,) + snapped[i + 1 :]
-                    results |= walk(written, nxt)
-            return frozenset(results)
+    @lru_cache(maxsize=None)
+    def walk(written: int, left: tuple[int, ...], seen: tuple[int, ...]) -> frozenset:
+        if not any(left):
+            return frozenset({seen})
+        results: set = set()
+        for i, bit in enumerate(bits):
+            if not written & bit:
+                results |= walk(written | bit, left, seen)
+            elif left[i]:
+                head, tail = left[:i], left[i + 1 :]
+                for step in steps[left[i]]:
+                    got = written & step
+                    s = seen[:i] + (seen[i] | got,) + seen[i + 1 :] if got else seen
+                    results |= walk(written, head + (left[i] & ~step,) + tail, s)
+        return frozenset(results)
 
-        outcomes = walk(0, (None,) * n)
-        walk.cache_clear()
-    else:
-        # ic events: write_i, then reads of each of the n registers in any order
-        bits = [1 << i for i in range(n)]
-
-        @lru_cache(maxsize=None)
-        def walk_ic(
-            written: int, reads_left: tuple[int, ...], seen: tuple[int, ...]
-        ) -> frozenset:
-            if not any(reads_left):
-                return frozenset({seen})
-            results: set = set()
-            for i, bit in enumerate(bits):
-                if not written & bit:
-                    results |= walk_ic(written | bit, reads_left, seen)
-                elif reads_left[i]:
-                    rl = reads_left[i]
-                    head, tail = reads_left[:i], reads_left[i + 1 :]
-                    for b in bits:
-                        if rl & b:
-                            s = seen
-                            if written & b:
-                                # a read of a written register observes it
-                                s = seen[:i] + (seen[i] | b,) + seen[i + 1 :]
-                            results |= walk_ic(written, head + (rl & ~b,) + tail, s)
-            return frozenset(results)
-
-        outcomes = walk_ic(0, ((1 << n) - 1,) * n, (0,) * n)
-        walk_ic.cache_clear()
-
+    outcomes = walk(0, (full,) * n, (0,) * n)
+    walk.cache_clear()
     return _outcome_views(c, vids, pattern, outcomes)
+
+
+def _programs(pattern: str, left: int) -> list[tuple[int, ...]]:
+    """Every order of read steps that covers `left`, in `_steps` order."""
+    if not left:
+        return [()]
+    return [
+        (step,) + rest
+        for step in _steps(pattern, left)
+        for rest in _programs(pattern, left & ~step)
+    ]
+
+
+def _interleavings(counts: list[int]) -> list[tuple[int, ...]]:
+    """Every sequence of process indices in which i occurs counts[i] times."""
+    level = [((), tuple(counts))]
+    for _ in range(sum(counts)):
+        level = [
+            (seq + (i,), rest[:i] + (k - 1,) + rest[i + 1 :])
+            for seq, rest in level
+            for i, k in enumerate(rest)
+            if k
+        ]
+    return [seq for seq, _ in level]
+
+
+def _run(programs, order) -> tuple[int, ...]:
+    """Seen masks after processes step in `order`: first a write, then reads."""
+    written = 0
+    seen = [0] * len(programs)
+    at = [0] * len(programs)
+    for i in order:
+        k = at[i]
+        if k:
+            seen[i] |= written & programs[i][k - 1]
+        else:
+            written |= 1 << i
+        at[i] = k + 1
+    return tuple(seen)
 
 
 def raw_interleaving_views(
@@ -337,62 +363,38 @@ def raw_interleaving_views(
 ) -> frozenset[GlobalView]:
     """Evaluate explicit event sequences one by one (no state sharing).
 
-    A second, slower cross-check of `schedule_oracle`, with the same event
-    programs and the same iis filter.  Enumerates every linear extension
-    when feasible; with `sample` set, draws that many random extensions
-    instead (used for the 12-event collect case).
+    A second, slower cross-check of `schedule_oracle`, with the same
+    read-step rule (`_steps`) and the same iis filter.  A process's program
+    is an order of its read steps.  Enumerates every program choice and
+    interleaving, which is capped at 2 processes for ic and 4 for
+    snapshots (ResourceLimit); with `sample` set, draws that many random
+    programs and interleavings instead, with no cap.
     """
     _check_pattern(pattern)
     facet = assert_facet(c, input_facet)
     vids = sorted(facet)
     n = len(vids)
+    cap = 2 if pattern == IC else 4
+    if sample is None and n > cap:
+        raise ResourceLimit(f"unsampled {pattern} interleavings are capped at {cap} processes")
 
-    # per-process event lists in program order; reads may permute
-    def run(sequence: list[tuple]) -> tuple[int, ...]:
-        written = 0
-        seen = [0] * n
-        for ev in sequence:
-            if ev[0] == "w":
-                written |= 1 << ev[1]
-            elif ev[0] == "snap":
-                seen[ev[1]] |= written
-            else:  # ("r", reader, target)
-                seen[ev[1]] |= written & 1 << ev[2]
-        return tuple(seen)
-
-    per_proc: list[list[list[tuple]]] = []
-    for i in range(n):
-        if pattern != IC:
-            per_proc.append([[("w", i), ("snap", i)]])
-        else:
-            reads = [("r", i, j) for j in range(n)]
-            per_proc.append([[("w", i)] + list(p) for p in itertools.permutations(reads)])
-
-    def interleavings(seqs: tuple[tuple[tuple, ...], ...]):
-        if all(not s for s in seqs):
-            yield []
-            return
-        for i, s in enumerate(seqs):
-            if s:
-                rest = seqs[:i] + (s[1:],) + seqs[i + 1 :]
-                for tail in interleavings(rest):
-                    yield [s[0]] + tail
-
+    programs = _programs(pattern, (1 << n) - 1)
     outcomes: set[tuple[int, ...]] = set()
     if sample is None:
-        for program in itertools.product(*per_proc):
-            for seq in interleavings(tuple(tuple(p) for p in program)):
-                outcomes.add(run(seq))
+        for chosen in itertools.product(programs, repeat=n):
+            for order in _interleavings([1 + len(p) for p in chosen]):
+                outcomes.add(_run(chosen, order))
     else:
         rng = random.Random(seed)
         for _ in range(sample):
-            program = [list(rng.choice(p)) for p in per_proc]
-            seq = []
-            pending = [list(p) for p in program]
+            chosen = [rng.choice(programs) for _ in range(n)]
+            pending = [1 + len(p) for p in chosen]
+            order = []
             while any(pending):
                 i = rng.choice([k for k in range(n) if pending[k]])
-                seq.append(pending[i].pop(0))
-            outcomes.add(run(seq))
+                pending[i] -= 1
+                order.append(i)
+            outcomes.add(_run(chosen, order))
     return _outcome_views(c, vids, pattern, outcomes)
 
 

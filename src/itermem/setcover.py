@@ -17,6 +17,7 @@ from itertools import combinations
 from .complexes import ChromaticComplex, Simplex, Vertex
 from .encoding import Encoding
 from .errors import InvalidParameters, ResourceLimit
+from .greedy import _sound
 
 _MAX_VERTS = 12
 _MAX_FACETS = 12
@@ -165,13 +166,6 @@ def explain_reduction(inst: SetCoverInstance) -> str:
 # -- exact optimum over the two-valued family ----------------------------------
 
 
-def _conflict_free(c: ChromaticComplex, vids: frozenset) -> bool:
-    # all-1 codes: a clash is two same-colored coded vertices with a common
-    # neighbor, that is, two coded rivals
-    of = c.rivals()
-    return all(vids.isdisjoint(of[v]) for v in vids)
-
-
 def exact_min_sequence(c: ChromaticComplex) -> tuple[int, list[Encoding]]:
     """Shortest sequence of bottom/1 functions making every face of c
     distinguishable.
@@ -191,7 +185,7 @@ def exact_min_sequence(c: ChromaticComplex) -> tuple[int, list[Encoding]]:
     feasible: list[tuple[int, frozenset]] = []
     for mask in range(1, 1 << m):
         vids = frozenset().union(*(facets[i] for i in range(m) if mask & (1 << i)))
-        if _conflict_free(c, vids):
+        if _sound(c, Encoding(dict.fromkeys(vids, 1))):
             feasible.append((mask, vids))
     # keep only maximal masks: covering more facets per round never hurts
     feasible.sort(key=lambda t: -bin(t[0]).count("1"))

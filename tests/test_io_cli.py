@@ -380,7 +380,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "paper counting bound: 4.0" in out
         assert "lower bound: 4.0" not in out
-        assert "snapshot upper bound: 12.0" in out
+        # the row was n x the counting bound, which verified compiles go below
+        assert "snapshot upper bound" not in out
 
     def test_bounds_two_process_row(self, capsys):
         assert main(["bounds", "--n", "2", "--r", "5", "--b", "1"]) == 0

@@ -19,9 +19,10 @@ Core claims:
       on the edge, the triangle and the 3-simplex included
     - Both oracles run iis as atomic-snapshot events and keep the immediate
       outcomes; they equal the block replay over ordered partitions on
-      every facet of the 1- to 3-simplex and of seeded 3- and 4-color
-      complexes, and on the triangle the filter drops exactly 6 ias
-      outcomes, each with a p that saw q but not all q saw
+      every facet of the oracle corpus (the 1- to 3-simplex, three glued
+      triangles, seeded 3- and 4-color complexes), and on the triangle the
+      filter drops exactly 6 ias outcomes, each with a p that saw q but
+      not all q saw
     - Strict hierarchy: immediate snapshot < atomic snapshot < collect
     - Every view family member self-includes; misses digraphs are acyclic
     - One collect round on the edge is a 4-vertex path
@@ -32,13 +33,20 @@ Core claims:
     - Protocol complexes of subcomplexes glue: X(A) ∩ X(B) = X(A ∩ B)
     - Multi-round composition stays consistent
     - Containment monotonicity on sampled raw interleavings
-    - Oracle resource caps raise ResourceLimit
+    - Both oracles, run on one read-step rule, equal the two walks and the
+      string-tagged event interpreter they replaced on every facet of the
+      oracle corpus (sampled collect from the same seeds)
+    - Oracle resource caps raise ResourceLimit, unsampled raw interleavings
+      above 2 processes for ic and 4 for snapshots within 1 s
     - Protocol budgets are checked from counted facets (ordered Bell,
       labeled acyclic digraphs, ias chains; each equal to the template's
       length), before any view family or template is built
 """
 
+import functools
 import itertools
+import random
+import time
 
 import pytest
 
@@ -66,7 +74,7 @@ from itermem import (
     schedule_oracle,
 )
 from itermem.complexes import build_complex
-from itermem.protocols import _family_count, _template, _with_subsets
+from itermem.protocols import _family_count, _outcome_views, _template, _with_subsets
 from itermem.subdivision import ordered_set_partitions
 
 TRIANGLE_COUNTS = {IIS: 13, IAS: 19, IC: 25}
@@ -92,6 +100,112 @@ def _reference_block_replay(c, facet) -> frozenset[GlobalView]:
                 views[color_of[v]] = snap
         out.add(GlobalView(views))
     return frozenset(out)
+
+
+def _reference_schedule_oracle(c, facet, pattern) -> frozenset[GlobalView]:
+    """The two memoised walks the one read-step walk replaced."""
+    vids = sorted(facet)
+    n = len(vids)
+    if pattern != IC:
+        # events: write_i, snapshot_i (write precedes snapshot)
+        @functools.lru_cache(maxsize=None)
+        def walk(written, snapped):
+            if all(s is not None for s in snapped):
+                return frozenset({snapped})
+            results = set()
+            for i in range(n):
+                if not written & (1 << i):
+                    results |= walk(written | (1 << i), snapped)
+                elif snapped[i] is None:
+                    results |= walk(written, snapped[:i] + (written,) + snapped[i + 1 :])
+            return frozenset(results)
+
+        return _outcome_views(c, vids, pattern, walk(0, (None,) * n))
+    # ic events: write_i, then reads of each of the n registers in any order
+    bits = [1 << i for i in range(n)]
+
+    @functools.lru_cache(maxsize=None)
+    def walk_ic(written, reads_left, seen):
+        if not any(reads_left):
+            return frozenset({seen})
+        results = set()
+        for i, bit in enumerate(bits):
+            if not written & bit:
+                results |= walk_ic(written | bit, reads_left, seen)
+            elif reads_left[i]:
+                rl = reads_left[i]
+                head, tail = reads_left[:i], reads_left[i + 1 :]
+                for b in bits:
+                    if rl & b:
+                        s = seen
+                        if written & b:
+                            s = seen[:i] + (seen[i] | b,) + seen[i + 1 :]
+                        results |= walk_ic(written, head + (rl & ~b,) + tail, s)
+        return frozenset(results)
+
+    return _outcome_views(c, vids, pattern, walk_ic(0, ((1 << n) - 1,) * n, (0,) * n))
+
+
+def _reference_raw(c, facet, pattern, sample=None, seed=0) -> frozenset[GlobalView]:
+    """The string-tagged event interpreter the int-mask one replaced."""
+    vids = sorted(facet)
+    n = len(vids)
+
+    def run(sequence):
+        written = 0
+        seen = [0] * n
+        for ev in sequence:
+            if ev[0] == "w":
+                written |= 1 << ev[1]
+            elif ev[0] == "snap":
+                seen[ev[1]] |= written
+            else:  # ("r", reader, target)
+                seen[ev[1]] |= written & 1 << ev[2]
+        return tuple(seen)
+
+    per_proc = []
+    for i in range(n):
+        if pattern != IC:
+            per_proc.append([[("w", i), ("snap", i)]])
+        else:
+            reads = [("r", i, j) for j in range(n)]
+            per_proc.append([[("w", i)] + list(p) for p in itertools.permutations(reads)])
+
+    def interleavings(seqs):
+        if all(not s for s in seqs):
+            yield []
+            return
+        for i, s in enumerate(seqs):
+            if s:
+                rest = seqs[:i] + (s[1:],) + seqs[i + 1 :]
+                for tail in interleavings(rest):
+                    yield [s[0]] + tail
+
+    outcomes = set()
+    if sample is None:
+        for program in itertools.product(*per_proc):
+            for seq in interleavings(tuple(tuple(p) for p in program)):
+                outcomes.add(run(seq))
+    else:
+        rng = random.Random(seed)
+        for _ in range(sample):
+            program = [list(rng.choice(p)) for p in per_proc]
+            seq = []
+            pending = [list(p) for p in program]
+            while any(pending):
+                i = rng.choice([k for k in range(n) if pending[k]])
+                seq.append(pending[i].pop(0))
+            outcomes.add(run(seq))
+    return _outcome_views(c, vids, pattern, outcomes)
+
+
+# the oracles are checked against the references on every facet of these
+ORACLE_CORPUS = {
+    **{f"D{n}": gen_simplex(n) for n in (1, 2, 3)},
+    "glued3": gen_glued(3),
+    **{f"rand3.{seed}": gen_random(seed, 3, 4) for seed in range(4)},
+    **{f"rand4.{seed}": gen_random(seed, 4, 3) for seed in range(2)},
+}
 
 
 def _misses_acyclic(views: dict[int, frozenset[int]], owner: dict[int, int]) -> bool:
@@ -279,6 +393,39 @@ class TestOracleEquivalence:
         with pytest.raises(ResourceLimit):
             schedule_oracle(c5, _facet(c5), IAS)
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+    def test_schedule_oracle_equals_reference(self, name):
+        c = ORACLE_CORPUS[name]
+        for f in c.facets:
+            for pat in PATTERNS:
+                if pat != IC or len(f) <= 3:
+                    got = schedule_oracle(c, f, pat)
+                    assert got == _reference_schedule_oracle(c, f, pat), (f, pat)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+    def test_raw_interleavings_equal_reference(self, name):
+        # sampled ic draws the same programs and steps from the same seed
+        c = ORACLE_CORPUS[name]
+        for f in c.facets:
+            for pat in (IAS, IIS) + ((IC,) if len(f) <= 2 else ()):
+                got = raw_interleaving_views(c, f, pat)
+                assert got == _reference_raw(c, f, pat), (f, pat)
+            for seed in (0, 3):
+                got = raw_interleaving_views(c, f, IC, sample=48, seed=seed)
+                assert got == _reference_raw(c, f, IC, 48, seed), (f, seed)
+
+    def test_raw_interleavings_caps(self):
+        # unsampled ic on the triangle would run 7,484,400 sequences
+        for n, pat in ((2, IC), (4, IAS), (4, IIS)):
+            c = gen_simplex(n)
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimit):
+                raw_interleaving_views(c, _facet(c), pat)
+            assert time.perf_counter() - start < 1.0
+        c = gen_simplex(2)
+        f = _facet(c)
+        assert raw_interleaving_views(c, f, IC, sample=8, seed=1) <= round_views(c, f, IC)
+
     def test_raw_interleavings_edge(self):
         c = gen_simplex(1)
         f = _facet(c)
@@ -301,10 +448,7 @@ class TestOracleEquivalence:
         assert raw_interleaving_views(c, f, IIS) == round_views(c, f, IIS)
 
     def test_iis_oracles_equal_block_replay(self):
-        inputs = [gen_simplex(n) for n in (1, 2, 3)]
-        inputs += [gen_random(seed, 3, 4) for seed in range(4)]
-        inputs += [gen_random(seed, 4, 3) for seed in range(2)]
-        for c in inputs:
+        for c in ORACLE_CORPUS.values():
             for f in c.facets:
                 want = _reference_block_replay(c, f)
                 assert schedule_oracle(c, f, IIS) == want
