@@ -3,11 +3,13 @@
 Each outer round of the star cover scans candidate vertices in ascending
 vid and selects the closed star of every vertex whose star keeps a two-hop
 clearance from the stars already selected this round (the
-star-intersection guard).  Selected stars receive disjoint code blocks, so
-within a round every coded vertex is distinguishable outright.  Two repairs
-over the plain greedy sweep are load-bearing and documented inline:
-candidate re-seeding (termination) and round-global per-color code
-uniqueness (distinguishability across stars).
+star-intersection guard).  The guard is one test against a frontier set,
+`near`, that holds this round's cover and every neighbor of it: a star
+keeps its clearance iff none of its vertices lies in `near`.  Selected
+stars receive disjoint code blocks, so within a round every coded vertex
+is distinguishable outright.  Two repairs over the plain greedy sweep are
+load-bearing and documented inline: candidate re-seeding (termination) and
+round-global per-color code uniqueness (distinguishability across stars).
 
 `split_to_budget` compiles any sequence to b-bit registers by packing the
 faces it keeps first-fit into rounds, which is first-fit greedy coloring of
@@ -17,7 +19,6 @@ the graph of faces that cannot share a round (Welsh & Powell, Comput. J.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -29,10 +30,14 @@ from .errors import InvalidParameters, ItermemError
 
 @dataclass(frozen=True)
 class StarRound:
-    """One outer round: selected centers, covered subcomplex, its encoding."""
+    """One outer round: selected centers, the facets they cover, its encoding.
+
+    `covered` is the set of facets of the input that hold a center of this
+    round, not a complex: every one of them is coded whole by `encoding`.
+    """
 
     centers: tuple[int, ...]
-    covered: ChromaticComplex
+    covered: frozenset[Simplex]
     encoding: Encoding
 
 
@@ -48,19 +53,25 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
     """Cover c by vertex stars, one encoding function per round.
 
     The guard "every vertex of the candidate star has a star disjoint from
-    this round's covered part" is evaluated as: no vertex within distance 1
-    of the candidate star lies in an already-selected star (equivalent,
-    since a closed star meets a face-closed set iff their vertex sets meet).
+    this round's covered part" holds iff no vertex within distance 1 of the
+    candidate star lies in an already-selected star (a closed star meets a
+    face-closed set iff their vertex sets meet).  Adjacency is symmetric,
+    so that is: no vertex of the candidate star lies in `near`, the round's
+    cover together with its neighbors.  The sweep tests this as
+    `v not in near and near.isdisjoint(adj[v])`, and selecting v adds its
+    star and the neighbors of each of its neighbors to `near`, which keeps
+    `near` equal to the cover plus its neighbors.
     Rounds continue until every facet holds a selected center, so every
     facet is coded whole in the round that selects its first center.
     """
     if not c.facets:
         raise InvalidParameters("need a nonempty complex")
     adj = c.adjacency()
-    through: dict[int, list[Simplex]] = {}
+    color = {vid: vx.color for vid, vx in c.vertices.items()}
+    through: dict[int, list[Simplex]] = {v: [] for v in c.vertices}
     for f in c.facets:
         for v in f:
-            through.setdefault(v, []).append(f)
+            through[v].append(f)
     open_facets = set(c.facets)  # facets without a selected center
     pool = set(c.vertices)
     seq: list[Encoding] = []
@@ -74,13 +85,15 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
             # without this the sweep can strand a facet whose vertices were
             # all swallowed by neighboring stars (candidate exhaustion)
             pool = {v for f in open_facets for v in f}
-        cover: set[int] = set()  # vertices of this round's stars
+        near: set[int] = set()  # this round's stars and their neighbors
         selected: list[int] = []
         for v in sorted(pool):
-            star_verts = {v, *adj[v]}
-            if all(w not in cover and cover.isdisjoint(adj[w]) for w in star_verts):
+            if v not in near and near.isdisjoint(adj[v]):
                 selected.append(v)
-                cover |= star_verts
+                near.add(v)
+                near.update(adj[v])
+                for w in adj[v]:
+                    near.update(adj[w])
         # disjoint per-star code blocks; same-color vertices get distinct
         # codes within a star (per-color rank), and distinct blocks keep
         # same-color vertices of different stars apart: stars selected in
@@ -89,18 +102,18 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
         codes: dict[int, int] = {}
         base = 1
         for v in selected:
-            per_color: Counter = Counter()
+            rank: dict[int, int] = {}
             for x in sorted((v, *adj[v])):
-                codes[x] = base + per_color[c.vertices[x].color]
-                per_color[c.vertices[x].color] += 1
-            base += max(per_color.values())
+                k = rank.get(color[x], 0)
+                codes[x] = base + k
+                rank[color[x]] = k + 1
+            base += max(rank.values())
         enc = Encoding(codes)
-        covered = {f for v in selected for f in through[v]}
+        covered = frozenset(f for v in selected for f in through[v])
         seq.append(enc)
-        sub = ChromaticComplex(c.vertices, covered)
-        rounds.append(StarRound(tuple(selected), sub, enc))
+        rounds.append(StarRound(tuple(selected), covered, enc))
         open_facets -= covered
-        pool -= cover
+        pool.difference_update(codes)  # codes holds this round's stars
     return seq, StarCoverTrace(tuple(rounds))
 
 

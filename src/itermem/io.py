@@ -211,7 +211,7 @@ def trace_to_dict(trace: StarCoverTrace) -> dict:
         "rounds": [
             {
                 "centers": sorted(r.centers),
-                "covered_facets": sorted(sorted(f) for f in r.covered.facets),
+                "covered_facets": sorted(sorted(f) for f in r.covered),
                 "assignment": encoding_to_dict(r.encoding)["assignment"],
             }
             for r in trace.rounds

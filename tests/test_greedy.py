@@ -7,6 +7,9 @@ Core claims:
     - A 7-triangle strip terminates (candidate re-seeding) and covers
     - Same-round stars get disjoint code blocks: whole round distinguishable
     - Round count never exceeds vertex count; trace matches the sequence
+    - The frontier guard selects what the per-vertex guard selects: equal
+      codes, centers and covered facet sets on random 2-4-color complexes
+      and their subdivisions; Ch^2 of the 3-simplex takes 99 outer rounds
     - verify_cover accepts greedy output on seeded random complexes, and
       agrees with "every round is sound and the subcomplexes the rounds
       code whole cover the complex" on random complexes, random encodings
@@ -20,6 +23,8 @@ Core claims:
     - Ch^3 of the triangle packs into 148 / 20 / 5 rounds at b = 1 / 2 / 3
     - Packed round counts never fall below the degree lower bound
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +49,7 @@ from itermem import (
     split_to_budget,
     verify_cover,
 )
+from itermem.io import trace_to_dict
 
 random_complexes = st.builds(
     gen_random,
@@ -86,6 +92,41 @@ def _covers_by_subcomplex(c, seq):
     return len(sound) == len(seq) and all(
         any(f in sub.facets for sub in coded) for f in c.facets
     )
+
+
+def _reference_star_cover(c):
+    """The sweep with the per-vertex guard: (codes, centers, covered) per round.
+
+    A candidate star is taken when every one of its vertices lies outside
+    this round's cover and has no neighbor in it.
+    """
+    adj = c.adjacency()
+    open_facets = set(c.facets)
+    pool = set(c.vertices)
+    rounds = []
+    while open_facets:
+        if not pool:
+            pool = {v for f in open_facets for v in f}
+        cover = set()
+        selected = []
+        for v in sorted(pool):
+            star = {v, *adj[v]}
+            if all(w not in cover and cover.isdisjoint(adj[w]) for w in star):
+                selected.append(v)
+                cover |= star
+        codes = {}
+        base = 1
+        for v in selected:
+            per_color = Counter()
+            for x in sorted((v, *adj[v])):
+                codes[x] = base + per_color[c.vertices[x].color]
+                per_color[c.vertices[x].color] += 1
+            base += max(per_color.values())
+        covered = {f for f in c.facets if any(v in f for v in selected)}
+        rounds.append((codes, tuple(selected), covered))
+        open_facets -= covered
+        pool -= cover
+    return rounds
 
 
 def _assert_round_distinguishable(c, seq):
@@ -148,8 +189,29 @@ class TestGreedyStar:
         c = gen_path(6)
         _, trace = greedy_star(c)
         for r in trace.rounds:
-            for f in r.covered.facets:
+            for f in r.covered:
                 assert any(v in r.centers for v in f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 4), st.integers(1, 8), st.booleans())
+    def test_matches_per_vertex_guard(self, seed, n, facets, subdivide):
+        c = gen_random(seed, n, facets)
+        if subdivide:
+            c = iterate_subdivide(c, 1)
+        seq, trace = greedy_star(c)
+        want = _reference_star_cover(c)
+        assert [dict(e.items()) for e in seq] == [codes for codes, _, _ in want]
+        assert [(r.centers, r.covered) for r in trace.rounds] == [
+            (centers, covered) for _, centers, covered in want
+        ]
+
+    def test_ch2_of_3_simplex_rounds_pinned(self):
+        assert len(greedy_star(iterate_subdivide(gen_simplex(3), 2))[0]) == 99
+
+    def test_trace_covers_every_facet(self):
+        c = gen_path(6)
+        doc = trace_to_dict(greedy_star(c)[1])
+        assert {frozenset(f) for r in doc["rounds"] for f in r["covered_facets"]} == c.facets
 
     def test_verify_cover_seeded(self):
         for seed in range(15):

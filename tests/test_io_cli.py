@@ -27,6 +27,10 @@ Core claims:
       budget), 4 any other exception
     - verify decides Ch^2 ~= IIS^2 of the 3-simplex (1,124 vertices a side)
     - simulate on a non-distinguishing encoding (AmbiguousDecode) exits 1
+    - simulate --verify-against compares with == first and searches for an
+      isomorphism only when the complexes differ
+    - main reuses one parser, and each call still gets its own defaults;
+      gen and subdivide count the f-vector only for --json-out
     - gen compares the facet count it will build with --max-facets before
       generating anything
     - --json-out mirrors a machine-readable summary
@@ -52,10 +56,11 @@ from itermem import (
     gen_simplex,
     greedy_star,
     import_complex,
+    is_isomorphic,
     protocol_complex,
     split_to_budget,
 )
-from itermem.cli import main
+from itermem.cli import build_parser, main
 from itermem.io import (
     _canonical_label,
     complex_to_dict,
@@ -374,6 +379,63 @@ class TestCli:
         capsys.readouterr()
         assert main(["simulate", "--in", str(src), "--encodings", str(enc)]) == 1
         assert "verification failed" in capsys.readouterr().err
+
+    def test_simulate_checks_equality_before_search(self, tmp_path, monkeypatch):
+        src = self._gen(tmp_path)
+        enc, summary = tmp_path / "e.json", tmp_path / "s.json"
+        assert main(["greedy-star", "--in", str(src), "--out", str(enc)]) == 0
+        searched = []
+
+        def search(a, b):
+            searched.append(1)
+            return is_isomorphic(a, b)
+
+        monkeypatch.setattr("itermem.cli.is_isomorphic", search)
+        args = ["simulate", "--in", str(src), "--encodings", str(enc),
+                "--verify-against", "ic", "--json-out", str(summary)]
+        assert main(args) == 0
+        assert not searched
+        doc = json.loads(summary.read_text())
+        assert doc["equal"] is True and doc["isomorphic"] is True
+        # greedy's first round alone leaves the apex 3 uncoded
+        c = gen_glued(2)
+        enc.write_text(json.dumps(sequence_to_list(greedy_star(c)[0][:1])))
+        assert main(args) == 1
+        assert searched
+        doc = json.loads(summary.read_text())
+        assert doc["equal"] is False and doc["isomorphic"] is False
+
+    def test_parser_reused_with_fresh_defaults(self, tmp_path, capsys):
+        src = self._gen(tmp_path)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["subdivide", "--in", str(src), "--rounds", "2",
+                     "--json-out", str(a)]) == 0
+        assert main(["subdivide", "--in", str(src), "--json-out", str(b)]) == 0
+        assert json.loads(a.read_text())["rounds"] == 2
+        assert json.loads(b.read_text())["rounds"] == 1
+        assert main(["gen", "simplex", "--n", "3", "--json-out", str(a)]) == 0
+        assert main(["gen", "simplex", "--json-out", str(b)]) == 0
+        assert json.loads(a.read_text())["f_vector"] == [4, 6, 4, 1]
+        assert json.loads(b.read_text())["f_vector"] == [3, 3, 1]
+        assert main(["--help"]) == 0
+        assert main(["subdivide", "--help"]) == 0
+        assert build_parser() is build_parser()
+
+    def test_f_vector_counted_only_for_json_out(self, tmp_path, monkeypatch):
+        src = self._gen(tmp_path)
+
+        def counted(self):
+            raise AssertionError("f-vector computed but not written")
+
+        monkeypatch.setattr(ChromaticComplex, "f_vector", counted)
+        assert main(["subdivide", "--in", str(src)]) == 0
+        assert main(["gen", "glued", "--k", "3"]) == 0
+        monkeypatch.undo()
+        summary = tmp_path / "s.json"
+        assert main(["subdivide", "--in", str(src), "--json-out", str(summary)]) == 0
+        # two copies of Ch(triangle) (12, 24, 13) sharing a subdivided
+        # edge of 4 vertices and 3 edges
+        assert json.loads(summary.read_text())["f_vector"] == [20, 45, 26]
 
     def test_bounds_table(self, capsys):
         assert main(["bounds", "--n", "3", "--r", "1", "--b", "1"]) == 0

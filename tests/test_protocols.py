@@ -13,6 +13,8 @@ Core claims:
       every pattern at 1-4 colors, also when color order differs from vid
       order; ic family counts are the labeled acyclic digraphs
       1, 3, 25, 543, 29281
+    - The ic template is union-closed at 1-4 colors (position-wise union
+      of view masks)
     - one_round numbers new states by content: facets in sorted order,
       then families in template order, each in color order
     - Explicit event interleavings reproduce the same view families, iis
@@ -357,6 +359,22 @@ class TestTemplates:
             ]
             assert _template(IAS, n) == tuple(product)
         assert len(_template(IAS, 5)) == _family_count(IAS, 5)
+
+    def test_ic_template_union_closed(self):
+        """The position-wise union of two ic families is an ic family.
+
+        A family is ic iff its misses digraph (p -> q when p's view lacks
+        q) is acyclic.  p misses q in the union iff it misses q in both
+        families, so the union's misses digraph is the intersection of the
+        two digraphs; it is a subgraph of an acyclic digraph, hence
+        acyclic.  Views stay self-inclusive, so the union is in the
+        template again.
+        """
+        for n in range(1, 5):
+            families = set(_template(IC, n))
+            for a in families:
+                for b in families:
+                    assert tuple(x | y for x, y in zip(a, b)) in families
 
     def test_family_counts(self):
         for n, want in enumerate(IC_COUNTS, start=1):

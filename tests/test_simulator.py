@@ -224,7 +224,8 @@ four_color_complexes = st.builds(
 
 
 class TestDecodeTable:
-    @settings(max_examples=30, deadline=None)
+    # fixed draws: unseeded ones swung this test from 0.26 to 7.5 s
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(three_color_complexes | four_color_complexes, st.sampled_from([1, 2, 3]))
     def test_fold_equals_reference_on_split_covers(self, c, b):
         seq, _ = greedy_star(c)
