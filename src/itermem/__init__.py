@@ -70,11 +70,9 @@ from .setcover import (
 )
 from .simulator import (
     bounded_protocol_complex,
-    concurrent_schedule,
     decode,
     iterate_pipeline,
     run_bounded,
-    sequential_schedule,
     code_collision_counterexample,
 )
 from .subdivision import (
@@ -125,7 +123,6 @@ __all__ = [
     "check_intersection_preserving",
     "check_no_input_edges",
     "chromatic_subdivide",
-    "concurrent_schedule",
     "decode",
     "degree_growth_table",
     "exact_min_sequence",
@@ -150,7 +147,6 @@ __all__ = [
     "round_views",
     "run_bounded",
     "schedule_oracle",
-    "sequential_schedule",
     "set_cover_optimum",
     "set_cover_reduce",
     "split_to_budget",

@@ -19,11 +19,12 @@ current complex.  The proven lower bound is the degree bound
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from fractions import Fraction
+from math import factorial, inf, lgamma, log, log10
 
 from .complexes import ChromaticComplex
 from .encoding import lower_bound_rounds
-from .errors import InvalidParameters
+from .errors import InvalidParameters, ResourceLimit
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class BoundsReport:
     n: int
     r: int
     b: int
-    lower_formula: float
+    lower_formula: float | int | Fraction
     two_process: bool
     degree_lower: int | None = None
     measured_rounds: int | None = None
@@ -43,7 +44,7 @@ class BoundsReport:
             ("processes", self.n),
             ("iterations", self.r),
             ("bits", self.b),
-            ("paper counting bound", self.lower_formula),
+            ("paper counting bound", _shown(self.lower_formula)),
         ]
         if self.two_process:
             out.append(("two-process round complexity", 1))
@@ -52,6 +53,16 @@ class BoundsReport:
         if self.measured_rounds is not None:
             out.append(("measured rounds", self.measured_rounds))
         return out
+
+
+def _shown(x: float | int | Fraction) -> float | str:
+    """A float as it is; an exact value as 17 significant digits (truncated)."""
+    if isinstance(x, float):
+        return x
+    num, den = x.numerator, x.denominator
+    e = int((num.bit_length() - den.bit_length()) * log10(2)) - 18
+    digits = str(num * 10 ** max(-e, 0) // (den * 10 ** max(e, 0)))
+    return f"{digits[0]}.{digits[1:17]}e{e + len(digits) - 1:+d}"
 
 
 def bounds_table(
@@ -64,7 +75,9 @@ def bounds_table(
     """Counting bound for (n, r, b); the degree lower bound when c is supplied.
 
     n = 2 short-circuits: each iteration costs one round regardless of b,
-    so the formula bound is reported as the iteration count itself.
+    so the formula bound is reported as the iteration count itself.  Past
+    float range the bound is exact (a Fraction when b > n; ResourceLimit
+    over 2^22 bits), and `rows` shows it in scientific notation.
     """
     if n < 2:
         raise InvalidParameters("need at least two processes")
@@ -73,7 +86,15 @@ def bounds_table(
     if n == 2:
         lower = float(r)
     else:
-        lower = float(factorial(n)) ** (r - 1) * 2.0 ** (n - b)
+        try:
+            lower = float(factorial(n)) ** (r - 1) * 2.0 ** (n - b)
+        except OverflowError:
+            lower = inf
+    if lower == inf:  # past float range: exact, unless too large to hold
+        if (r - 1) * lgamma(n + 1) / log(2) + abs(n - b) > 1 << 22:
+            raise ResourceLimit(f"counting bound for n={n}, r={r}, b={b} has over 2^22 bits")
+        top = factorial(n) ** (r - 1)
+        lower = top * 2 ** (n - b) if b <= n else Fraction(top, 2 ** (b - n))
     degree_lower = lower_bound_rounds(c, b) if c is not None else None
     return BoundsReport(
         n=n,

@@ -57,10 +57,17 @@ def _write(path: str, data: bytes) -> None:
         Path(path).write_bytes(data)
 
 
+def _write_json(path: str, doc) -> None:
+    _write(path, (json.dumps(doc, indent=2, sort_keys=True, default=repr) + "\n").encode())
+
+
+def _read_sequence(path: str) -> list:
+    return sequence_from_list(json.loads(Path(path).read_text()))
+
+
 def _emit(args, summary: dict) -> None:
     if getattr(args, "json_out", None):
-        text = json.dumps(summary, indent=2, sort_keys=True, default=repr) + "\n"
-        _write(args.json_out, text.encode())
+        _write_json(args.json_out, summary)
 
 
 def _save_complex(args, c: ChromaticComplex) -> None:
@@ -146,11 +153,9 @@ def _cmd_greedy_star(args) -> int:
         seq = split_to_budget(seq, c, args.bits)
     covered = verify_cover(c, seq)
     if args.out:
-        doc = json.dumps(sequence_to_list(seq), indent=2, sort_keys=True) + "\n"
-        _write(args.out, doc.encode())
+        _write_json(args.out, sequence_to_list(seq))
     if args.trace:
-        doc = json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n"
-        _write(args.trace, doc.encode())
+        _write_json(args.trace, trace_to_dict(trace))
     summary = {
         "outer_rounds": outer,
         "rounds": len(seq),
@@ -168,7 +173,7 @@ def _cmd_greedy_star(args) -> int:
 
 def _cmd_simulate(args) -> int:
     c = _read_complex(args.infile)
-    seq = sequence_from_list(json.loads(Path(args.encodings).read_text()))
+    seq = _read_sequence(args.encodings)
     out = bounded_protocol_complex(c, seq, max_facets=args.max_facets)
     _save_complex(args, out)
     summary = {
@@ -210,7 +215,7 @@ def _cmd_verify(args) -> int:
     if not (args.infile and args.encodings):
         raise InvalidParameters("need --a/--b or --in/--encodings")
     c = _read_complex(args.infile)
-    seq = sequence_from_list(json.loads(Path(args.encodings).read_text()))
+    seq = _read_sequence(args.encodings)
     ok = verify_cover(c, seq)
     print(f"cover verified: {ok}")
     _emit(args, {"cover_verified": ok})
@@ -287,8 +292,7 @@ def _cmd_counterexample(args) -> int:
     c, seq, evidence = code_collision_counterexample()
     _save_complex(args, c)
     if args.encodings_out:
-        doc = json.dumps(sequence_to_list(seq), indent=2, sort_keys=True) + "\n"
-        _write(args.encodings_out, doc.encode())
+        _write_json(args.encodings_out, sequence_to_list(seq))
     print(
         "single shared-code round on the two-triangle complex: "
         f"{len(evidence['merged_states'])} merged states, intersection "

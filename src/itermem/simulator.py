@@ -1,40 +1,42 @@
 """Bounded-register execution of the write/read/update loop.
 
-A process writes its round code (or bottom), reads the other registers per
-a schedule, and inverts each non-bottom value back to the unique candidate
+A process writes its round code (or bottom), reads the registers in read
+steps, and inverts each non-bottom value back to the unique candidate
 neighbor state (`decode`).  A process whose own vertex is uncoded this
-round keeps its state unchanged — its decoded values are discarded.
+round keeps its state and decodes nothing.
 
 A process state is the one the full-information protocol has: a color and
-the set of facet vids it has seen.  `run_bounded` executes one explicit
-schedule; `bounded_protocol_complex` folds all schedules per round into
-reachable knowledge vectors, one view mask per process of the facet packed
-into one int (two schedule combinations with equal round-k states share
-all continuations), over the one-round ic template of `protocols`, with
-real decode calls.  States are numbered as `protocols.one_round` numbers
-them (see `StateRegistry`), so the simulation of a covering sequence is the
-one-round collect complex itself, vids and labels included.
+the set of facet vids it has seen.  `run_bounded` executes one run per
+round on the read-step model of `protocols` (`_run`);
+`bounded_protocol_complex` folds every execution per round into packed
+knowledge vectors over the one-round ic template.  Both decode in one loop
+(`_decode_reads`), from the masks one execution or every family saw.
+States are numbered as `protocols.one_round` numbers them (see
+`StateRegistry`), so a covering sequence simulates to the one-round
+collect complex itself, vids and labels included.
 
 The fold has no color cap: a facet-count projection made before any fold
 work bounds its cost.  Up to 3 processes the ic template is checked by the
-independent schedule oracle of `protocols`; at 4 the oracle is capped, and
-the template is checked by its count (`_family_count`) and, in the tests,
-by the per-vector reference fold.
+schedule oracle of `protocols`, and in the tests the fold by executions of
+`run_bounded`; at 4 the template is checked by its count (`_family_count`)
+and, in the tests, by the per-vector reference fold.
 
 Within one facet and one encoding, decoding is a table.  A reader p of the
 facet that reads the register of a coded q of the facet sees q's code, and
 `decode` looks only at p's input vertex, the color of q and that code: not
-at what p knows, nor at which schedule ran.  q itself is always a
+at what p knows, nor at which execution ran.  q itself is always a
 candidate (a neighbor of p with q's color and code), so the answer is q or
 AmbiguousDecode, the same for every knowledge vector and every view family.
 Every coded pair is read in some family (everyone sees everyone in one),
-so decoding each pair once raises exactly when the per-read loop would.
+so decoding each pair once raises exactly when some execution would.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import chain
+from operator import index, or_
 
 from .complexes import (
     DEFAULT_MAX_FACETS,
@@ -55,11 +57,10 @@ from .protocols import (
     _families,
     _family_count,
     _placement,
+    _run,
     _template,
     protocol_complex,
 )
-
-Event = tuple  # ("write", color) | ("read", reader_color, source_color)
 
 
 def decode(
@@ -95,78 +96,66 @@ def decode(
     return cands[0]
 
 
-# -- explicit schedules -------------------------------------------------------
+# -- one execution -------------------------------------------------------------
 
 
-def sequential_schedule(colors: list[int]) -> list[Event]:
-    """Processes run one after another in the given order."""
-    ev: list[Event] = []
-    for p in colors:
-        ev.append(("write", p))
-        ev.extend(("read", p, q) for q in colors)
-    return ev
+def _decode_reads(c: ChromaticComplex, enc: Encoding, at, colors, read) -> int:
+    """Per reader, packed as in `_pack`, the mask of the sources it decoded.
+
+    `at` and `colors` are a facet's vids and colors by position
+    (`_placement`); read[i] masks the registers reader i saw written.  A
+    coded reader decodes every other coded source it read.
+    """
+    k = len(at)
+    codes = [enc.value(v) for v in at]
+    decoded = 0
+    for i, p in enumerate(at):
+        got = 0
+        if codes[i] is not None:
+            for j, code in enumerate(codes):
+                if j != i and code is not None and read[i] >> j & 1:
+                    got |= 1 << at.index(decode(p, colors[j], code, enc, c))
+        decoded = decoded << k | got
+    return decoded
 
 
-def concurrent_schedule(colors: list[int]) -> list[Event]:
-    """All writes land before any read: everyone observes everyone."""
-    return [("write", p) for p in colors] + [
-        ("read", p, q) for p in colors for q in colors
-    ]
+def run_bounded(c: ChromaticComplex, facet, seq: list[Encoding], runs) -> GlobalView:
+    """Execute one run per round, each over a fresh memory layer.
 
-
-def _validate_schedule(events: list[Event], colors: set[int]) -> None:
-    writes: dict[int, int] = {}
-    reads: dict[tuple[int, int], int] = {}
-    for i, ev in enumerate(events):
-        if ev[0] == "write" and len(ev) == 2 and ev[1] in colors:
-            if ev[1] in writes:
-                raise InvalidParameters(f"color {ev[1]} writes twice")
-            writes[ev[1]] = i
-        elif ev[0] == "read" and len(ev) == 3 and ev[1] in colors and ev[2] in colors:
-            if (ev[1], ev[2]) in reads:
-                raise InvalidParameters(f"duplicate read {ev}")
-            reads[(ev[1], ev[2])] = i
-        else:
-            raise InvalidParameters(f"malformed event {ev!r}")
-    if set(writes) != colors or set(reads) != {(p, q) for p in colors for q in colors}:
-        raise InvalidParameters("schedule must write once and read every register")
-    for (p, _q), i in reads.items():
-        if i < writes[p]:
-            raise InvalidParameters(f"color {p} reads before writing")
-
-
-def run_bounded(
-    c: ChromaticComplex,
-    facet,
-    seq: list[Encoding],
-    schedules: list[list[Event]],
-) -> GlobalView:
-    """Execute one schedule per round over a fresh memory layer each round."""
+    Positions are the facet's vids by color rank (`_placement`).  A run is
+    (programs, order) as `protocols._run` takes them: programs[i] is a
+    tuple of disjoint nonempty read-step masks covering every register, and
+    `order` names i once for its write, first, then once per step, which
+    sees the registers of that step written so far.  Single-register steps
+    give collect (ic) memory, the one step ((1 << k) - 1,) atomic-snapshot
+    (ias) memory.  A malformed run raises InvalidParameters.
+    """
     f = assert_facet(c, facet)
-    if len(schedules) != len(seq):
-        raise InvalidParameters("need exactly one schedule per encoding function")
-    vid_of = {c.vertices[v].color: v for v in f}
-    colors = set(vid_of)
-    views = {p: {v} for p, v in vid_of.items()}
-    for enc, sched in zip(seq, schedules):
-        _validate_schedule(sched, colors)
-        cells: dict[int, int | None] = {p: None for p in colors}
-        buf: dict[int, set[int]] = {p: set() for p in colors}
-        for ev in sched:
-            if ev[0] == "write":
-                cells[ev[1]] = enc.value(vid_of[ev[1]])
-            else:
-                _, rd, src = ev
-                if src == rd:
-                    continue  # own cell: self-knowledge is initial state
-                x = decode(vid_of[rd], src, cells[src], enc, c)
-                if x is not None:
-                    buf[rd].add(x)
-        for p in colors:
-            if enc.value(vid_of[p]) is not None:
-                views[p] |= buf[p]
-            # an uncoded process discards what it decoded this round
-    return GlobalView(views)
+    if len(runs) != len(seq):
+        raise InvalidParameters("need exactly one run per encoding function")
+    at, colors, sets = _placement(c, f)
+    k = len(at)
+    vec = _pack([1 << i for i in range(k)], k)  # a knowledge vector, as in the fold
+    for enc, run in zip(seq, runs):
+        vec |= _decode_reads(c, enc, at, colors, _run(*_checked(run, k)))
+    return GlobalView._of([(colors[i], sets[m]) for i, m in enumerate(_unpack(vec, k))])
+
+
+def _checked(run, k: int) -> tuple:
+    """`run` if it is a well-formed run on k processes (see `run_bounded`)."""
+    try:
+        programs, order = run
+        programs = [tuple(map(index, steps)) for steps in programs]
+        order = list(map(index, order))
+        need = Counter(i for i, steps in enumerate(programs) for _ in range(1 + len(steps)))
+        if len(programs) == k and need == Counter(order) and all(
+            min(steps) > 0 and sum(steps) == (1 << k) - 1 == reduce(or_, steps)
+            for steps in programs
+        ):
+            return programs, order
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParameters(f"malformed run {run!r} on {k} processes")
 
 
 # -- all-schedules protocol complex -------------------------------------------
@@ -182,13 +171,12 @@ def bounded_protocol_complex(
     Per facet on k positions of `protocols._placement`, a knowledge vector
     is one int holding one view mask per position: position i's mask in
     bits [(k-1-i)k, (k-i)k), so integer order is the order of the mask
-    tuples.  It starts from the solo masks.  Each round, every coded reader
-    calls `decode` once per coded source of the facet (the answer does not
-    depend on the vector or the schedule; see the module docstring).  A
-    coded reader whose ic view is m adds m & the sources it decoded, an
-    uncoded reader adds nothing (what it would decode is discarded), so a
-    family adds its packed masks & the packed decoded masks, and the round
-    ors every vector with every distinct addition.  A round that codes
+    tuples.  It starts from the solo masks.  Each round decodes every coded
+    pair of the facet once, as if each reader read everything (the answer
+    does not depend on the vector or the family; see the module docstring).
+    A reader whose ic view is m adds m & the sources it decoded, so a family
+    adds its packed masks & the packed decoded masks, and the round ors
+    every vector with every distinct addition.  A round that codes
     fewer than two vertices of the facet decodes nothing there and adds
     nothing, so the fold visits only these active rounds, found from one
     index of the rounds coding each vid.
@@ -227,21 +215,11 @@ def bounded_protocol_complex(
     for f, active in plan:
         at, colors, sets = _placement(c, f)
         k = len(at)
-        pos = {v: i for i, v in enumerate(at)}
         vecs = {_pack([1 << i for i in range(k)], k)}
         if active and k not in packed:
             packed[k] = [_pack(fam, k) for fam in _template(IC, k)]
         for r in active:
-            enc = seq[r]
-            codes = [enc.value(v) for v in at]
-            decoded = 0  # packed: per reader, the mask of the sources it decoded
-            for i, p in enumerate(at):
-                got = 0
-                if codes[i] is not None:
-                    for j, code in enumerate(codes):
-                        if j != i and code is not None:
-                            got |= 1 << pos[decode(p, colors[j], code, enc, c)]
-                decoded = decoded << k | got
+            decoded = _decode_reads(c, seq[r], at, colors, ((1 << k) - 1,) * k)
             adds = set(map(decoded.__and__, packed[k]))
             new: set[int] = set()
             for vec in vecs:

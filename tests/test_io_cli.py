@@ -16,6 +16,9 @@ Core claims:
     - Encoding sequences round-trip, including block metadata
     - CLI: gen/subdivide/protocol/greedy-star/simulate/verify/bounds/
       reduce-setcover/exact-min/export/counterexample wire together
+    - bounds keeps the float counting bound while it is finite and is exact
+      past float range (40 processes and 40 iterations, 300 and 300),
+      shown to 17 digits; an exact bound over 2^22 bits exits 3
     - Vid numbering follows the facet set, not the order the facets were
       listed in: equal complexes export equal bytes after subdivision,
       protocol rounds (ic, ias, iis) and greedy + 1-bit packing + bounded
@@ -37,6 +40,8 @@ Core claims:
 """
 
 import json
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given
@@ -48,6 +53,7 @@ from itermem import (
     UnsupportedFormat,
     Vertex,
     bounded_protocol_complex,
+    bounds_table,
     chromatic_subdivide,
     code_collision_counterexample,
     export_complex,
@@ -444,6 +450,28 @@ class TestCli:
         assert "lower bound: 4.0" not in out
         # the row was n x the counting bound, which verified compiles go below
         assert "snapshot upper bound" not in out
+
+    def test_bounds_past_float_range(self, tmp_path, capsys):
+        # the float formula overflowed here (exit 4); the bound is now exact
+        summary = tmp_path / "s.json"
+        assert main(["bounds", "--n", "40", "--r", "40", "--b", "1",
+                     "--json-out", str(summary)]) == 0
+        assert "paper counting bound: 1.9693707757759014e+1880\n" in capsys.readouterr().out
+        shown = json.loads(summary.read_text())["paper counting bound"]
+        assert shown == "1.9693707757759014e+1880"
+        assert main(["bounds", "--n", "300", "--r", "300", "--b", "1"]) == 0
+        assert "paper counting bound: 1.8326468798482744e+183821\n" in capsys.readouterr().out
+        assert bounds_table(40, 40, 1).lower_formula == factorial(40) ** 39 * 2 ** 39
+        assert bounds_table(300, 2, 400).lower_formula == Fraction(factorial(300), 2 ** 100)
+        # an exact bound too large to hold is a resource limit, at once
+        assert main(["bounds", "--n", "100000", "--r", "100000", "--b", "1"]) == 3
+
+    def test_bounds_keep_the_float_formula_where_finite(self):
+        # equal to the float formula, rounding included (25! is inexact)
+        for n, r, b in [(3, 1, 1), (3, 2, 2), (4, 3, 1), (25, 3, 1), (100, 2, 200)]:
+            lower = bounds_table(n, r, b).lower_formula
+            assert lower == float(factorial(n)) ** (r - 1) * 2.0 ** (n - b)
+            assert isinstance(lower, float)
 
     def test_bounds_two_process_row(self, capsys):
         assert main(["bounds", "--n", "2", "--r", "5", "--b", "1"]) == 0

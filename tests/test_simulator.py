@@ -4,11 +4,29 @@ Unit tests for the bounded-register simulator.
 Core claims:
     - decode: bottom -> None; unique neighbor -> its vid; shared apex
       codes -> AmbiguousDecode (never silently resolved)
-    - run_bounded sequential: first process knows only itself, last knows
-      everyone; concurrent: everyone knows everyone
-    - Schedules are validated: one write per process, reads after the
-      write, every register read exactly once
-    - An uncoded process keeps its state (discarded decodes)
+    - run_bounded executes (programs, order) runs on the read-step model
+      of protocols: sequential runs give the first process only itself and
+      the last everyone; a concurrent run gives everyone everyone
+    - Runs are validated: one program per process of disjoint nonempty
+      steps covering every register, each process named once for its
+      write and once per step
+    - run_bounded equals the string-event interpreter it replaced (kept
+      here as the reference) on every sequential order and the concurrent
+      schedule, per facet of ten random 3-color complexes and the
+      3-simplex, under greedy sequences
+    - An uncoded process keeps its state and decodes nothing, so a code
+      ambiguous only to uncoded readers raises nowhere
+    - The fold equals executions, with no closed form: run_bounded over
+      every combination of witness runs per round (one per reachable
+      seen-mask outcome, from the read-step interpreter: exhaustive at 2
+      processes, seeded draws at 3 up to the schedule oracle's 25) gives
+      the fold's facets on each input facet, on greedy + split covers
+      (b = 1-3) and random {None, 0, 1, 2} encodings of random 3-color
+      complexes, with at most 2 rounds; both raise AmbiguousDecode on
+      exactly the same inputs
+    - On snapshot memory (one read step over every register), a round that
+      codes a facet whole gives exactly its ias views: 19 at 3 processes
+      (triangle, glued pair, a random complex), 207 on the 3-simplex
     - Bounded complexes of greedy + split covers equal the 1-round
       full-information collect complex, vids, labels and export bytes
       included, on the edge, triangle, glued pair and random 3-color
@@ -39,22 +57,26 @@ Core claims:
       facet projection, before any fold work
 """
 
+import random
 import time
+from functools import cache
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from itermem import (
+    IAS,
     IC,
     AmbiguousDecode,
     Encoding,
+    GlobalView,
     InvalidParameters,
     ResourceLimit,
     bounded_protocol_complex,
     bounds_table,
     chromatic_subdivide,
-    concurrent_schedule,
     decode,
     gen_glued,
     gen_path,
@@ -65,11 +87,12 @@ from itermem import (
     protocol_complex,
     round_views,
     run_bounded,
-    sequential_schedule,
+    schedule_oracle,
     split_to_budget,
     code_collision_counterexample,
     export_complex,
 )
+from itermem.protocols import _interleavings, _programs, _run
 
 A1, P1, P2, A2 = 0, 1, 2, 3
 
@@ -104,12 +127,61 @@ class TestDecode:
                 assert got in adj
 
 
+def _sequential(order, k):
+    """Positions run one after another in `order`, each reading in that order."""
+    return [tuple(1 << q for q in order)] * k, [p for p in order for _ in range(k + 1)]
+
+
+def _concurrent(k):
+    """All writes land before any read: everyone observes everyone."""
+    programs = [tuple(1 << q for q in range(k))] * k
+    return programs, [*range(k), *(p for p in range(k) for _ in range(k))]
+
+
+def _reference_run_bounded(c, facet, seq, schedules):
+    """The string-event interpreter that `run_bounded` replaced.
+
+    An event is ("write", color) or ("read", reader_color, source_color);
+    even an uncoded reader decodes what it reads, then discards it.
+    """
+    vid_of = {c.vertices[v].color: v for v in facet}
+    views = {p: {v} for p, v in vid_of.items()}
+    for enc, sched in zip(seq, schedules):
+        cells = dict.fromkeys(vid_of)
+        buf = {p: set() for p in vid_of}
+        for ev in sched:
+            if ev[0] == "write":
+                cells[ev[1]] = enc.value(vid_of[ev[1]])
+            elif ev[1] != ev[2]:  # own cell: self-knowledge is initial state
+                x = decode(vid_of[ev[1]], ev[2], cells[ev[2]], enc, c)
+                if x is not None:
+                    buf[ev[1]].add(x)
+        for p in vid_of:
+            if enc.value(vid_of[p]) is not None:
+                views[p] |= buf[p]
+    return GlobalView(views)
+
+
+def _sequential_events(colors):
+    """`_sequential` as events of the reference interpreter, by color."""
+    ev = []
+    for p in colors:
+        ev.append(("write", p))
+        ev.extend(("read", p, q) for q in colors)
+    return ev
+
+
+def _concurrent_events(colors):
+    """`_concurrent` as events of the reference interpreter, by color."""
+    return [("write", p) for p in colors] + [("read", p, q) for p in colors for q in colors]
+
+
 class TestRunBounded:
     def test_sequential_knowledge_gradient(self):
         c = gen_simplex(2)
         seq, _ = greedy_star(c)
         f = next(iter(c.facets))
-        gv = run_bounded(c, f, seq, [sequential_schedule([0, 1, 2])] * len(seq))
+        gv = run_bounded(c, f, seq, [_sequential([0, 1, 2], 3)] * len(seq))
         assert gv.views[0] == frozenset({0})
         assert gv.views[2] == frozenset({0, 1, 2})
 
@@ -117,18 +189,30 @@ class TestRunBounded:
         c = gen_simplex(1)
         seq, _ = greedy_star(c)
         f = next(iter(c.facets))
-        gv = run_bounded(c, f, seq, [concurrent_schedule([0, 1])] * len(seq))
+        gv = run_bounded(c, f, seq, [_concurrent(2)] * len(seq))
         assert gv.views[0] == gv.views[1] == frozenset({0, 1})
 
     def test_uncoded_round_preserves_state(self):
-        # code only the apex star in round one: p1/p2 decode a1 but keep
-        # nothing because their own vertices are at bottom that round
+        # code only the apex star in round one: p1/p2 read a1's code but
+        # keep nothing because their own vertices are at bottom that round
         c = gen_glued(2)
         seq = [Encoding({A1: 1}), Encoding({A2: 1, P1: 1, P2: 1})]
         f = frozenset({A2, P1, P2})
-        sched = concurrent_schedule([0, 1, 2])
-        gv = run_bounded(c, f, seq, [sched, sched])
+        gv = run_bounded(c, f, seq, [_concurrent(3), _concurrent(3)])
         assert gv.views[1] == frozenset({P1, A2, P2})  # nothing from round 1
+
+    def test_uncoded_reader_decodes_nothing(self):
+        # p1 and p2 read the apexes' shared code, which is ambiguous near
+        # them, but they are uncoded and would discard it; the fold agrees.
+        # The event interpreter decoded it anyway and raised.
+        c = gen_glued(2)
+        seq = [Encoding({A1: 1, A2: 1})]
+        for f in c.facets:
+            solo = GlobalView({c.vertices[v].color: {v} for v in f})
+            assert run_bounded(c, f, seq, [_concurrent(3)]) == solo
+            with pytest.raises(AmbiguousDecode):
+                _reference_run_bounded(c, f, seq, [_concurrent_events([0, 1, 2])])
+        assert bounded_protocol_complex(c, seq) == c
 
     def test_outcomes_are_collect_views(self):
         c = gen_glued(2)
@@ -136,21 +220,30 @@ class TestRunBounded:
         f = frozenset({A1, P1, P2})
         fam = set(round_views(c, f, IC))
         for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
-            scheds = [sequential_schedule(order)] * len(seq)
-            assert run_bounded(c, f, seq, scheds) in fam
+            runs = [_sequential(order, 3)] * len(seq)
+            assert run_bounded(c, f, seq, runs) in fam
 
     def test_schedule_validation(self):
         c = gen_simplex(1)
         seq, _ = greedy_star(c)
         f = next(iter(c.facets))
-        bad_order = [("read", 0, 1), ("write", 0), ("read", 0, 0),
-                     ("write", 1), ("read", 1, 0), ("read", 1, 1)]
-        with pytest.raises(InvalidParameters):
-            run_bounded(c, f, seq, [bad_order])
-        missing_read = [("write", 0), ("read", 0, 0), ("write", 1),
-                        ("read", 1, 0), ("read", 1, 1)]
-        with pytest.raises(InvalidParameters):
-            run_bounded(c, f, seq, [missing_read])
+        # mixed programs and interleaved steps are well formed
+        assert run_bounded(c, f, seq, [([(1, 2), (3,)], [0, 1, 1, 0, 0])])
+        for bad in [
+            ([(1, 2), (2,)], [0, 0, 0, 1, 1]),  # a register left unread
+            ([(1, 2), (1, 3)], [0, 0, 0, 1, 1, 1]),  # a register read twice
+            ([(1, 2), (2, 1)], [0, 0, 0, 1, 1]),  # a read step never taken
+            ([(1, 2), (2, 1)], [0, 0, 0, 1, 1, 1, 1]),  # a step too many
+            ([(1, 2), (2, 1)], [0, 0, 0, 1, 1, 2]),  # no such process
+            ([(1, 2)], [0, 0, 0]),  # a process without a program
+            ([(1, 2), (0, 3)], [0, 0, 0, 1, 1, 1]),  # an empty step
+            ([(1, 2), (1, 2, 4)], [0, 0, 0, 1, 1, 1, 1]),  # no such register
+            ([(1, 2), (1.0, 2)], [0, 0, 0, 1, 1, 1]),  # a step that is no mask
+            ([(1, 2), (2, 1)],),  # no order
+            [("write", 0), ("read", 0, 0), ("write", 1), ("read", 1, 0), ("read", 1, 1)],
+        ]:
+            with pytest.raises(InvalidParameters):
+                run_bounded(c, f, seq, [bad])
 
     def test_round_count_checked(self):
         c = gen_simplex(1)
@@ -158,6 +251,23 @@ class TestRunBounded:
         f = next(iter(c.facets))
         with pytest.raises(InvalidParameters):
             run_bounded(c, f, seq, [])
+
+    @pytest.mark.parametrize("seed", [*range(10), "D3"])
+    def test_equals_reference_executor(self, seed):
+        # every sequential order and the concurrent schedule, per facet
+        c = gen_simplex(3) if seed == "D3" else gen_random(seed, 3, 3)
+        seq, _ = greedy_star(c)
+        for f in sorted(c.facets, key=sorted):
+            colors = sorted(c.vertices[v].color for v in f)
+            rank = {col: i for i, col in enumerate(colors)}
+            k = len(colors)
+            cases = [
+                (_sequential_events(order), _sequential([rank[x] for x in order], k))
+                for order in permutations(colors)
+            ] + [(_concurrent_events(colors), _concurrent(k))]
+            for events, run in cases:
+                want = _reference_run_bounded(c, f, seq, [events] * len(seq))
+                assert run_bounded(c, f, seq, [run] * len(seq)) == want
 
 
 def _reference_bounded(c, seq):
@@ -251,6 +361,119 @@ class TestDecodeTable:
         c, broken, _ = code_collision_counterexample()
         with pytest.raises(AmbiguousDecode):
             bounded_protocol_complex(c, broken)
+
+
+@cache
+def _witness_runs(k):
+    """One collect run per distinct seen-mask outcome on k processes.
+
+    Built from `_run` over `_programs` and `_interleavings`, not from a
+    closed form: every run up to 2 processes, seeded draws at 3 until the
+    schedule oracle's count of outcomes is reached.
+    """
+    simplex = gen_simplex(k - 1)
+    want = len(schedule_oracle(simplex, next(iter(simplex.facets)), IC))
+    programs = _programs(IC, (1 << k) - 1)
+    found = {}
+    if k <= 2:
+        for chosen in product(programs, repeat=k):
+            for order in _interleavings([1 + len(p) for p in chosen]):
+                found.setdefault(_run(chosen, order), (chosen, order))
+    else:
+        rng = random.Random(k)
+        while len(found) < want:
+            chosen = [rng.choice(programs) for _ in range(k)]
+            order = [i for i, p in enumerate(chosen) for _ in range(1 + len(p))]
+            rng.shuffle(order)
+            found.setdefault(_run(chosen, order), (chosen, order))
+    assert len(found) == want
+    return list(found.values())
+
+
+def _executed_by_facet(c, seq):
+    """Per input facet, the final states of every combination of witness runs."""
+    return {
+        frozenset(f): {
+            frozenset(run_bounded(c, f, seq, runs).views.items())
+            for runs in product(_witness_runs(len(f)), repeat=len(seq))
+        }
+        for f in c.facets
+    }
+
+
+def _folded_by_facet(c, seq):
+    """The fold's facets as (color, view) states, grouped by input facet.
+
+    Every process sees itself, so a facet's views together are its input
+    facet.
+    """
+    out = {}
+    for states in _new_facets(c, seq):
+        out.setdefault(frozenset().union(*(v for _, v in states)), set()).add(states)
+    return out
+
+
+def _fold_oracle_corpus():
+    """Greedy + split covers (b = 1-3) and random {None, 0, 1, 2} encodings
+    of 3-color complexes, each with at most 2 rounds."""
+    covers, encodings = [], []
+    for seed in range(36):
+        c = gen_random(seed, 3, 1 + seed % 4)
+        if seed < 12:
+            seq, _ = greedy_star(c)
+            subs = (split_to_budget(seq, c, b) for b in (1, 2, 3))
+            covers += [(c, sub) for sub in subs if len(sub) <= 2]
+        rng = random.Random(seed)
+        codes = [None, 0, 1, 2]
+        encodings.append(
+            (c, [Encoding({v: rng.choice(codes) for v in sorted(c.vertices)})
+                 for _ in range(1 + seed % 2)])
+        )
+    return covers, encodings
+
+
+class TestFoldByExecutions:
+    def test_witnesses_reach_the_oracle_counts(self):
+        assert [len(_witness_runs(k)) for k in (1, 2, 3)] == [1, 3, 25]
+
+    def test_fold_equals_executions(self):
+        covers, encodings = _fold_oracle_corpus()
+        assert len(covers) >= 30 and len(encodings) >= 30
+        ambiguous = 0
+        for c, seq in covers + encodings:
+            executed = _bounded_or_ambiguous(_executed_by_facet, c, seq)
+            folded = _bounded_or_ambiguous(_folded_by_facet, c, seq)
+            assert executed == folded
+            ambiguous += executed is AmbiguousDecode
+        # both outcomes are exercised
+        assert 0 < ambiguous < len(encodings)
+
+    @pytest.mark.parametrize(
+        "c, n_views",
+        [(gen_simplex(2), 19), (gen_glued(2), 19), (gen_random(1, 3, 4), 19),
+         (gen_simplex(3), 207)],
+        ids=["D2", "glued2", "random1", "D3"],
+    )
+    def test_snapshot_programs_give_ias_views(self, c, n_views):
+        # a facet that one sound round codes whole, run on atomic-snapshot
+        # memory: one read step over every register
+        seq, _ = greedy_star(c)
+        f, enc = next(
+            (f, enc)
+            for enc in split_to_budget(seq, c, 3)
+            for f in sorted(c.facets, key=sorted)
+            if all(enc.value(v) is not None for v in f)
+        )
+        k = len(f)
+        programs = _programs(IAS, (1 << k) - 1)
+        assert programs == [((1 << k) - 1,)]
+        got = {
+            run_bounded(c, f, [enc], [(chosen, order)])
+            for chosen in product(programs, repeat=k)
+            for order in _interleavings([1 + len(p) for p in chosen])
+        }
+        assert got == round_views(c, f, IAS)
+        assert len(got) == n_views
 
 
 class TestBoundedComplex:
