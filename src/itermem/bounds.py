@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf, lgamma, log, log10
+from sys import float_info
 
 from .complexes import ChromaticComplex
 from .encoding import lower_bound_rounds
@@ -75,8 +76,9 @@ def bounds_table(
     """Counting bound for (n, r, b); the degree lower bound when c is supplied.
 
     n = 2 short-circuits: each iteration costs one round regardless of b,
-    so the formula bound is reported as the iteration count itself.  Past
-    float range the bound is exact (a Fraction when b > n; ResourceLimit
+    so the formula bound is reported as the iteration count itself.  Where
+    the float formula overflows, or underflows below the normal floats (b
+    far above n), the bound is exact (a Fraction when b > n; ResourceLimit
     over 2^22 bits), and `rows` shows it in scientific notation.
     """
     if n < 2:
@@ -90,7 +92,7 @@ def bounds_table(
             lower = float(factorial(n)) ** (r - 1) * 2.0 ** (n - b)
         except OverflowError:
             lower = inf
-    if lower == inf:  # past float range: exact, unless too large to hold
+    if not float_info.min <= lower < inf:  # past normal floats: exact, unless too large
         if (r - 1) * lgamma(n + 1) / log(2) + abs(n - b) > 1 << 22:
             raise ResourceLimit(f"counting bound for n={n}, r={r}, b={b} has over 2^22 bits")
         top = factorial(n) ** (r - 1)

@@ -5,22 +5,21 @@ can be made distinguishable in the same round exactly when no structural
 conflict links them, so gluing a shared vertex plus a same-colored filler
 pair between two facets forbids sharing a round.  Gluing every pair whose
 elements never co-occur in a subset makes minimum rounds equal minimum
-cover size, which `exact_min_sequence` then recovers by exhaustive search
-over the two-valued (bottom / 1) code family.
+cover size, which `exact_min_sequence` then recovers by exact coloring of
+the facet-conflict graph over the two-valued (bottom / 1) code family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import chain, combinations, count
 
 from .complexes import ChromaticComplex, Simplex, Vertex
 from .encoding import Encoding
 from .errors import InvalidParameters, ResourceLimit
-from .greedy import _sound
 
-_MAX_VERTS = 12
-_MAX_FACETS = 12
+_NODE_BUDGET = 100_000  # colors tried by one exact_min_sequence call, over every k
 
 
 @dataclass(frozen=True)
@@ -168,48 +167,48 @@ def explain_reduction(inst: SetCoverInstance) -> str:
 
 def exact_min_sequence(c: ChromaticComplex) -> tuple[int, list[Encoding]]:
     """Shortest sequence of bottom/1 functions making every face of c
-    distinguishable.
+    distinguishable: the chromatic number of the facet-conflict graph.
 
-    A round's useful content is which facets it fully covers, and coding
-    anything beyond those facets' vertices only adds clashes, so search
-    runs over facet subsets whose vertex union is clash-free, then takes a
-    breadth-first minimum set cover over facet masks.
+    Facets conflict when a vertex of one has a rival in the other.  A
+    facet's own vertices differ in color, so are never rivals: facets coded
+    1 in one round are sound iff no two conflict, and coding more than
+    whole facets only adds clashes.  Each color class is one round.
+
+    Placing facets most-conflicted first (DSATUR's rule, Brélaz 1979, made
+    static) opens with a greedy clique of q facets, colored 0..q-1.  For
+    k = q, q + 1, ... an iterative backtrack k-colors the rest, opening no
+    color above the highest used plus one.  Past ``_NODE_BUDGET`` colors
+    tried it raises ResourceLimit naming k, which the clique or k - 1 failing certifies.
     """
     if not c.facets:
         raise InvalidParameters("cannot cover an empty complex")
-    if len(c.vertices) > _MAX_VERTS or len(c.facets) > _MAX_FACETS:
-        raise ResourceLimit("exact search is capped at 12 vertices / 12 facets")
     facets = sorted(c.facets, key=sorted)
-    m = len(facets)
-
-    feasible: list[tuple[int, frozenset]] = []
-    for mask in range(1, 1 << m):
-        vids = frozenset().union(*(facets[i] for i in range(m) if mask & (1 << i)))
-        if _sound(c, Encoding(dict.fromkeys(vids, 1))):
-            feasible.append((mask, vids))
-    # keep only maximal masks: covering more facets per round never hurts
-    feasible.sort(key=lambda t: -bin(t[0]).count("1"))
-    maximal: list[tuple[int, frozenset]] = []
-    for mask, vids in feasible:
-        if not any(mask | m2 == m2 for m2, _ in maximal):
-            maximal.append((mask, vids))
-
-    full = (1 << m) - 1
-    frontier = {0: []}  # covered-mask -> list of coded vid sets so far
-    seen = {0}
-    while True:
-        nxt: dict[int, list] = {}
-        for covered, hist in frontier.items():
-            for mask, vids in maximal:
-                new = covered | mask
-                if new == full:
-                    seq = [
-                        Encoding({v: 1 for v in w}) for w in hist + [vids]
-                    ]
-                    return len(seq), seq
-                if new not in seen:
-                    seen.add(new)
-                    nxt[new] = hist + [vids]
-        frontier = nxt
-        if not frontier:
-            raise ResourceLimit("search exhausted without covering all facets")
+    m, of, holding = len(facets), c.rivals(), {}
+    for i, v in [(i, v) for i, f in enumerate(facets) for v in f]:
+        holding.setdefault(v, []).append(i)
+    near = [{j for v in f for x in of[v] for j in holding[x]} for f in facets]
+    links, pos, earlier = [0] * m, {}, []  # pos: facet -> place, in placing order
+    heap = sorted((0, -len(near[i]), i) for i in range(m))  # (-links, -degree, facet)
+    while len(pos) < m:
+        i = heappop(heap)[2]
+        if i not in pos:  # else an entry outdated by a later push
+            earlier.append([pos[j] for j in near[i] if j in pos])
+            pos[i] = len(pos)
+            for j in near[i].difference(pos):
+                links[j] += 1
+                heappush(heap, (-links[j], -len(near[j]), j))
+    q = next((p for p, e in enumerate(earlier) if len(e) < p), m)  # the leading clique
+    nodes = 0
+    for k in count(q):  # k = m always succeeds
+        color, top, p = list(range(q)) + [-1] * (m - q), [q - 1] * (m + 1), q
+        while q <= p < m:  # color[p]: last color tried at place p; top[p]: highest before
+            nodes += 1
+            if nodes > _NODE_BUDGET:
+                raise ResourceLimit(f"exact search passed {_NODE_BUDGET} nodes: minimum ≥ {k}")
+            used = {color[j] for j in earlier[p]}
+            free = (x for x in range(color[p] + 1, min(k, top[p] + 2)) if x not in used)
+            x = color[p] = next(free, -1)  # top[p + 1] is read only after p advances
+            top[p + 1], p = max(top[p], x), p + (1 if x >= 0 else -1)
+        if p == m:
+            rounds = [[facets[i] for i, x in zip(pos, color) if x == y] for y in range(k)]
+            return k, [Encoding(dict.fromkeys(chain(*r), 1)) for r in rounds]

@@ -466,6 +466,14 @@ class TestCli:
         # an exact bound too large to hold is a resource limit, at once
         assert main(["bounds", "--n", "100000", "--r", "100000", "--b", "1"]) == 3
 
+    def test_bounds_below_float_range(self, capsys):
+        # 2^-4997 underflowed to 0.0; below the normal floats it is exact too
+        assert main(["bounds", "--n", "3", "--r", "1", "--b", "5000"]) == 0
+        assert "paper counting bound: 5.6638490088385383e-1505\n" in capsys.readouterr().out
+        assert bounds_table(3, 1, 5000).lower_formula == Fraction(1, 2 ** 4997)
+        # the smallest normal float keeps the float formula
+        assert bounds_table(3, 1, 1025).lower_formula == 2.0 ** -1022
+
     def test_bounds_keep_the_float_formula_where_finite(self):
         # equal to the float formula, rounding included (25! is inexact)
         for n, r, b in [(3, 1, 1), (3, 2, 2), (4, 3, 1), (25, 3, 1), (100, 2, 200)]:

@@ -14,18 +14,26 @@ Core claims:
       pair, keeping the optimum at 2; explain_reduction names the
       tie-break only when it fired
     - exact_min_sequence: triangle 1, glued pair 2; output sequence
-      verifies; codes are bottom/1; resource caps enforced
+      verifies; codes are bottom/1
+    - Past the old 12-facet cap it solves path11, IC(triangle), Ch(D3)
+      exactly, each equal to the packed 1-bit length; on Ch^2(triangle)
+      it raises ResourceLimit naming a certified lower bound
+    - It equals the subset-enumeration reference search (kept here) on
+      the |U| <= 3 sweep and on seeded random complexes of <= 12 facets
     - Full sweep |U| <= 3: reduction + exact search equals the optimum on
       every feasible instance
     - Greedy length >= exact length on seeded complexes and on every
       reduced instance of the sweep, whose exact sequences verify
 """
 
+import re
 from itertools import combinations
 
 import pytest
 
 from itermem import (
+    IC,
+    Encoding,
     InvalidParameters,
     ResourceLimit,
     SetCoverInstance,
@@ -36,15 +44,55 @@ from itermem import (
     gen_random,
     gen_simplex,
     greedy_star,
+    iterate_subdivide,
+    lower_bound_rounds,
+    protocol_complex,
     set_cover_optimum,
     set_cover_reduce,
     split_to_budget,
     verify_cover,
 )
+from itermem.greedy import _sound
 
 
 def _inst(universe, subsets):
     return SetCoverInstance(universe, subsets)
+
+
+def _reference_min(c):
+    """Minimum bottom/1 sequence length by subset enumeration (<= 12 facets).
+
+    The search `exact_min_sequence` replaced: every facet subset whose
+    vertex union is sound, only the maximal ones, then a breadth-first
+    minimum cover over facet masks.
+    """
+    facets = sorted(c.facets, key=sorted)
+    m = len(facets)
+    assert m <= 12, "the reference enumerates all 2^m facet subsets"
+    feasible = []
+    for mask in range(1, 1 << m):
+        vids = frozenset().union(*(facets[i] for i in range(m) if mask & (1 << i)))
+        if _sound(c, Encoding(dict.fromkeys(vids, 1))):
+            feasible.append(mask)
+    feasible.sort(key=lambda t: -bin(t).count("1"))
+    maximal = []
+    for mask in feasible:
+        if not any(mask | m2 == m2 for m2 in maximal):
+            maximal.append(mask)
+    full, frontier, length = (1 << m) - 1, {0}, 0
+    while full not in frontier:
+        frontier = {covered | mask for covered in frontier for mask in maximal}
+        length += 1
+    return length
+
+
+def _check_exact(c):
+    """exact_min_sequence's length, after checking its sequence covers with 1s."""
+    length, seq = exact_min_sequence(c)
+    assert len(seq) == length
+    assert verify_cover(c, seq)
+    assert all({k for _, k in e.items()} == {1} for e in seq)
+    return length
 
 
 class TestInstance:
@@ -140,17 +188,40 @@ class TestExactMin:
         for e in seq:
             assert {k for _, k in e.items()} <= {1}
 
-    def test_resource_caps(self):
-        with pytest.raises(ResourceLimit):
-            exact_min_sequence(gen_path(11))  # 13 vertices
+    def test_beyond_the_old_cap(self):
+        # the subset search refused more than 12 vertices or 12 facets
+        for c, expected in [
+            (gen_path(11), 6),  # 13 vertices
+            (protocol_complex(gen_simplex(2), IC, 1), 25),
+            (iterate_subdivide(gen_simplex(3), 1), 75),
+        ]:
+            assert _check_exact(c) == expected
+            assert len(split_to_budget(greedy_star(c)[0], c, 1)) == expected
+
+    def test_resource_limit_certifies_bound(self):
+        c = iterate_subdivide(gen_simplex(2), 2)
+        with pytest.raises(ResourceLimit) as err:
+            exact_min_sequence(c)
+        bound = int(re.search(r"minimum ≥ (\d+)", str(err.value)).group(1))
+        # at least the degree bound (6); at most the packed 1-bit length (51)
+        packed = len(split_to_budget(greedy_star(c)[0], c, 1))
+        assert lower_bound_rounds(c, 1) <= bound <= packed
+
+    def test_matches_reference_on_random_complexes(self):
+        compared = 0
+        for seed in range(12):
+            for n_colors in (2, 3, 4):
+                for n_facets in (4, 8, 12):
+                    c = gen_random(seed, n_colors, n_facets)
+                    assert _check_exact(c) == _reference_min(c), (seed, n_colors, n_facets)
+                    compared += 1
+        assert compared == 108
 
     def test_greedy_never_beats_exact(self):
         # the exact search uses the bottom/1 family, so compare against
         # greedy output packed into the same one-value budget
         for seed in range(10):
             c = gen_random(seed, 3, 4)
-            if len(c.vertices) > 12 or len(c.facets) > 12:
-                continue
             exact_len, _ = exact_min_sequence(c)
             seq, _ = greedy_star(c)
             greedy_len = len(split_to_budget(seq, c, 1))
@@ -173,9 +244,9 @@ class TestReductionRecoversOptimum:
                 if opt is None:
                     continue  # no complex can witness "no cover exists"
                 c = set_cover_reduce(inst)
-                length, seq = exact_min_sequence(c)
+                length = _check_exact(c)
                 assert length == opt, (universe, sorted(map(sorted, fam)))
-                assert verify_cover(c, seq)
+                assert length == _reference_min(c)
                 # the packed 1-bit sequence is one the exact search considers
                 assert len(split_to_budget(greedy_star(c)[0], c, 1)) >= length
                 tested += 1
