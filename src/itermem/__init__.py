@@ -56,6 +56,8 @@ from .protocols import (
     check_intersection_preserving,
     check_no_input_edges,
     one_round,
+    ordered_bell,
+    ordered_set_partitions,
     protocol_complex,
     raw_interleaving_views,
     round_views,
@@ -80,8 +82,6 @@ from .subdivision import (
     chromatic_subdivide,
     degree_growth_table,
     iterate_subdivide,
-    ordered_bell,
-    ordered_set_partitions,
 )
 
 __all__ = [

@@ -35,7 +35,7 @@ from .io import (
     trace_to_dict,
 )
 from .iso import is_isomorphic
-from .protocols import PATTERNS, protocol_complex
+from .protocols import ORACLE_CAP, PATTERNS, protocol_complex
 from .setcover import (
     SetCoverInstance,
     exact_min_sequence,
@@ -61,8 +61,15 @@ def _write_json(path: str, doc) -> None:
     _write(path, (json.dumps(doc, indent=2, sort_keys=True, default=repr) + "\n").encode())
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_bytes())
+    except UnicodeDecodeError as exc:
+        raise UnsupportedFormat(f"not JSON: {exc}") from exc
+
+
 def _read_sequence(path: str) -> list:
-    return sequence_from_list(json.loads(Path(path).read_text()))
+    return sequence_from_list(_read_json(path))
 
 
 def _emit(args, summary: dict) -> None:
@@ -130,10 +137,11 @@ def _cmd_protocol(args) -> int:
         "vertices": len(out.vertices),
         "facets": len(out.facets),
     }
-    if args.pattern == "ic" and len(c.colors()) > 3:
+    cap = ORACLE_CAP[args.pattern]
+    if max(map(len, c.facets), default=0) > cap:
         summary["note"] = (
-            "collect view families for more than 3 colors are produced by the"
-            " closed form but exceed the oracle-validated range"
+            f"{args.pattern} view families on facets of more than {cap} processes"
+            " are produced by the closed form but exceed the oracle-validated range"
         )
     print(
         f"{args.pattern} x{args.rounds}: {summary['vertices']} vertices, "
@@ -233,7 +241,7 @@ def _cmd_bounds(args) -> int:
 
 def _parse_instance(args) -> SetCoverInstance:
     if args.infile:
-        doc = json.loads(Path(args.infile).read_text())
+        doc = _read_json(args.infile)
         try:
             return SetCoverInstance(doc["universe"], doc["subsets"])
         except (KeyError, TypeError) as exc:

@@ -51,14 +51,13 @@ class StateRegistry:
     Fresh vids follow the order of first requests, and every builder makes
     that order a function of content, never of a set's iteration order:
     facets in sorted order, then within a facet the states of each view
-    family in template order (`protocols.one_round`), of each ordered
-    partition (`subdivision.chromatic_subdivide`), or of each knowledge
-    vector, view masks packed into an int whose order is the order of the
-    mask tuples, in sorted order of the vectors
-    (`simulator.bounded_protocol_complex`; the ic template is itself
-    sorted, so a vector set equal to it is numbered as `one_round` numbers
-    it).  Equal complexes thus build equal vids however their facets were
-    listed.
+    family in template order (`protocols.one_round`, which is also the
+    chromatic subdivision), or of each knowledge vector, view masks packed
+    into an int whose order is the order of the mask tuples, in sorted
+    order of the vectors (`simulator.bounded_protocol_complex`; the ic
+    template is itself sorted, so a vector set equal to it is numbered as
+    `one_round` numbers it).  Equal complexes thus build equal vids however
+    their facets were listed.
 
     The round builders request a facet's states through `emit`, from a
     template compiled by `compile_rows`: its distinct states listed in

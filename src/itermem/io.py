@@ -144,7 +144,7 @@ def import_complex(data: bytes | str | dict) -> ChromaticComplex:
         return complex_from_dict(data)
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UnsupportedFormat(f"not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UnsupportedFormat("complex document must be a JSON object")

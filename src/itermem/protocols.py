@@ -12,10 +12,13 @@ register is left, and a read sees the written registers its step covers.
 The patterns differ only in what one step covers (`_steps`): one register
 for ic, all of them for ias and iis.  iis keeps the immediate outcomes,
 where whoever saw q saw everything q saw (Borowsky & Gafni, PODC 1993).
+`ORACLE_CAP` holds the most processes `schedule_oracle` walks per pattern;
+the CLI notes a protocol round on a larger facet as unchecked by it.
 
 Closed forms (views are self-inclusive subsets of one facet):
   iis: ordered set partitions; a view is the union of the blocks up to and
-       including the owner's block.
+       including the owner's block.  This is the standard chromatic
+       subdivision, and `subdivision` builds Ch as this round.
   ias: families pairwise comparable under inclusion (read times are totally
        ordered).
   ic:  families whose misses digraph (edge p -> q when q is not in p's
@@ -42,6 +45,7 @@ import itertools
 import random
 from functools import lru_cache
 from math import comb
+from typing import Iterator
 
 from .complexes import (
     DEFAULT_MAX_FACETS,
@@ -54,12 +58,14 @@ from .complexes import (
     mask_sets,
 )
 from .errors import InvalidParameters, ResourceLimit
-from .subdivision import ordered_bell, partition_views
 
 IC = "ic"
 IAS = "ias"
 IIS = "iis"
 PATTERNS = (IC, IAS, IIS)
+
+# the most processes `schedule_oracle` walks, per pattern
+ORACLE_CAP = {IC: 3, IAS: 4, IIS: 4}
 
 
 def _check_pattern(p: str) -> str:
@@ -101,6 +107,27 @@ class GlobalView:
         return {"views": {str(c): sorted(v) for c, v in sorted(self.views.items())}}
 
 
+def ordered_set_partitions(items: list) -> Iterator[list[list]]:
+    """All ordered set partitions (sequences of disjoint nonempty blocks)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in ordered_set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+        for i in range(len(sub) + 1):
+            yield sub[:i] + [[first]] + sub[i:]
+
+
+def ordered_bell(n: int) -> int:
+    """Number of ordered set partitions of an n-set."""
+    counts = [1]  # counts[k] = ordered Bell of k
+    for k in range(1, n + 1):
+        counts.append(sum(comb(k, j) * counts[k - j] for j in range(1, k + 1)))
+    return counts[n]
+
+
 def _with_subsets(base: int, others) -> list[int]:
     """base plus each subset of others, by size, in `combinations` order."""
     return [
@@ -132,13 +159,19 @@ def _template(pattern: str, n: int) -> tuple[tuple[int, ...], ...]:
     Each family is a tuple of view masks, one per position in position
     order.  ias families come in the order of the product of each
     position's self-inclusive views, ic families in sorted order, iis
-    families one per ordered partition.
+    families one per ordered partition (`ordered_set_partitions` order),
+    where a position's view is the union of the blocks up to its own.
     """
     if pattern == IIS:
-        return tuple(
-            tuple(sum(1 << j for j in views[i]) for i in range(n))
-            for views in partition_views(list(range(n)))
-        )
+        families = []
+        for partition in ordered_set_partitions(list(range(n))):
+            masks, seen = [0] * n, 0
+            for block in partition:
+                seen |= sum(1 << i for i in block)
+                for i in block:
+                    masks[i] = seen
+            families.append(tuple(masks))
+        return tuple(families)
     if pattern == IAS:
         choices = [
             _with_subsets(1 << i, [j for j in range(n) if j != i]) for i in range(n)
@@ -284,13 +317,13 @@ def schedule_oracle(
     `written & step`.  States that agree on (registers written, registers
     left per process, values seen) share all continuations, which keeps
     the walk polynomial in practice.  iis keeps the `_immediate` outcomes.
-    Capped at 3 processes for ic and 4 for snapshots (ResourceLimit).
+    Capped at `ORACLE_CAP[pattern]` processes (ResourceLimit).
     """
     _check_pattern(pattern)
     facet = assert_facet(c, input_facet)
     vids = sorted(facet)
     n = len(vids)
-    cap = 3 if pattern == IC else 4
+    cap = ORACLE_CAP[pattern]
     if n > cap:
         raise ResourceLimit(f"{pattern} schedule oracle is capped at {cap} processes")
 

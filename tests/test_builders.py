@@ -1,17 +1,24 @@
 """
 Reference tests for the round builders.
 
-`protocols.one_round` and `subdivision.chromatic_subdivide` emit each
-facet's states from a compiled template (`StateRegistry.emit`).  The
-references below are the per-family builders they replaced: one
-`registry.get` per (family, position).
+`protocols.one_round` emits each facet's states from a compiled template
+(`StateRegistry.emit`), and `subdivision.chromatic_subdivide` is its iis
+round.  The references below are the per-family builders it replaced, one
+`registry.get` per (family, position), and the definition of the
+chromatic subdivision: per facet, the carriers of the ordered partitions
+of its vids.
 
 Core claims:
-    - one_round (ic, ias, iis) and chromatic_subdivide are == to the
-      references and export equal bytes, on hypothesis complexes with
-      1-vertex, edge, triangle and tetrahedron facets
+    - one_round (ic, ias, iis) is == to the per-family reference and
+      exports equal bytes, on hypothesis complexes with 1-vertex, edge,
+      triangle and tetrahedron facets
+    - chromatic_subdivide, once and twice, has the facets of the
+      definitional reference, compared as sets of (color, view) states
+      with no vids
     - The same holds with one registry shared across subcomplexes (the
       check_intersection_preserving path), registry state included
+    - Ch^r == IIS^r with equal export bytes: r = 1, 2 on hypothesis
+      complexes; Δ² to r = 3, Δ³ to r = 2, glued(3) and gen_random(3, 3, 6)
     - A compiled template lists each distinct state once, and each facet
       requests exactly those: 12 per triangle, 32 per Δ³ facet for iis
     - Exports of Ch^r, iis/ias/ic^r and bounded simulation on fixed inputs
@@ -42,13 +49,12 @@ from itermem import (
     greedy_star,
     iterate_subdivide,
     one_round,
+    ordered_set_partitions,
     protocol_complex,
     split_to_budget,
 )
 from itermem.complexes import Simplex
 from itermem.protocols import _compiled, _families, subcomplex_sample
-from itermem.subdivision import _compiled as _compiled_partitions
-from itermem.subdivision import partition_views
 
 
 def _reference_one_round(c, pattern, registry):
@@ -60,13 +66,40 @@ def _reference_one_round(c, pattern, registry):
 
 
 def _reference_subdivide(c, registry=None):
+    """Ch by definition: per facet and ordered partition of its vids, each
+    vid's state is (its color, the union of the blocks up to its own)."""
     reg = registry if registry is not None else StateRegistry(c)
-    facets = [
-        Simplex(reg.get(c.vertices[v].color, carrier) for v, carrier in views.items())
-        for f in sorted(c.facets, key=sorted)
-        for views in partition_views(sorted(f))
-    ]
+    facets = []
+    for f in sorted(c.facets, key=sorted):
+        for partition in ordered_set_partitions(sorted(f)):
+            carrier: set[int] = set()
+            states = []
+            for block in partition:
+                carrier.update(block)
+                states += [(c.vertices[v].color, frozenset(carrier)) for v in block]
+            facets.append(Simplex(reg.get(color, view) for color, view in states))
     return ChromaticComplex(reg.vertices, facets)
+
+
+def _read(vertices, below):
+    """Each vertex as a vid-free state, given those of the complex below.
+
+    A vid of the complex below keeps its state; any other vertex is read
+    from its label (color, viewed vids), as criterion 1 reads Ch's vertices.
+    """
+    return {
+        v: below[v] if v in below else (x.color, frozenset(below[u] for u in x.label[1]))
+        for v, x in vertices.items()
+    }
+
+
+def _base_states(c):
+    return {v: (x.color, v) for v, x in c.vertices.items()}
+
+
+def _facet_states(x, below):
+    states = _read(x.vertices, below)
+    return {frozenset(states[v] for v in f) for f in x.facets}
 
 
 def _mixed():
@@ -121,11 +154,15 @@ class TestAgainstReference:
     @example(_SINGLE)
     @example(gen_simplex(3))
     def test_subdivide(self, c):
-        got = chromatic_subdivide(c)
-        want = _reference_subdivide(c)
-        assert got == want
-        assert _bytes(got) == _bytes(want)
-        assert _bytes(chromatic_subdivide(got)) == _bytes(_reference_subdivide(want))
+        # once and twice, compared by (color, view) states, not by vids
+        got, want = c, c
+        got_states = want_states = _base_states(c)
+        for _ in range(2):
+            got, want = chromatic_subdivide(got), _reference_subdivide(want)
+            assert _facet_states(got, got_states) == _facet_states(want, want_states)
+            got_states = _read(got.vertices, got_states)
+            want_states = _read(want.vertices, want_states)
+            assert set(got_states.values()) == set(want_states.values())
 
     @settings(max_examples=40, deadline=None)
     @given(complexes(), st.integers(0, 10**6))
@@ -146,17 +183,44 @@ class TestAgainstReference:
                 assert _bytes(got) == _bytes(want)
             assert reg.vertices == ref.vertices
         reg, ref = StateRegistry(c), StateRegistry(c)
+        base = _base_states(c)
         for s in subs:
-            assert chromatic_subdivide(s, reg) == _reference_subdivide(s, ref)
-        assert reg.vertices == ref.vertices
+            got, want = chromatic_subdivide(s, reg), _reference_subdivide(s, ref)
+            assert _facet_states(got, base) == _facet_states(want, base)
+        assert set(_read(reg.vertices, base).values()) == set(_read(ref.vertices, base).values())
+
+
+class TestSubdivisionIsIis:
+    """Ch^r is the r-round iis complex itself: same vids, labels and bytes."""
+
+    @staticmethod
+    def _check(c, r):
+        ch, xi = iterate_subdivide(c, r), protocol_complex(c, IIS, r)
+        assert ch == xi
+        assert _bytes(ch) == _bytes(xi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(), st.sampled_from([1, 2]))
+    @example(_mixed(), 2)
+    @example(_SINGLE, 1)
+    def test_random_complexes(self, c, r):
+        self._check(c, r)
+
+    @pytest.mark.parametrize(
+        "c, r_max",
+        [(gen_simplex(2), 3), (gen_simplex(3), 2), (gen_glued(3), 2), (gen_random(3, 3, 6), 2)],
+        ids=["D2", "D3", "glued3", "random3"],
+    )
+    def test_fixed_inputs(self, c, r_max):
+        for r in range(1, r_max + 1):
+            self._check(c, r)
 
 
 class TestCompiled:
     @pytest.mark.parametrize("n, states", [(1, 1), (2, 4), (3, 12), (4, 32)])
     def test_distinct_states(self, n, states):
         # every (position, self-inclusive view) pair occurs once
-        for compiled in (_compiled(IIS, n), _compiled(IAS, n), _compiled(IC, n),
-                         _compiled_partitions(n)):
+        for compiled in (_compiled(IIS, n), _compiled(IAS, n), _compiled(IC, n)):
             assert len(compiled[0]) == len(set(compiled[0])) == states
 
     def test_one_request_per_distinct_state(self):
@@ -197,7 +261,8 @@ def _pinned_exports():
 
 def test_exports_pinned():
     # computed with the per-family builders (one registry.get per family
-    # and position) and the simulator fold over every round
+    # and position) and the simulator fold over every round; Ch^r is
+    # numbered as the r-round iis complex
     assert _pinned_exports() == (
-        "4b0c699cd3452bb8f00802479e88d69781e19822e3a59b0402cbffd1c8fe009b"
+        "66b800bcac9efad81f781e024b916fd98372796cf030c678c61af04ac14949ce"
     )

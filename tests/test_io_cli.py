@@ -24,11 +24,16 @@ Core claims:
       protocol rounds (ic, ias, iis) and greedy + 1-bit packing + bounded
       simulation
     - Exit codes: 0 success, 1 failed verification, 2 usage (including
-      non-integer set-cover items and options a subcommand does not read:
-      --seed outside gen, --max-facets outside gen/subdivide/protocol/
-      simulate), 3 resources (also an isomorphism search past its node
-      budget), 4 any other exception
-    - verify decides Ch^2 ~= IIS^2 of the 3-simplex (1,124 vertices a side)
+      non-integer set-cover items, input files that are not UTF-8 for
+      export, simulate, verify and reduce-setcover, and options a
+      subcommand does not read: --seed outside gen, --max-facets outside
+      gen/subdivide/protocol/simulate), 3 resources (also an isomorphism
+      search past its node budget), 4 any other exception
+    - protocol notes a facet past the schedule oracle's cap for its
+      pattern, and only then: not ic on 4-color triangles, but iis on Δ⁴
+    - subdivide and protocol --pattern iis write the same bytes; verify
+      decides Ch^2 of the 3-simplex ~= a vid-shuffled IIS^2 (1,124
+      vertices a side)
     - simulate on a non-distinguishing encoding (AmbiguousDecode) exits 1
     - simulate --verify-against compares with == first and searches for an
       isomorphism only when the complexes differ
@@ -48,8 +53,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from itermem import (
+    PATTERNS,
     ChromaticComplex,
     Encoding,
+    ResourceLimit,
     UnsupportedFormat,
     Vertex,
     bounded_protocol_complex,
@@ -64,6 +71,7 @@ from itermem import (
     import_complex,
     is_isomorphic,
     protocol_complex,
+    schedule_oracle,
     split_to_budget,
 )
 from itermem.cli import build_parser, main
@@ -75,6 +83,7 @@ from itermem.io import (
     sequence_from_list,
     sequence_to_list,
 )
+from test_iso import _permuted
 
 
 def _stdlib_json(c):
@@ -340,6 +349,7 @@ class TestCli:
                      "--out", str(ch)]) == 0
         assert main(["protocol", "--in", str(src), "--pattern", "iis",
                      "--rounds", "1", "--out", str(xi)]) == 0
+        assert ch.read_bytes() == xi.read_bytes()
         assert main(["verify", "--a", str(ch), "--b", str(xi)]) == 0
 
     def test_verify_ch2_of_3_simplex(self, tmp_path):
@@ -352,6 +362,8 @@ class TestCli:
                      "--out", str(ch)]) == 0
         assert main(["protocol", "--in", str(src), "--pattern", "iis",
                      "--rounds", "2", "--out", str(xi)]) == 0
+        # the two files are equal, so search against a vid-shuffled copy
+        xi.write_bytes(export_complex(_permuted(import_complex(xi.read_bytes()), 2), "json"))
         assert main(["verify", "--a", str(ch), "--b", str(xi)]) == 0
 
     def test_verify_detects_difference(self, tmp_path):
@@ -532,6 +544,59 @@ class TestCli:
         enc.write_text('[{"assignment": {"1": 1, "01": 2}}]')
         assert main(["verify", "--in", str(src), "--encodings", str(enc)]) == 2
         assert "'01' is not a canonical vid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "--in", "{bad}"],
+            ["simulate", "--in", "{src}", "--encodings", "{bad}"],
+            ["verify", "--in", "{src}", "--encodings", "{bad}"],
+            ["reduce-setcover", "--in", "{bad}"],
+        ],
+        ids=["export", "simulate", "verify", "reduce-setcover"],
+    )
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys, argv):
+        # this crashed as "internal error: UnicodeDecodeError", exit 4
+        src = self._gen(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"n": \xff}')
+        argv = [a.format(src=src, bad=bad) for a in argv]
+        assert main(argv) == 2
+        assert "not JSON" in capsys.readouterr().err
+
+    def test_oracle_note_follows_the_cap(self, tmp_path, capsys):
+        # ic on two 4-color triangles is within the 3-process ic oracle
+        verts = {v: Vertex(v, v) for v in range(4)}
+        pair = tmp_path / "pair.json"
+        pair.write_bytes(export_complex(ChromaticComplex(verts, [{0, 1, 2}, {1, 2, 3}]), "json"))
+        summary = tmp_path / "s.json"
+        assert main(["protocol", "--in", str(pair), "--pattern", "ic",
+                     "--json-out", str(summary)]) == 0
+        assert "note" not in capsys.readouterr().out
+        assert "note" not in json.loads(summary.read_text())
+        # iis on the 4-simplex is past the 4-process snapshot oracle
+        d4 = tmp_path / "d4.json"
+        assert main(["gen", "simplex", "--n", "4", "--out", str(d4)]) == 0
+        capsys.readouterr()
+        assert main(["protocol", "--in", str(d4), "--pattern", "iis",
+                     "--json-out", str(summary)]) == 0
+        out = capsys.readouterr().out
+        assert "note: iis view families on facets of more than 4 processes" in out
+        assert "oracle-validated range" in json.loads(summary.read_text())["note"]
+        # on Δ² and Δ³, the note shows iff the schedule oracle refuses the facet
+        for n in (2, 3):
+            path = tmp_path / f"d{n}.json"
+            assert main(["gen", "simplex", "--n", str(n), "--out", str(path)]) == 0
+            c = gen_simplex(n)
+            for pattern in PATTERNS:
+                try:
+                    schedule_oracle(c, next(iter(c.facets)), pattern)
+                    refused = False
+                except ResourceLimit:
+                    refused = True
+                capsys.readouterr()
+                assert main(["protocol", "--in", str(path), "--pattern", pattern]) == 0
+                assert ("note" in capsys.readouterr().out) == refused
 
     def test_non_integer_instance_exits_2(self, capsys):
         assert main(["reduce-setcover", "--universe", "a,b", "--subsets", "1"]) == 2

@@ -11,7 +11,8 @@ Core claims:
       another vertex of its color
     - The brute-force matcher enforces its size cap
     - Random vid permutations of seeded complexes stay isomorphic
-    - Ch^2 ~= IIS^2 of a seeded random complex is decided quickly
+    - Ch^2 == IIS^2 of a seeded random complex, with equal export bytes,
+      and a vid-shuffled Ch^2 ~= IIS^2 is decided quickly
     - Running past the search-node budget raises ResourceLimit
     - Refinement over column groups gives the same vertex partition as the
       per-facet, per-vertex passes it replaced (kept here as the reference),
@@ -48,6 +49,7 @@ from itermem import (
     brute_force_isomorphic,
     build_complex,
     chromatic_subdivide,
+    export_complex,
     gen_glued,
     gen_path,
     gen_random,
@@ -430,11 +432,14 @@ def test_agrees_with_reference_on_simulations(pair, perm, data):
 def test_ch2_of_random_complex_matches_iis2():
     base = gen_random(0, 3, 6)
     ch, xi = iterate_subdivide(base, 2), protocol_complex(base, IIS, 2)
+    assert ch == xi
+    assert export_complex(ch, "json") == export_complex(xi, "json")
+    shuffled = _permuted(ch, 2)
     t0 = time.perf_counter()
-    ok, m = is_isomorphic(ch, xi)
+    ok, m = is_isomorphic(shuffled, xi)
     dt = time.perf_counter() - t0
     assert ok
-    _check_map(ch, xi, m)
+    _check_map(shuffled, xi, m)
     assert dt < 2.0
 
 
