@@ -15,11 +15,10 @@ States are numbered as `protocols.one_round` numbers them (see
 `StateRegistry`), so a covering sequence simulates to the one-round
 collect complex itself, vids and labels included.
 
-The fold has no color cap: a facet-count projection made before any fold
-work bounds its cost.  Up to 3 processes the ic template is checked by the
-schedule oracle of `protocols`, and in the tests the fold by executions of
-`run_bounded`; at 4 the template is checked by its count (`_family_count`)
-and, in the tests, by the per-vector reference fold.
+The fold has no color cap.  Up to 3 processes the ic template is checked
+by the schedule oracle of `protocols`, and in the tests the fold by
+executions of `run_bounded`; at 4 the template is checked by its count
+(`_family_count`) and, in the tests, by the per-vector reference fold.
 
 Within one facet and one encoding, decoding is a table.  A reader p of the
 facet that reads the register of a coded q of the facet sees q's code, and
@@ -29,13 +28,25 @@ candidate (a neighbor of p with q's color and code), so the answer is q or
 AmbiguousDecode, the same for every knowledge vector and every view family.
 Every coded pair is read in some family (everyone sees everyone in one),
 so decoding each pair once raises exactly when some execution would.
+
+So a facet's fold is a function of its key: its size k and the set of
+coded-position masks of the rounds that code two or more of its vertices.
+Given that a round's decoded sources follow from its coded mask, the fold
+(an OR-sumset of the knowledge vectors with each round's additions) is
+commutative in the rounds, and idempotent because the ic template is
+union-closed, so order and repeats drop out.  `bounded_protocol_complex`
+folds each distinct key once, in a dict local to the call.  The template
+is also up-closed (a larger view only drops misses edges), so once a fold
+reaches the whole template every further round leaves it there, and the
+fold stops.  Its budget is two checks made before any facet is emitted: a
+projection of the fold work per distinct key, before folding, then the
+exact facet count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
-from itertools import chain
+from functools import lru_cache, reduce
 from operator import index, or_
 
 from .complexes import (
@@ -54,6 +65,7 @@ from .iso import is_isomorphic
 from .protocols import (
     IC,
     GlobalView,
+    _compiled,
     _families,
     _family_count,
     _placement,
@@ -171,68 +183,121 @@ def bounded_protocol_complex(
     Per facet on k positions of `protocols._placement`, a knowledge vector
     is one int holding one view mask per position: position i's mask in
     bits [(k-1-i)k, (k-i)k), so integer order is the order of the mask
-    tuples.  It starts from the solo masks.  Each round decodes every coded
-    pair of the facet once, as if each reader read everything (the answer
-    does not depend on the vector or the family; see the module docstring).
-    A reader whose ic view is m adds m & the sources it decoded, so a family
-    adds its packed masks & the packed decoded masks, and the round ors
-    every vector with every distinct addition.  A round that codes
-    fewer than two vertices of the facet decodes nothing there and adds
-    nothing, so the fold visits only these active rounds, found from one
-    index of the rounds coding each vid.
+    tuples.  It starts from the solo masks.  A round that codes the
+    positions in mask m gives reader i the sources m - {i} if i is in m,
+    and nothing otherwise (`decode` returns the source or raises; see the
+    module docstring).  A reader whose ic view is v adds v & its decoded
+    sources, so a family adds its packed masks & the packed decoded masks,
+    and the round ors every vector with every distinct addition.  A round
+    that codes fewer than two positions adds nothing, so only the active
+    rounds, those coding two or more, count.
 
-    Before any fold work the facet count is projected: each active round
-    multiplies a facet's vectors by at most ``_family_count(IC, k)``, and a
-    facet has at most 2^(k(k-1)) vectors, since each position always sees
-    itself.  A projection over `max_facets` raises ResourceLimit, as does
-    an emitted facet count over it.
+    The fold of a facet is therefore a function of its key: k and the set
+    of its active rounds' coded masks.  The OR-sumset is commutative, and
+    idempotent since the ic template is union-closed, so neither the order
+    nor the repeats of the rounds matter.  Each distinct key is folded
+    once (`_fold`).  Two budget checks come before any decode or emitted
+    facet, and each raises ResourceLimit over `max_facets`.  Before any
+    fold, the fold work: at most min(2^(k(k-1)), ``_family_count(IC,
+    k)``^|masks|) vectors per distinct key, since each position always
+    sees itself.  After folding, the exact facet count.  Only then is every
+    coded pair of every active round decoded (`_decode_reads`), facet by
+    facet, before that facet is emitted, so an ambiguous code raises
+    AmbiguousDecode.
 
     States are registered through `StateRegistry.emit`, from the sorted
-    vectors compiled once per distinct vector set, as `protocols.one_round`
-    registers the sorted ic template, so a covering sequence yields
+    vectors compiled once per key, as `protocols.one_round` registers the
+    sorted ic template; a key that folds to the whole template emits from
+    ``protocols._compiled(IC, k)`` itself.  So a covering sequence yields
     ``protocol_complex(c, IC, 1)`` itself.
     """
-    coding: dict[int, list[int]] = {}  # vid -> the rounds that code it
+    coding: dict[int, int] = {}  # vid -> the rounds that code it, as bits
     for r, enc in enumerate(seq):
         for v, _code in enc.items():
-            coding.setdefault(v, []).append(r)
-    plan = []  # per facet in sorted order: the facet and its active rounds
-    projected = 0
+            coding[v] = coding.get(v, 0) | 1 << r
+    color = {v: x.color for v, x in c.vertices.items()}
+    keys: dict = {}  # each distinct key, mapped to its one stored copy
+    plan = []  # per facet in sorted order: the facet, its active rounds, its key
     for f in sorted(c.facets, key=sorted):
-        hits = Counter(chain.from_iterable(coding.get(v, ()) for v in f))
-        active = sorted(r for r, coded in hits.items() if coded > 1)
-        k = len(f)
-        projected += min(1 << k * (k - 1), _family_count(IC, k) ** len(active))
-        plan.append((f, active))
-    if projected > max_facets:
+        # the rounds grouped by the positions they code, refined position by position
+        parts: dict[int, int] = {}
+        seen = 0
+        for i, v in enumerate(sorted(f, key=color.__getitem__)):
+            rounds = coding.get(v, 0)
+            if not rounds:
+                continue
+            split: dict[int, int] = {}
+            for m, rs in parts.items():
+                if both := rs & rounds:
+                    split[m | 1 << i] = both
+                if both != rs:
+                    split[m] = rs ^ both
+            if first := rounds & ~seen:
+                split[1 << i] = first
+            seen |= rounds
+            parts = split
+        active, masks = 0, []
+        for m, rs in parts.items():
+            if m & m - 1:
+                active |= rs
+                masks.append(m)
+        key = len(f), frozenset(masks)
+        plan.append((f, active, keys.setdefault(key, key)))
+    work = sum(min(1 << k * (k - 1), _family_count(IC, k) ** len(ms)) for k, ms in keys)
+    if work > max_facets:
         raise ResourceLimit(
-            f"bounded protocol could make {projected} facets, over {max_facets}"
+            f"bounded protocol could fold {work} knowledge vectors, over {max_facets}"
         )
-    packed: dict[int, list[int]] = {}  # k -> the packed ic template
-    compiled: dict[tuple[int, frozenset[int]], CompiledRows] = {}  # (k, vectors) -> rows
+    folded = {key: _fold(*key) for key in keys}
+    total = sum(len(folded[key]) for _f, _active, key in plan)
+    if total > max_facets:
+        raise ResourceLimit(f"bounded protocol makes {total} facets, over {max_facets}")
+    # per key, its vectors as rows: the template's own when it folded to all of it
+    compiled: dict[tuple[int, frozenset[int]], CompiledRows] = {}
+    for (k, masks), vecs in folded.items():
+        compiled[k, masks] = _compiled(IC, k) if vecs == _packed_ic(k) else compile_rows(
+            enumerate(_unpack(v, k)) for v in sorted(vecs)
+        )
     reg = StateRegistry(c)
     facets: list[Simplex] = []
-    for f, active in plan:
+    for f, active, key in plan:
         at, colors, sets = _placement(c, f)
         k = len(at)
-        vecs = {_pack([1 << i for i in range(k)], k)}
-        if active and k not in packed:
-            packed[k] = [_pack(fam, k) for fam in _template(IC, k)]
-        for r in active:
-            decoded = _decode_reads(c, seq[r], at, colors, ((1 << k) - 1,) * k)
-            adds = set(map(decoded.__and__, packed[k]))
-            new: set[int] = set()
-            for vec in vecs:
-                new.update(map(vec.__or__, adds))
-            vecs = new
-        key = k, frozenset(vecs)
-        rows = compiled.get(key)
-        if rows is None:
-            rows = compiled[key] = compile_rows(enumerate(_unpack(v, k)) for v in sorted(vecs))
-        reg.emit(colors, sets, rows, facets)
-        if len(facets) > max_facets:
-            raise ResourceLimit(f"bounded protocol exceeded {max_facets} facets")
+        while active:
+            r = active.bit_length() - 1
+            active ^= 1 << r
+            _decode_reads(c, seq[r], at, colors, ((1 << k) - 1,) * k)
+        reg.emit(colors, sets, compiled[key], facets)
     return ChromaticComplex(reg.vertices, facets)
+
+
+def _fold(k: int, coded: frozenset[int]) -> frozenset[int]:
+    """The knowledge vectors on k positions after one round per coded mask.
+
+    Masks that code more positions go first, and the fold stops once it
+    holds the whole template: the template is up-closed, so or-ing an
+    addition into one of its vectors stays in it, and each vector t is kept
+    by its own family's addition, t | (decoded & t) = t.  A round that codes
+    every position reaches the template from the solo vector at once.
+    """
+    full = _packed_ic(k)
+    vecs = {_pack([1 << i for i in range(k)], k)}
+    for m in sorted(coded, key=lambda m: (-m.bit_count(), m)):
+        if vecs == full:
+            break
+        decoded = _pack([m & ~(1 << i) if m >> i & 1 else 0 for i in range(k)], k)
+        adds = set(map(decoded.__and__, full))
+        new: set[int] = set()
+        for vec in vecs:
+            new.update(map(vec.__or__, adds))
+        vecs = new
+    return frozenset(vecs)
+
+
+@lru_cache(maxsize=None)
+def _packed_ic(k: int) -> frozenset[int]:
+    """The ic template on k positions as packed vectors."""
+    return frozenset(_pack(fam, k) for fam in _template(IC, k))
 
 
 def _pack(masks, k: int) -> int:

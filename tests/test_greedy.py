@@ -58,7 +58,7 @@ random_complexes = st.builds(
     st.integers(1, 8),
 )
 
-# bounded_protocol_complex takes at most three colors
+# bounded simulation runs on any number of colors; three keep these draws fast
 simulable_complexes = st.builds(
     gen_random, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 5)
 )

@@ -37,6 +37,8 @@ Core claims:
     - simulate on a non-distinguishing encoding (AmbiguousDecode) exits 1
     - simulate --verify-against compares with == first and searches for an
       isomorphism only when the complexes differ
+    - simulate --verify-against ic on IC(Δ³) with a 3-bit cover exits 0 at
+      the default --max-facets and 3 one below its 294,849 facets
     - main reuses one parser, and each call still gets its own defaults;
       gen and subdivide count the f-vector only for --json-out
     - gen compares the facet count it will build with --max-facets before
@@ -617,6 +619,22 @@ class TestCli:
         src = self._gen(tmp_path)
         assert main(["subdivide", "--in", str(src), "--rounds", "4",
                      "--max-facets", "100"]) == 3
+
+    def test_simulate_ic_of_the_3_simplex_at_the_default_budget(self, tmp_path):
+        # IC(Δ³) simulates to IC²(Δ³), 294,849 facets, which the exact
+        # facet count admits at the default budget and refuses one below
+        d3, ic, enc = (tmp_path / f for f in ("d3.json", "ic.json", "enc.json"))
+        assert main(["gen", "simplex", "--n", "3", "--out", str(d3)]) == 0
+        assert main(["protocol", "--in", str(d3), "--pattern", "ic",
+                     "--out", str(ic)]) == 0
+        assert main(["greedy-star", "--in", str(ic), "--bits", "3",
+                     "--out", str(enc)]) == 0
+        args = ["simulate", "--in", str(ic), "--encodings", str(enc),
+                "--verify-against", "ic"]
+        assert main(args) == 0
+        assert main([*args, "--max-facets", "294848"]) == 3
+        # without the reference round, the simulation's own count refuses it
+        assert main([*args[:-2], "--max-facets", "294848"]) == 3
 
     def test_iso_search_budget_exit_3(self, tmp_path, monkeypatch):
         # glued(2) swaps its two apexes, so the search needs a second node

@@ -53,14 +53,26 @@ Core claims:
       simplex, glued fans and paths) equal full-information collect, at
       pinned round counts
     - Four colors run: with no rounds the 3-simplex comes back as it is;
-      a 5-vertex facet coded in two rounds raises ResourceLimit from the
-      facet projection, before any fold work
+      a 5-vertex facet coded by two rounds on different 4-subsets raises
+      ResourceLimit from the fold-work projection (2^20 vectors), before
+      any fold work
+    - The fold of a facet depends only on k and the set of its active
+      rounds' coded masks: every key at k = 3 and a sample at k = 4 fold
+      as the plain product fold does, in any order and with repeats; a
+      sequence followed by its reverse simulates as the sequence alone, on
+      random 3-color complexes and encodings; the 4-simplex's cover twice
+      gives IC(Δ⁴) itself, 29,281 facets
+    - The exact facet count is the budget: the 3-simplex at b = 2 passes at
+      max_facets = 543 and raises at 542; a budget raises ResourceLimit
+      before an ambiguous code raises AmbiguousDecode
+    - The n = 4, r = 2 rung: IC(Δ³) under greedy + split at b = 3
+      simulates to IC²(Δ³) itself, 294,849 facets, at the default budget
 """
 
 import random
 import time
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -92,7 +104,8 @@ from itermem import (
     code_collision_counterexample,
     export_complex,
 )
-from itermem.protocols import _interleavings, _programs, _run
+from itermem.protocols import _interleavings, _programs, _run, _template
+from itermem.simulator import _fold, _pack
 
 A1, P1, P2, A2 = 0, 1, 2, 3
 
@@ -536,19 +549,96 @@ class TestBoundedComplex:
         assert bounded_protocol_complex(c, []) == c
 
     def test_facet_projection_raises_before_folding(self):
-        # a 5-vertex facet coded in two rounds could reach 2^20 vectors
+        # two rounds coding different 4-subsets of a 5-vertex facet: one
+        # key of two masks, which could reach 2^20 vectors
         c = gen_simplex(4)
-        seq, _ = greedy_star(c)
+        seq = [Encoding(dict.fromkeys(vids, 1)) for vids in ([0, 1, 2, 3], [1, 2, 3, 4])]
         t0 = time.perf_counter()
         with pytest.raises(ResourceLimit):
-            bounded_protocol_complex(c, seq * 2)
+            bounded_protocol_complex(c, seq)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_repeated_rounds_fold_once(self):
+        # the same round twice is one key of one mask: IC(Δ⁴), no error
+        c = gen_simplex(4)
+        seq, _ = greedy_star(c)
+        twice = bounded_protocol_complex(c, seq * 2)
+        assert twice == bounded_protocol_complex(c, seq) == protocol_complex(c, IC, 1)
+        assert len(twice.facets) == 29281
 
     def test_facet_budget(self):
         c = gen_simplex(2)
         seq, _ = greedy_star(c)
         with pytest.raises(ResourceLimit):
             bounded_protocol_complex(c, seq, max_facets=10)
+
+    def test_exact_facet_count_is_the_budget(self):
+        # mirrors test_protocols.py::test_max_facets_projected_before_building
+        c = gen_simplex(3)
+        seq, _ = greedy_star(c)
+        sub = split_to_budget(seq, c, 2)
+        assert len(bounded_protocol_complex(c, sub, max_facets=543).facets) == 543
+        with pytest.raises(ResourceLimit):
+            bounded_protocol_complex(c, sub, max_facets=542)
+
+    def test_budget_raises_before_decoding(self):
+        c, broken, _ = code_collision_counterexample()
+        with pytest.raises(ResourceLimit):
+            bounded_protocol_complex(c, broken, max_facets=1)
+
+    def test_ceiling_rung_ic_of_the_3_simplex(self):
+        # n = 4, r = 2: a b = 3 cover of IC(Δ³), at the default budget
+        c = protocol_complex(gen_simplex(3), IC, 1)
+        seq, _ = greedy_star(c)
+        sub = split_to_budget(seq, c, 3)
+        out = bounded_protocol_complex(c, sub)
+        assert len(out.facets) == 294849
+        assert out == protocol_complex(gen_simplex(3), IC, 2)
+        # the fold-work projection admits this budget; the exact count not
+        with pytest.raises(ResourceLimit, match="makes 294849 facets"):
+            bounded_protocol_complex(c, sub, max_facets=294848)
+
+
+def _product_fold(k, masks):
+    """The fold of one facet on k positions, one round per mask in order,
+    as a plain product over the ic template with no early stop."""
+    vecs = {_pack([1 << i for i in range(k)], k)}
+    for m in masks:
+        decoded = _pack([m & ~(1 << i) if m >> i & 1 else 0 for i in range(k)], k)
+        vecs = {vec | decoded & _pack(fam, k) for vec in vecs for fam in _template(IC, k)}
+    return frozenset(vecs)
+
+
+class TestFoldKey:
+    def test_every_key_at_three_positions(self):
+        active = [m for m in range(8) if m & m - 1]  # masks coding >= 2 positions
+        for n in range(len(active) + 1):
+            for masks in combinations(active, n):
+                want = _fold(3, frozenset(masks))
+                for order in permutations(masks):
+                    assert _product_fold(3, order) == want
+                    assert _product_fold(3, order + order[:1]) == want
+
+    def test_sampled_keys_at_four_positions(self):
+        active = [m for m in range(16) if m & m - 1]
+        rng = random.Random(4)
+        for _ in range(12):
+            masks = rng.sample(active, rng.randint(1, 3))
+            want = _fold(4, frozenset(masks))
+            assert _product_fold(4, masks) == want
+            assert _product_fold(4, masks[::-1] + masks[:1]) == want
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(three_color_complexes, st.data())
+    def test_sequence_then_its_reverse_folds_as_the_sequence(self, c, data):
+        code = st.none() | st.integers(0, 2)
+        seq = [
+            Encoding({v: data.draw(code) for v in sorted(c.vertices)})
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        assert _bounded_or_ambiguous(
+            bounded_protocol_complex, c, seq + seq[::-1]
+        ) == _bounded_or_ambiguous(bounded_protocol_complex, c, seq)
 
 
 class TestCounterexample:
