@@ -63,6 +63,16 @@ class StateRegistry:
     template compiled by `compile_rows`: its distinct states listed in
     first-use order, so the first request for each state, and hence each
     fresh vid, comes in the order the per-family requests would make.
+
+    They return through `complex`, which checks nothing per facet, because
+    emission already guarantees all that `ChromaticComplex` would check.
+    `get` maps distinct (color, payload) pairs to distinct vids, each
+    registered with a `Vertex` of that vid and color.  A round emits each
+    input facet's states on its positions, one color per position, so no
+    output facet repeats a color.  And no output facet lies inside another:
+    one input facet's output facets have one size, and every state's view
+    holds its own input vertex, so an output facet of input facet f inside
+    one of g would put f inside g, which the input complex rules out.
     """
 
     def __init__(self, base: "ChromaticComplex"):
@@ -100,6 +110,18 @@ class StateRegistry:
         get = self.get
         vids = [get(colors[i], sets[m]) for i, m in states]
         out += [Simplex(row(vids)) for row in rows]
+
+    def complex(self, facets: list[Simplex]) -> "ChromaticComplex":
+        """The complex of facets `emit` appended, over the states they use.
+
+        Unchecked: see the class docstring.  The vertex table is built as
+        `ChromaticComplex` builds it, so the result is the one the checking
+        constructor returns for the same facets.
+        """
+        facet_set = frozenset(facets)
+        used: set[int] = set().union(*facet_set)
+        table = dict(zip(used, map(self.vertices.__getitem__, used)))
+        return ChromaticComplex._unchecked(table, facet_set)
 
 
 CompiledRows = tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...]]
@@ -193,6 +215,17 @@ class ChromaticComplex:
         self._faces: frozenset[Simplex] | None = None
         self._adjacency: dict[int, tuple[int, ...]] | None = None
         self._rivals: dict[int, tuple[int, ...]] | None = None
+
+    @classmethod
+    def _unchecked(
+        cls, vertices: dict[int, Vertex], facets: frozenset[Simplex]
+    ) -> "ChromaticComplex":
+        """A complex of nonempty maximal chromatic `facets` and exactly the
+        vertices they reference, taken as given (`StateRegistry.complex`)."""
+        c = cls.__new__(cls)
+        c.vertices, c.facets = vertices, facets
+        c._faces = c._adjacency = c._rivals = None
+        return c
 
     # -- basic queries ---------------------------------------------------
 

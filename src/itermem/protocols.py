@@ -459,7 +459,7 @@ def one_round(
     for f in sorted(c.facets, key=sorted):
         at, colors, sets = _placement(c, f)
         registry.emit(colors, sets, _compiled(pattern, len(at)), facets)
-    return ChromaticComplex(registry.vertices, facets)
+    return registry.complex(facets)
 
 
 def protocol_complex(

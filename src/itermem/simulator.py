@@ -7,27 +7,30 @@ round keeps its state and decodes nothing.
 
 A process state is the one the full-information protocol has: a color and
 the set of facet vids it has seen.  `run_bounded` executes one run per
-round on the read-step model of `protocols` (`_run`);
-`bounded_protocol_complex` folds every execution per round into packed
-knowledge vectors over the one-round ic template.  Both decode in one loop
-(`_decode_reads`), from the masks one execution or every family saw.
-States are numbered as `protocols.one_round` numbers them (see
-`StateRegistry`), so a covering sequence simulates to the one-round
-collect complex itself, vids and labels included.
+round on the read-step model of `protocols` (`_run`) and decodes what each
+reader saw (`_decode_reads`); `bounded_protocol_complex` folds every
+execution per round into packed knowledge vectors over the one-round ic
+template, and checks decoding once per coded edge.  States are numbered as
+`protocols.one_round` numbers them (see `StateRegistry`), so a covering
+sequence simulates to the one-round collect complex itself, vids and
+labels included.
 
 The fold has no color cap.  Up to 3 processes the ic template is checked
 by the schedule oracle of `protocols`, and in the tests the fold by
 executions of `run_bounded`; at 4 the template is checked by its count
 (`_family_count`) and, in the tests, by the per-vector reference fold.
 
-Within one facet and one encoding, decoding is a table.  A reader p of the
-facet that reads the register of a coded q of the facet sees q's code, and
-`decode` looks only at p's input vertex, the color of q and that code: not
-at what p knows, nor at which execution ran.  q itself is always a
-candidate (a neighbor of p with q's color and code), so the answer is q or
-AmbiguousDecode, the same for every knowledge vector and every view family.
-Every coded pair is read in some family (everyone sees everyone in one),
-so decoding each pair once raises exactly when some execution would.
+Decoding is decided per coded edge.  A coded reader p that reads the
+register of a coded q sees q's code, and `decode` looks only at p's input
+vertex, the color of q and that code: not at what p knows, nor at which
+execution ran, nor at which facet holds p and q.  q itself is always a
+candidate (a neighbor of p with q's color and code), so the answer is q,
+or AmbiguousDecode when another neighbor of p has q's color and code.
+Every coded pair of a facet is read in some family (everyone sees everyone
+in one), so some execution raises iff a round codes a vertex p and two of
+p's neighbors with one color and one code.  `_check_decodes` decides this
+in one pass per round over each coded vertex's coded neighbors, without
+visiting a facet.
 
 So a facet's fold is a function of its key: its size k and the set of
 coded-position masks of the rounds that code two or more of its vertices.
@@ -40,7 +43,7 @@ is also up-closed (a larger view only drops misses edges), so once a fold
 reaches the whole template every further round leaves it there, and the
 fold stops.  Its budget is two checks made before any facet is emitted: a
 projection of the fold work per distinct key, before folding, then the
-exact facet count.
+exact facet count.  The edge check comes after both.
 """
 
 from __future__ import annotations
@@ -196,20 +199,22 @@ def bounded_protocol_complex(
     of its active rounds' coded masks.  The OR-sumset is commutative, and
     idempotent since the ic template is union-closed, so neither the order
     nor the repeats of the rounds matter.  Each distinct key is folded
-    once (`_fold`).  Two budget checks come before any decode or emitted
-    facet, and each raises ResourceLimit over `max_facets`.  Before any
-    fold, the fold work: at most min(2^(k(k-1)), ``_family_count(IC,
-    k)``^|masks|) vectors per distinct key, since each position always
-    sees itself.  After folding, the exact facet count.  Only then is every
-    coded pair of every active round decoded (`_decode_reads`), facet by
-    facet, before that facet is emitted, so an ambiguous code raises
-    AmbiguousDecode.
+    once (`_fold`).  Two budget checks come before the decode check and
+    any emitted facet, and each raises ResourceLimit over `max_facets`.
+    Before any fold, the fold work: at most min(2^(k(k-1)),
+    ``_family_count(IC, k)``^|masks|) vectors per distinct key, since each
+    position always sees itself.  After folding, the exact facet count.
+    Only then is decoding checked, once per coded edge of each round
+    rather than per facet (`_check_decodes`; see the module docstring),
+    so an ambiguous code raises AmbiguousDecode before any facet is
+    emitted.
 
     States are registered through `StateRegistry.emit`, from the sorted
     vectors compiled once per key, as `protocols.one_round` registers the
     sorted ic template; a key that folds to the whole template emits from
     ``protocols._compiled(IC, k)`` itself.  So a covering sequence yields
-    ``protocol_complex(c, IC, 1)`` itself.
+    ``protocol_complex(c, IC, 1)`` itself, which both return through
+    `StateRegistry.complex`.
     """
     coding: dict[int, int] = {}  # vid -> the rounds that code it, as bits
     for r, enc in enumerate(seq):
@@ -217,7 +222,7 @@ def bounded_protocol_complex(
             coding[v] = coding.get(v, 0) | 1 << r
     color = {v: x.color for v, x in c.vertices.items()}
     keys: dict = {}  # each distinct key, mapped to its one stored copy
-    plan = []  # per facet in sorted order: the facet, its active rounds, its key
+    plan = []  # per facet in sorted order: the facet and its key
     for f in sorted(c.facets, key=sorted):
         # the rounds grouped by the positions they code, refined position by position
         parts: dict[int, int] = {}
@@ -236,20 +241,15 @@ def bounded_protocol_complex(
                 split[1 << i] = first
             seen |= rounds
             parts = split
-        active, masks = 0, []
-        for m, rs in parts.items():
-            if m & m - 1:
-                active |= rs
-                masks.append(m)
-        key = len(f), frozenset(masks)
-        plan.append((f, active, keys.setdefault(key, key)))
+        key = len(f), frozenset(m for m in parts if m & m - 1)
+        plan.append((f, keys.setdefault(key, key)))
     work = sum(min(1 << k * (k - 1), _family_count(IC, k) ** len(ms)) for k, ms in keys)
     if work > max_facets:
         raise ResourceLimit(
             f"bounded protocol could fold {work} knowledge vectors, over {max_facets}"
         )
     folded = {key: _fold(*key) for key in keys}
-    total = sum(len(folded[key]) for _f, _active, key in plan)
+    total = sum(len(folded[key]) for _f, key in plan)
     if total > max_facets:
         raise ResourceLimit(f"bounded protocol makes {total} facets, over {max_facets}")
     # per key, its vectors as rows: the template's own when it folded to all of it
@@ -258,17 +258,27 @@ def bounded_protocol_complex(
         compiled[k, masks] = _compiled(IC, k) if vecs == _packed_ic(k) else compile_rows(
             enumerate(_unpack(v, k)) for v in sorted(vecs)
         )
+    _check_decodes(c, seq)
     reg = StateRegistry(c)
     facets: list[Simplex] = []
-    for f, active, key in plan:
-        at, colors, sets = _placement(c, f)
-        k = len(at)
-        while active:
-            r = active.bit_length() - 1
-            active ^= 1 << r
-            _decode_reads(c, seq[r], at, colors, ((1 << k) - 1,) * k)
+    for f, key in plan:
+        _at, colors, sets = _placement(c, f)
         reg.emit(colors, sets, compiled[key], facets)
-    return ChromaticComplex(reg.vertices, facets)
+    return reg.complex(facets)
+
+
+def _check_decodes(c: ChromaticComplex, seq: list[Encoding]) -> None:
+    """Raise AmbiguousDecode if some round codes a vertex and two of its
+    neighbors with one color and one code (see the module docstring)."""
+    adj = c.adjacency()
+    color = {v: x.color for v, x in c.vertices.items()}
+    for enc in seq:
+        heard = {v: (color[v], code) for v, code in enc.items() if v in color}
+        for p in heard:
+            near = [heard[x] for x in adj[p] if x in heard]
+            if len(set(near)) < len(near):
+                source, value = next(k for k in near if near.count(k) > 1)
+                decode(p, source, value, enc, c)  # raises, naming the candidates
 
 
 def _fold(k: int, coded: frozenset[int]) -> frozenset[int]:

@@ -35,11 +35,17 @@ Core claims:
     - Any encoding that decodes keeps every input vertex, vid and Vertex,
       as the state of a process that saw only itself
     - Soundness: bounded runs only produce full-information collect views
-    - The per-facet decode table folds to the same facets, as sets of
-      (color, view) states, as the per-vector decode loop it
-      replaced (kept here as the reference), on greedy + split encodings
-      and on random encodings, where both raise AmbiguousDecode on exactly
-      the same inputs, over random 3- and 4-color complexes
+    - The fold, with decoding checked once per coded edge, gives the same
+      facets, as sets of (color, view) states, as the per-vector decode
+      loop it replaced (kept here as the reference), on greedy + split
+      encodings over random 3- and 4-color complexes, and on random
+      encodings over those and over complexes of mixed facet sizes, where
+      both raise AmbiguousDecode on exactly the same inputs
+    - Every complex a registry builds unchecked (one_round per pattern,
+      protocol_complex at r = 2, one registry shared across subcomplexes,
+      bounded simulation of covers and of random encodings) equals the
+      checking constructor's complex of its vertices and facets, export
+      bytes included, on random 3-color and mixed-facet-size complexes
     - A non-distinguishing encoding (the counterexample's shared apex
       code) still raises AmbiguousDecode
     - The shared-apex counterexample: merged states break intersection
@@ -75,19 +81,23 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from itermem import (
     IAS,
     IC,
+    PATTERNS,
     AmbiguousDecode,
+    ChromaticComplex,
     Encoding,
     GlobalView,
     InvalidParameters,
     ResourceLimit,
+    StateRegistry,
     bounded_protocol_complex,
     bounds_table,
+    build_complex,
     chromatic_subdivide,
     decode,
     gen_glued,
@@ -96,6 +106,7 @@ from itermem import (
     gen_simplex,
     greedy_star,
     iterate_pipeline,
+    one_round,
     protocol_complex,
     round_views,
     run_bounded,
@@ -104,7 +115,7 @@ from itermem import (
     code_collision_counterexample,
     export_complex,
 )
-from itermem.protocols import _interleavings, _programs, _run, _template
+from itermem.protocols import _interleavings, _programs, _run, _template, subcomplex_sample
 from itermem.simulator import _fold, _pack
 
 A1, P1, P2, A2 = 0, 1, 2, 3
@@ -346,6 +357,28 @@ four_color_complexes = st.builds(
 )
 
 
+@st.composite
+def _mixed_complexes(draw):
+    """Complexes of 1- to 3-vertex facets on 3 colors, from `build_complex`.
+
+    Each color's labels come from a pool of three, so facets share vertices.
+    """
+    raw = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, 2), st.integers(0, 2), min_size=1),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    simplices = {frozenset(d.items()) for d in raw}
+    return build_complex(sorted(sorted(f) for f in simplices if not any(f < g for g in simplices)))
+
+
+mixed_complexes = _mixed_complexes()
+# an edge, a triangle and a lone vertex
+_MIXED = build_complex([[(0, 0), (1, 0)], [(0, 1), (1, 0), (2, 0)], [(2, 1)]])
+
+
 class TestDecodeTable:
     # fixed draws: unseeded ones swung this test from 0.26 to 7.5 s
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -356,7 +389,7 @@ class TestDecodeTable:
         assert _new_facets(c, sub) == _reference_bounded(c, sub)
 
     @settings(max_examples=40, deadline=None)
-    @given(three_color_complexes | four_color_complexes, st.data())
+    @given(three_color_complexes | four_color_complexes | mixed_complexes, st.data())
     def test_fold_equals_reference_on_any_encoding(self, c, data):
         # few codes and bottoms: ambiguous decodes are common; on four
         # colors a second active round costs the reference seconds
@@ -607,6 +640,41 @@ def _product_fold(k, masks):
         decoded = _pack([m & ~(1 << i) if m >> i & 1 else 0 for i in range(k)], k)
         vecs = {vec | decoded & _pack(fam, k) for vec in vecs for fam in _template(IC, k)}
     return frozenset(vecs)
+
+
+class TestRegistryComplex:
+    """A round builder's complex, built unchecked by `StateRegistry.complex`,
+    is the one the checking constructor builds from it."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @example(_MIXED, 0)
+    @given(three_color_complexes | mixed_complexes, st.integers(0, 10**6))
+    def test_equals_checked_constructor(self, c, seed):
+        built = [one_round(c, p, StateRegistry(c)) for p in PATTERNS]
+        built += [protocol_complex(c, p, 2) for p in PATTERNS]
+        # one registry on c for A, B and A ∩ B, as check_intersection_preserving
+        # builds them: it holds states that B and A ∩ B do not use
+        rng = random.Random(seed)
+        a = subcomplex_sample(c, rng)
+        b = subcomplex_sample(c, rng)
+        for p in PATTERNS:
+            reg = StateRegistry(c)
+            built += [one_round(s, p, reg) for s in (a, b, a.intersect(b))]
+        seq, _ = greedy_star(c)
+        built += [bounded_protocol_complex(c, split_to_budget(seq, c, bits)) for bits in (1, 2, 3)]
+        codes = [None, 0, 1, 2]
+        enc = [
+            Encoding({v: rng.choice(codes) for v in sorted(c.vertices)})
+            for _ in range(1 + seed % 3)
+        ]
+        try:
+            built.append(bounded_protocol_complex(c, enc))
+        except AmbiguousDecode:
+            pass
+        for x in built:
+            checked = ChromaticComplex(x.vertices, x.facets)
+            assert x == checked
+            assert export_complex(x, "json") == export_complex(checked, "json")
 
 
 class TestFoldKey:
