@@ -15,7 +15,7 @@ from functools import cache
 from pathlib import Path
 
 from .bounds import bounds_table
-from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex
+from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, gc_paused
 from .encoding import lower_bound_rounds
 from .errors import (
     AmbiguousDecode,
@@ -434,6 +434,7 @@ _EXIT_CODES = (
 )
 
 
+@gc_paused
 def main(argv=None) -> int:
     parser = build_parser()
     try:

@@ -4,15 +4,32 @@ A complex is stored as a vertex table (vid -> Vertex) plus its set of
 facets (maximal simplices).  Faces are derived lazily and cached.  Every
 vertex carries a color; a facet may not repeat a color.  Instances are
 treated as immutable: all operations return new complexes.
+
+The public calls that allocate per facet or per state run with CPython's
+cyclic garbage collector paused (`gc_paused`): `protocol_complex` and
+`one_round` (so also `iterate_subdivide` and `chromatic_subdivide`),
+`bounded_protocol_complex`, `iterate_pipeline`, `import_complex`,
+`export_complex`, `ChromaticComplex.f_vector`, `is_isomorphic`,
+`schedule_oracle` and `cli.main`.  Their frozensets, tuples and `Vertex`es
+form no reference cycles, so the collector, which would otherwise rescan
+them by the hundred thousand, finds nothing to free: reference counting
+already frees all they drop, and the pause changes no result and leaks
+nothing.  (`cli.main` with ``--json-out`` is the one exception: the
+standard library's indenting JSON encoder leaves a cycle of 31 objects
+per call, whatever the input size, which the first collection after the
+call frees.)  The pause is process-wide, so cyclic collections that other
+threads would trigger wait until the call returns.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter, itemgetter
-from typing import Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import (
     DanglingVertexReference,
@@ -28,6 +45,29 @@ from .errors import (
 Simplex = frozenset  # frozenset[int] of vids
 
 DEFAULT_MAX_FACETS = 10**6
+
+_F = TypeVar("_F", bound=Callable)
+
+
+def gc_paused(fn: _F) -> _F:
+    """`fn`, run with the cyclic garbage collector paused (module docstring).
+
+    The wrapper disables an enabled collector and enables it again when `fn`
+    returns or raises.  A collector the caller disabled is left alone, so
+    nested paused calls re-enable it only at the outermost one.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)
@@ -299,6 +339,7 @@ class ChromaticComplex:
     def max_degree(self) -> int:
         return max((len(s) for s in self.adjacency().values()), default=0)
 
+    @gc_paused
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, f_1, ..., f_dim); empty tuple for the empty complex.
 

@@ -19,7 +19,7 @@ import json
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .complexes import ChromaticComplex, Simplex, Vertex
+from .complexes import ChromaticComplex, Simplex, Vertex, gc_paused
 from .encoding import Encoding
 from .errors import UnsupportedFormat
 from .greedy import StarCoverTrace
@@ -102,6 +102,7 @@ def complex_from_dict(d: dict) -> ChromaticComplex:
     return ChromaticComplex(vertices, facets)
 
 
+@gc_paused
 def export_complex(c: ChromaticComplex, fmt: str) -> bytes:
     """Deterministic byte stream in one of json | dot | csv-fvector."""
     if fmt == "json":
@@ -139,6 +140,7 @@ def _json_document(doc: dict) -> str:
     )
 
 
+@gc_paused
 def import_complex(data: bytes | str | dict) -> ChromaticComplex:
     if isinstance(data, dict):
         return complex_from_dict(data)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import chain, count, groupby, permutations, product, repeat
 from operator import attrgetter
 
-from .complexes import ChromaticComplex, Simplex
+from .complexes import ChromaticComplex, Simplex, gc_paused
 from .errors import InvalidParameters, ResourceLimit
 
 _BRUTE_LIMIT = 8
@@ -106,6 +106,7 @@ def _refine(color: list[int], layout: _Layout, stop: int) -> list[int]:
     return color
 
 
+@gc_paused
 def is_isomorphic(
     a: ChromaticComplex, b: ChromaticComplex
 ) -> tuple[bool, dict[int, int] | None]:

@@ -55,6 +55,7 @@ from .complexes import (
     StateRegistry,
     assert_facet,
     compile_rows,
+    gc_paused,
     mask_sets,
 )
 from .errors import InvalidParameters, ResourceLimit
@@ -307,6 +308,7 @@ def _steps(pattern: str, left: int) -> list[int]:
     return [left]
 
 
+@gc_paused
 def schedule_oracle(
     c: ChromaticComplex, input_facet, pattern: str
 ) -> frozenset[GlobalView]:
@@ -349,6 +351,7 @@ def schedule_oracle(
 
     outcomes = walk(0, (full,) * n, (0,) * n)
     walk.cache_clear()
+    walk = None  # the cached closure refers to itself: break that cycle
     return _outcome_views(c, vids, pattern, outcomes)
 
 
@@ -434,6 +437,7 @@ def raw_interleaving_views(
 # -- protocol complexes ------------------------------------------------------
 
 
+@gc_paused
 def one_round(
     c: ChromaticComplex,
     pattern: str,
@@ -462,6 +466,7 @@ def one_round(
     return registry.complex(facets)
 
 
+@gc_paused
 def protocol_complex(
     c: ChromaticComplex,
     pattern: str,

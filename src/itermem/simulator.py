@@ -60,6 +60,7 @@ from .complexes import (
     StateRegistry,
     assert_facet,
     compile_rows,
+    gc_paused,
 )
 from .encoding import Encoding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
@@ -176,6 +177,7 @@ def _checked(run, k: int) -> tuple:
 # -- all-schedules protocol complex -------------------------------------------
 
 
+@gc_paused
 def bounded_protocol_complex(
     c: ChromaticComplex,
     seq: list[Encoding],
@@ -406,6 +408,7 @@ def code_collision_counterexample() -> tuple[ChromaticComplex, list[Encoding], d
 # -- end-to-end pipeline -------------------------------------------------------
 
 
+@gc_paused
 def iterate_pipeline(c: ChromaticComplex, r: int, b: int) -> tuple[ChromaticComplex, int]:
     """r full-information iterations, each emulated by budgeted rounds.
 

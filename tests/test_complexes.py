@@ -14,13 +14,23 @@ Core claims:
     - Degree, adjacency, containment, equality behave on small fixtures
     - Cached rivals are the same-color vertices two hops away; a vertex
       without any maps to an empty tuple
+    - gc_paused runs its call with the cyclic collector off and turns it
+      back on when the call returns or raises (ResourceLimit, AmbiguousDecode),
+      leaves a collector the caller disabled off, and re-enables nested calls
+      only at the outermost; no collection runs inside any paused entry
+      point, and each leaves no cyclic garbage, so the pause loses nothing
 """
+
+import gc
+import inspect
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from itermem import (
+    AmbiguousDecode,
     ChromaticComplex,
     DanglingVertexReference,
     DuplicateColorInFacet,
@@ -28,18 +38,32 @@ from itermem import (
     IncompatibleVertexSpaces,
     NotAFacet,
     NotASubcomplex,
+    ResourceLimit,
     Simplex,
     SimplexNotInComplex,
     Vertex,
     VertexNotInComplex,
     assert_facet,
     assert_subcomplex,
+    bounded_protocol_complex,
     build_complex,
+    chromatic_subdivide,
+    cli,
+    code_collision_counterexample,
+    export_complex,
     gen_glued,
     gen_path,
     gen_simplex,
+    greedy_star,
+    import_complex,
+    is_isomorphic,
+    iterate_pipeline,
+    iterate_subdivide,
+    protocol_complex,
+    split_to_budget,
 )
-from itermem.complexes import _maximal
+from itermem.complexes import StateRegistry, _maximal, gc_paused
+from itermem.protocols import one_round, schedule_oracle
 
 # vids in gen_glued(2): a1=0, p1=1, p2=2, a2=3
 A1, P1, P2, A2 = 0, 1, 2, 3
@@ -248,3 +272,132 @@ class TestSubcomplexes:
         assert a == b
         assert hash(a) == hash(b)
         assert a != _triangle()
+
+
+# -- the paused collector ------------------------------------------------
+
+
+@pytest.fixture
+def collector_on():
+    """The collector on, as an unconfigured process has it, then as it was."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()
+
+
+@gc_paused
+def _probe(inner=None):
+    """gc.isenabled() inside a paused call, after an optional nested call."""
+    if inner is not None:
+        inner()
+    return gc.isenabled()
+
+
+class TestGcPaused:
+    def test_paused_inside_and_on_again_after(self, collector_on):
+        assert _probe() is False
+        assert gc.isenabled()
+
+    def test_on_again_after_a_raise(self, collector_on):
+        with pytest.raises(ResourceLimit):
+            protocol_complex(gen_simplex(3), "ic", 1, max_facets=10)
+        assert gc.isenabled()
+        c, seq, _evidence = code_collision_counterexample()
+        with pytest.raises(AmbiguousDecode):
+            bounded_protocol_complex(c, seq)
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_disabled_stays_off(self, collector_on):
+        gc.disable()
+        assert _probe() is False
+        protocol_complex(gen_simplex(2), "iis", 1)
+        assert not gc.isenabled()
+
+    def test_nested_calls_re_enable_only_at_the_outermost(self, collector_on):
+        inner = []
+        assert _probe(lambda: inner.append(_probe())) is False
+        assert inner == [False]
+        assert gc.isenabled()
+
+
+def _entry_points(tmp_path):
+    """One small call per paused entry point, by name."""
+    d2 = gen_simplex(2)
+    ic = protocol_complex(d2, "ic", 1)
+    seq = split_to_budget(greedy_star(ic)[0], ic, 2)
+    data = export_complex(ic, "json")
+    facet = next(iter(d2.facets))
+    src = tmp_path / "d2.json"
+    src.write_bytes(export_complex(d2, "json"))
+    # no --json-out: the standard library's indenting JSON encoder leaves
+    # a fixed-size cycle of its own closures on every call
+    argv = ["subdivide", "--in", str(src), "--rounds", "2", "--out", str(tmp_path / "o.json")]
+    return {
+        "protocol_complex": lambda: protocol_complex(d2, "iis", 2),
+        "one_round": lambda: one_round(d2, "ic", StateRegistry(d2)),
+        "iterate_subdivide": lambda: iterate_subdivide(d2, 2),
+        "chromatic_subdivide": lambda: chromatic_subdivide(d2),
+        "bounded_protocol_complex": lambda: bounded_protocol_complex(ic, seq),
+        "iterate_pipeline": lambda: iterate_pipeline(d2, 2, 2),
+        "import_complex": lambda: import_complex(data),
+        "export_complex": lambda: export_complex(ic, "json"),
+        "f_vector": import_complex(data).f_vector,
+        "is_isomorphic": lambda: is_isomorphic(ic, import_complex(data)),
+        "schedule_oracle-ic": lambda: schedule_oracle(d2, facet, "ic"),
+        "schedule_oracle-iis": lambda: schedule_oracle(d2, facet, "iis"),
+        "cli.main": lambda: cli.main(argv),
+    }
+
+
+# the function whose frames a collection must not interrupt, per entry point
+_BODIES = {
+    "protocol_complex": protocol_complex,
+    "one_round": one_round,
+    "iterate_subdivide": protocol_complex,
+    "chromatic_subdivide": one_round,
+    "bounded_protocol_complex": bounded_protocol_complex,
+    "iterate_pipeline": iterate_pipeline,
+    "import_complex": import_complex,
+    "export_complex": export_complex,
+    "f_vector": ChromaticComplex.f_vector,
+    "is_isomorphic": is_isomorphic,
+    "schedule_oracle-ic": schedule_oracle,
+    "schedule_oracle-iis": schedule_oracle,
+    "cli.main": cli.main,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BODIES))
+def test_no_collection_inside_an_entry_point(name, tmp_path, collector_on):
+    call = _entry_points(tmp_path)[name]
+    body = inspect.unwrap(_BODIES[name]).__code__
+    inside = []
+
+    def record(phase, _info):
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not body:
+            frame = frame.f_back
+        inside.append(frame is not None)
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(1)  # a collection at nearly every allocation, unless paused
+    gc.callbacks.append(record)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*threshold)
+    assert not any(inside)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", sorted(_BODIES))
+def test_an_entry_point_leaves_no_cyclic_garbage(name, tmp_path, collector_on):
+    call = _entry_points(tmp_path)[name]
+    call()  # fill the module-level caches first
+    gc.collect()
+    gc.disable()
+    call()
+    assert gc.collect() == 0
