@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, inf, lgamma, log, log10
+from math import factorial, lgamma, log, log10
 from sys import float_info
 
 from .complexes import ChromaticComplex
@@ -76,10 +76,12 @@ def bounds_table(
     """Counting bound for (n, r, b); the degree lower bound when c is supplied.
 
     n = 2 short-circuits: each iteration costs one round regardless of b,
-    so the formula bound is reported as the iteration count itself.  Where
-    the float formula overflows, or underflows below the normal floats (b
-    far above n), the bound is exact (a Fraction when b > n; ResourceLimit
-    over 2^22 bits), and `rows` shows it in scientific notation.
+    so the formula bound is reported as the iteration count itself.
+    Otherwise the bound is computed exactly (ResourceLimit over 2^22 bits)
+    and reported as the float nearest to it when that is a normal float.
+    Past the normal floats (far above them, or below them when b is far
+    above n) it stays exact, a Fraction when b > n, and `rows` shows it in
+    scientific notation.
     """
     if n < 2:
         raise InvalidParameters("need at least two processes")
@@ -88,15 +90,12 @@ def bounds_table(
     if n == 2:
         lower = float(r)
     else:
-        try:
-            lower = float(factorial(n)) ** (r - 1) * 2.0 ** (n - b)
-        except OverflowError:
-            lower = inf
-    if not float_info.min <= lower < inf:  # past normal floats: exact, unless too large
         if (r - 1) * lgamma(n + 1) / log(2) + abs(n - b) > 1 << 22:
             raise ResourceLimit(f"counting bound for n={n}, r={r}, b={b} has over 2^22 bits")
         top = factorial(n) ** (r - 1)
         lower = top * 2 ** (n - b) if b <= n else Fraction(top, 2 ** (b - n))
+        if float_info.min <= lower <= float_info.max:
+            lower = float(lower)  # rounded once, to nearest
     degree_lower = lower_bound_rounds(c, b) if c is not None else None
     return BoundsReport(
         n=n,

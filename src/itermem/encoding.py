@@ -12,12 +12,15 @@ color adjacent to a neighbor of v.  They depend on the complex alone, so
 `ChromaticComplex.rivals` computes them once per complex and every check
 here reads that cache; v is distinguishable iff no rival has v's code.
 This is the same predicate as the two-hop scan, not an approximation.
+
+`rounds_coding` turns a sequence into per-vertex round masks, the one
+coding map that the cover checks of `greedy` and the simulator read.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .complexes import ChromaticComplex
 from .errors import InvalidParameters, VertexNotInComplex
@@ -42,6 +45,14 @@ class Encoding:
             clean[vid] = code
         self._codes = clean
 
+    @classmethod
+    def _of(cls, codes: dict[int, int]) -> "Encoding":
+        """From a vid -> code dict of ints >= 0, held as given (the library's
+        own outputs; outside input goes through the checking constructor)."""
+        enc = cls.__new__(cls)
+        enc._codes = codes
+        return enc
+
     def value(self, vid: int) -> int | None:
         return self._codes.get(vid)
 
@@ -62,6 +73,21 @@ class Encoding:
     def __repr__(self) -> str:
         body = ", ".join(f"{v}:{k}" for v, k in sorted(self._codes.items()))
         return f"Encoding({{{body}}})"
+
+
+def rounds_coding(seq: Iterable[Encoding]) -> dict[int, int]:
+    """vid -> the rounds that code it, as bits: bit r is set iff seq[r] codes it.
+
+    A face is coded whole by some round iff the AND of its vertices' masks
+    is nonzero; vids no round codes are absent.
+    """
+    coding: dict[int, int] = {}
+    get = coding.get
+    for r, enc in enumerate(seq):
+        bit = 1 << r
+        for v in enc._codes:
+            coding[v] = get(v, 0) | bit
+    return coding
 
 
 def is_vertex_distinguishable(c: ChromaticComplex, v: int, enc: Encoding) -> bool:

@@ -15,6 +15,13 @@ round-global per-color code uniqueness (distinguishability across stars).
 faces it keeps first-fit into rounds, which is first-fit greedy coloring of
 the graph of faces that cannot share a round (Welsh & Powell, Comput. J.
 1967).
+
+Which facets a sequence codes whole is read from one coding map,
+`encoding.rounds_coding`: per vid, the rounds that code it as bits.  A
+facet is coded whole by some round iff its vertices' masks AND to nonzero
+(`_unkept` returns the others).  `verify_cover`, `split_to_budget` and the
+simulator's plan all read that map.  The library's own sequences are built
+unchecked (`Encoding._of`); outside input goes through `Encoding`.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from itertools import chain
 from typing import Iterable
 
 from .complexes import ChromaticComplex, Simplex, _maximal
-from .encoding import Encoding
+from .encoding import Encoding, rounds_coding
 from .errors import InvalidParameters, ItermemError
 
 
@@ -108,7 +115,7 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
                 codes[x] = base + k
                 rank[color[x]] = k + 1
             base += max(rank.values())
-        enc = Encoding(codes)
+        enc = Encoding._of(codes)
         covered = frozenset(f for v in selected for f in through[v])
         seq.append(enc)
         rounds.append(StarRound(tuple(selected), covered, enc))
@@ -129,24 +136,18 @@ def _sound(c: ChromaticComplex, enc: Encoding) -> bool:
     return all(by_code[k].isdisjoint(of[v]) for v, k in enc.items() if v in of)
 
 
-def _unkept(faces: Iterable[Simplex], goods: Iterable[frozenset[int]]) -> set[Simplex]:
-    """The nonempty faces that lie inside none of the vertex sets.
-
-    Faces wait under their least vid, so a set only tests the faces waiting
-    under its own vertices; the sets are drawn until no face waits.
-    """
-    waiting: dict[int, set[Simplex]] = {}
+def _unkept(faces: Iterable[Simplex], coding: dict[int, int]) -> set[Simplex]:
+    """The faces no round codes whole: their vertices' round masks
+    (`rounds_coding`) AND to 0."""
+    get = coding.get
+    out: set[Simplex] = set()
     for f in faces:
-        waiting.setdefault(min(f), set()).add(f)
-    for good in goods:
-        if not waiting:
-            break
-        for v in good & waiting.keys():
-            fs = waiting[v]
-            fs.difference_update([f for f in fs if f <= good])
-            if not fs:
-                del waiting[v]
-    return set().union(*waiting.values())
+        rounds = -1
+        for v in f:
+            rounds &= get(v, 0)
+        if not rounds:
+            out.add(f)
+    return out
 
 
 def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:
@@ -161,10 +162,12 @@ def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:
     the round that codes a facet whole reaches each collect view, and the
     other rounds only add unions with collect views, which are collect
     views again.
+
+    After the soundness check, one pass builds each vid's round mask
+    (`rounds_coding`), and a facet is coded whole iff its vertices' masks
+    AND to nonzero.
     """
-    return all(_sound(c, e) for e in seq) and not _unkept(
-        c.facets, (e.coded_vids() for e in seq)
-    )
+    return all(_sound(c, e) for e in seq) and not _unkept(c.facets, rounds_coding(seq))
 
 
 def split_to_budget(
@@ -174,11 +177,15 @@ def split_to_budget(
 
     The faces a sequence keeps are those some sound round codes whole (see
     `verify_cover`); for a covering sequence, such as every `greedy_star`
-    output, they are the facets of c.  Faces are taken in sorted order, and
-    each joins the first round where every vertex of the face is already
-    coded or can take the least code in 1..2^b-1 that none of its coded
-    rivals uses.  The output is a sound sequence that keeps every face seq
-    keeps, so it covers c whenever seq does.
+    output, they are the facets of c, taken as they are.  Otherwise the
+    facets whose round masks over the sound rounds AND to 0 (`_unkept` on
+    `rounds_coding`) are the missed ones, and only they are cut to each
+    sound round; the kept facets and the maximal cuts are the faces.
+    Faces are taken in sorted order, and each joins the first round where
+    every vertex of the face is already coded or can take the least code
+    in 1..2^b-1 that none of its coded rivals uses.  The output is a sound
+    sequence that keeps every face seq keeps, so it covers c whenever seq
+    does.
 
     Per vertex, a bitmask holds the rounds in which its coded rivals use
     every code; OR-ing the masks of a face's vertices gives its first round
@@ -192,11 +199,14 @@ def split_to_budget(
     # codes past the largest rival count plus one are never handed out
     budget = min(2**b - 1, max(map(len, of.values()), default=0) + 1)
     every_code = (1 << (budget + 1)) - 2  # bits 1..budget
-    coded = [e.coded_vids() for e in seq if _sound(c, e)]
-    # a facet some round codes whole holds all its cuts, so only the other
-    # facets are cut by every round
-    missed = _unkept(c.facets, coded)
-    faces = _maximal(chain(c.facets - missed, (f & s for f in missed for s in coded)))
+    sound = [e for e in seq if _sound(c, e)]
+    missed = _unkept(c.facets, rounds_coding(sound))
+    faces = c.facets
+    if missed:
+        # a facet some round codes whole holds all its cuts, so only the
+        # other facets are cut by every round
+        coded = [e.coded_vids() for e in sound]
+        faces = _maximal(chain(faces - missed, (f & s for f in missed for s in coded)))
     rounds: list[dict[int, int]] = []  # per round: vid -> code
     taken: list[dict[int, int]] = []  # per round: open vid -> its rivals' codes
     full: dict[int, int] = {}  # vid -> rounds with no code left for it
@@ -224,4 +234,4 @@ def split_to_budget(
                     near.pop(x, None)
                 else:
                     near[x] = mask
-    return [Encoding(codes) for codes in rounds]
+    return [Encoding._of(codes) for codes in rounds]

@@ -211,4 +211,4 @@ def exact_min_sequence(c: ChromaticComplex) -> tuple[int, list[Encoding]]:
             top[p + 1], p = max(top[p], x), p + (1 if x >= 0 else -1)
         if p == m:
             rounds = [[facets[i] for i, x in zip(pos, color) if x == y] for y in range(k)]
-            return k, [Encoding(dict.fromkeys(chain(*r), 1)) for r in rounds]
+            return k, [Encoding._of(dict.fromkeys(chain(*r), 1)) for r in rounds]

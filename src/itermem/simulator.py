@@ -62,7 +62,7 @@ from .complexes import (
     compile_rows,
     gc_paused,
 )
-from .encoding import Encoding
+from .encoding import Encoding, rounds_coding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
 from .generators import gen_glued
 from .iso import is_isomorphic
@@ -197,8 +197,11 @@ def bounded_protocol_complex(
     that codes fewer than two positions adds nothing, so only the active
     rounds, those coding two or more, count.
 
-    The fold of a facet is therefore a function of its key: k and the set
-    of its active rounds' coded masks.  The OR-sumset is commutative, and
+    The plan reads each vid's rounds from `encoding.rounds_coding`, the
+    coding map `greedy.verify_cover` reads too, and refines them position
+    by position into the rounds that code each set of positions.  The fold
+    of a facet is therefore a function of its key: k and the set of its
+    active rounds' coded masks.  The OR-sumset is commutative, and
     idempotent since the ic template is union-closed, so neither the order
     nor the repeats of the rounds matter.  Each distinct key is folded
     once (`_fold`).  Two budget checks come before the decode check and
@@ -218,10 +221,7 @@ def bounded_protocol_complex(
     ``protocol_complex(c, IC, 1)`` itself, which both return through
     `StateRegistry.complex`.
     """
-    coding: dict[int, int] = {}  # vid -> the rounds that code it, as bits
-    for r, enc in enumerate(seq):
-        for v, _code in enc.items():
-            coding[v] = coding.get(v, 0) | 1 << r
+    coding = rounds_coding(seq)
     color = {v: x.color for v, x in c.vertices.items()}
     keys: dict = {}  # each distinct key, mapped to its one stored copy
     plan = []  # per facet in sorted order: the facet and its key

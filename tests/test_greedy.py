@@ -22,6 +22,13 @@ Core claims:
       on greedy and on random encodings, at any b
     - Ch^3 of the triangle packs into 148 / 19 / 5 rounds at b = 1 / 2 / 3
     - Packed round counts never fall below the degree lower bound
+    - The coding map: bit r of a vid's mask is set iff round r codes it,
+      and the faces whose masks AND to 0 are those no round codes whole,
+      past 64 rounds, with empty and repeated rounds and vids outside c;
+      Ch^2 of the 3-simplex packs into 1,223 rounds at b = 1, which cover
+      it until one vertex leaves the only round coding a facet whole
+    - greedy_star, split_to_budget and exact_min_sequence return what the
+      checking Encoding constructor would build from the same codes
 """
 
 from collections import Counter
@@ -49,7 +56,10 @@ from itermem import (
     split_to_budget,
     verify_cover,
 )
+from itermem.encoding import rounds_coding
+from itermem.greedy import _unkept
 from itermem.io import trace_to_dict
+from itermem.setcover import exact_min_sequence
 
 random_complexes = st.builds(
     gen_random,
@@ -69,6 +79,18 @@ def encodings(draw, c, codes=2):
     """An encoding of c with bottoms and few codes, so conflicts are common."""
     code = st.none() | st.integers(0, codes)
     return Encoding({v: draw(code) for v in sorted(c.vertices)})
+
+
+@st.composite
+def round_sequences(draw, c):
+    """Up to 90 rounds drawn with repeats from a few encodings, which may be
+    empty and may code vids outside c, after up to 70 empty rounds: past
+    64 of them, every face is coded whole only above bit 63."""
+    vids = st.integers(0, max(c.vertices, default=0) + 3)
+    pool = draw(st.lists(st.dictionaries(vids, st.integers(0, 3)), min_size=1, max_size=6))
+    size = draw(st.integers(0, 90))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return [Encoding(codes) for codes in [{}] * draw(st.integers(0, 70)) + picks]
 
 
 def _sound_rounds(c, seq):
@@ -345,6 +367,49 @@ class TestSplitToBudget:
     def test_bad_bits(self):
         with pytest.raises(InvalidParameters):
             split_to_budget([], gen_simplex(1), 0)
+
+
+class TestRoundsCoding:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data(), random_complexes)
+    def test_unkept_matches_definition(self, data, c):
+        seq = data.draw(round_sequences(c))
+        coding = rounds_coding(seq)
+        vids = {v for e in seq for v in e.coded_vids()}
+        assert coding == {
+            v: sum(1 << r for r, e in enumerate(seq) if v in e.coded_vids()) for v in vids
+        }
+        faces = (c.faces() | {frozenset(vids)}) - {frozenset()}
+        assert _unkept(faces, coding) == {
+            f for f in faces if not any(f <= e.coded_vids() for e in seq)
+        }
+
+    def test_ch2_of_3_simplex_split_at_one_bit(self):
+        c = iterate_subdivide(gen_simplex(3), 2)
+        split = split_to_budget(greedy_star(c)[0], c, 1)
+        assert len(split) == 1223
+        assert verify_cover(c, split)
+        # a facet only the last round codes whole: its vertices' masks
+        # share bit 1222 alone.  Without one of its vertices there, the
+        # round stays sound but the facet is no longer coded whole
+        last = split[-1].coded_vids()
+        f = min(
+            (f for f in c.facets if f <= last and not any(f <= e.coded_vids() for e in split[:-1])),
+            key=sorted,
+        )
+        v = min(f)
+        dropped = split[:-1] + [Encoding({u: k for u, k in split[-1].items() if u != v})]
+        assert not verify_cover(c, dropped)
+
+
+class TestOutputsAsChecked:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(random_complexes, st.integers(1, 3))
+    def test_outputs_equal_checked_encodings(self, c, b):
+        seq, trace = greedy_star(c)
+        split = split_to_budget(seq, c, b)
+        for e in [*seq, *(r.encoding for r in trace.rounds), *split, *exact_min_sequence(c)[1]]:
+            assert e == Encoding(dict(e.items()))
 
 
 class TestBounds:

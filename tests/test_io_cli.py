@@ -495,6 +495,13 @@ class TestCli:
             assert lower == float(factorial(n)) ** (r - 1) * 2.0 ** (n - b)
             assert isinstance(lower, float)
 
+    def test_bounds_round_once(self):
+        # 6^34 * 4 is inexact in a float; the float formula rounded twice
+        lower = bounds_table(3, 35, 1).lower_formula
+        assert float(factorial(3)) ** 34 * 2.0 ** 2 == 1.1460471998322818e27
+        assert lower == float(factorial(3) ** 34 * 2 ** 2) == 1.1460471998322817e27
+        assert isinstance(lower, float)
+
     def test_bounds_two_process_row(self, capsys):
         assert main(["bounds", "--n", "2", "--r", "5", "--b", "1"]) == 0
         assert "two-process round complexity: 1" in capsys.readouterr().out
