@@ -12,8 +12,9 @@ register is left, and a read sees the written registers its step covers.
 The patterns differ only in what one step covers (`_steps`): one register
 for ic, all of them for ias and iis.  iis keeps the immediate outcomes,
 where whoever saw q saw everything q saw (Borowsky & Gafni, PODC 1993).
-`ORACLE_CAP` holds the most processes `schedule_oracle` walks per pattern;
-the CLI notes a protocol round on a larger facet as unchecked by it.
+`ORACLE_CAP` holds the most processes `schedule_oracle` walks per pattern,
+3 for ic and 5 for the snapshots; the CLI notes a protocol round on a larger
+facet as unchecked by it.
 
 Closed forms (views are self-inclusive subsets of one facet):
   iis: ordered set partitions; a view is the union of the blocks up to and
@@ -66,7 +67,7 @@ IIS = "iis"
 PATTERNS = (IC, IAS, IIS)
 
 # the most processes `schedule_oracle` walks, per pattern
-ORACLE_CAP = {IC: 3, IAS: 4, IIS: 4}
+ORACLE_CAP = {IC: 3, IAS: 5, IIS: 5}
 
 
 def _check_pattern(p: str) -> str:
@@ -320,6 +321,13 @@ def schedule_oracle(
     left per process, values seen) share all continuations, which keeps
     the walk polynomial in practice.  iis keeps the `_immediate` outcomes.
     Capped at `ORACLE_CAP[pattern]` processes (ResourceLimit).
+
+    A walk state is one int of n(2n + 1) bits, over positions 0..n-1 of
+    the sorted vids: the registers written in bits [0, n), process i's
+    registers left in bits [n(i+1), n(i+2)), and process i's seen mask in
+    the n·n bits above those, at [n(n+1) + n·i, n(n+1) + n(i+1)).  The walk
+    returns the seen fields of its final states, unpacked into per-process
+    masks once at the end.
     """
     _check_pattern(pattern)
     facet = assert_facet(c, input_facet)
@@ -329,27 +337,32 @@ def schedule_oracle(
     if n > cap:
         raise ResourceLimit(f"{pattern} schedule oracle is capped at {cap} processes")
 
-    bits = [1 << i for i in range(n)]
     full = (1 << n) - 1
+    seen_at = n * (n + 1)
+    any_left = (1 << seen_at) - 1 ^ full
     steps = [_steps(pattern, left) for left in range(full + 1)]
 
     @lru_cache(maxsize=None)
-    def walk(written: int, left: tuple[int, ...], seen: tuple[int, ...]) -> frozenset:
-        if not any(left):
-            return frozenset({seen})
+    def walk(state: int) -> frozenset:
+        if not state & any_left:
+            return frozenset({state >> seen_at})
         results: set = set()
-        for i, bit in enumerate(bits):
-            if not written & bit:
-                results |= walk(written | bit, left, seen)
-            elif left[i]:
-                head, tail = left[:i], left[i + 1 :]
-                for step in steps[left[i]]:
-                    got = written & step
-                    s = seen[:i] + (seen[i] | got,) + seen[i + 1 :] if got else seen
-                    results |= walk(written, head + (left[i] & ~step,) + tail, s)
+        written = state & full
+        for i in range(n):
+            left_at = n * (i + 1)
+            left = state >> left_at & full
+            if not written >> i & 1:
+                results |= walk(state | 1 << i)
+            elif left:
+                for step in steps[left]:
+                    got = (written & step) << seen_at + n * i
+                    results |= walk(state ^ step << left_at | got)
         return frozenset(results)
 
-    outcomes = walk(0, (full,) * n, (0,) * n)
+    outcomes = [
+        tuple(seen >> n * i & full for i in range(n))
+        for seen in walk(sum(full << n * (i + 1) for i in range(n)))
+    ]
     walk.cache_clear()
     walk = None  # the cached closure refers to itself: break that cycle
     return _outcome_views(c, vids, pattern, outcomes)
@@ -404,9 +417,13 @@ def raw_interleaving_views(
     is an order of its read steps.  Enumerates every program choice and
     interleaving, which is capped at 2 processes for ic and 4 for
     snapshots (ResourceLimit); with `sample` set, draws that many random
-    programs and interleavings instead, with no cap.
+    programs and interleavings instead, with no cap.  A sample below 1
+    raises InvalidParameters: it would draw nothing, and the empty result
+    lies within every closed form.
     """
     _check_pattern(pattern)
+    if sample is not None and sample < 1:
+        raise InvalidParameters(f"need sample >= 1, got {sample}")
     facet = assert_facet(c, input_facet)
     vids = sorted(facet)
     n = len(vids)

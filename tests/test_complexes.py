@@ -346,6 +346,7 @@ def _entry_points(tmp_path):
         "f_vector": import_complex(data).f_vector,
         "is_isomorphic": lambda: is_isomorphic(ic, import_complex(data)),
         "schedule_oracle-ic": lambda: schedule_oracle(d2, facet, "ic"),
+        "schedule_oracle-ias": lambda: schedule_oracle(d2, facet, "ias"),
         "schedule_oracle-iis": lambda: schedule_oracle(d2, facet, "iis"),
         "cli.main": lambda: cli.main(argv),
     }
@@ -364,6 +365,7 @@ _BODIES = {
     "f_vector": ChromaticComplex.f_vector,
     "is_isomorphic": is_isomorphic,
     "schedule_oracle-ic": schedule_oracle,
+    "schedule_oracle-ias": schedule_oracle,
     "schedule_oracle-iis": schedule_oracle,
     "cli.main": cli.main,
 }

@@ -30,7 +30,7 @@ Core claims:
       gen/subdivide/protocol/simulate), 3 resources (also an isomorphism
       search past its node budget), 4 any other exception
     - protocol notes a facet past the schedule oracle's cap for its
-      pattern, and only then: not ic on 4-color triangles, but iis on Δ⁴
+      pattern, and only then: not ic on 4-color triangles, but iis on Δ⁵
     - subdivide and protocol --pattern iis write the same bytes; verify
       decides Ch^2 of the 3-simplex ~= a vid-shuffled IIS^2 (1,124
       vertices a side)
@@ -583,14 +583,14 @@ class TestCli:
                      "--json-out", str(summary)]) == 0
         assert "note" not in capsys.readouterr().out
         assert "note" not in json.loads(summary.read_text())
-        # iis on the 4-simplex is past the 4-process snapshot oracle
-        d4 = tmp_path / "d4.json"
-        assert main(["gen", "simplex", "--n", "4", "--out", str(d4)]) == 0
+        # iis on the 5-simplex is past the 5-process snapshot oracle
+        d5 = tmp_path / "d5.json"
+        assert main(["gen", "simplex", "--n", "5", "--out", str(d5)]) == 0
         capsys.readouterr()
-        assert main(["protocol", "--in", str(d4), "--pattern", "iis",
+        assert main(["protocol", "--in", str(d5), "--pattern", "iis",
                      "--json-out", str(summary)]) == 0
         out = capsys.readouterr().out
-        assert "note: iis view families on facets of more than 4 processes" in out
+        assert "note: iis view families on facets of more than 5 processes" in out
         assert "oracle-validated range" in json.loads(summary.read_text())["note"]
         # on Δ² and Δ³, the note shows iff the schedule oracle refuses the facet
         for n in (2, 3):

@@ -5,7 +5,7 @@ Core claims:
     - View counts on the triangle: 13 (immediate snapshot), 19 (atomic
       snapshot), 25 (collect); 3 each on the edge
     - Closed forms equal the brute-force schedule oracle at 2 and 3 colors,
-      and at 4 colors for the snapshot patterns
+      and at 4 and 5 colors for the snapshot patterns
     - The ias template is the filtered product of self-inclusive views, in
       product order, at 1-4 colors, and has the counted length at 5
     - The per-size templates equal the product-filter definitions (iis:
@@ -37,9 +37,12 @@ Core claims:
     - Containment monotonicity on sampled raw interleavings
     - Both oracles, run on one read-step rule, equal the two walks and the
       string-tagged event interpreter they replaced on every facet of the
-      oracle corpus (sampled collect from the same seeds)
-    - Oracle resource caps raise ResourceLimit, unsampled raw interleavings
-      above 2 processes for ic and 4 for snapshots within 1 s
+      oracle corpus (sampled collect from the same seeds); the schedule
+      oracle also on the 4-simplex for the snapshot patterns
+    - Oracle resource caps raise ResourceLimit: the schedule oracle above 3
+      processes for ic and 5 for snapshots, unsampled raw interleavings
+      above 2 for ic and 4 for snapshots within 1 s; a raw sample below 1
+      raises InvalidParameters
     - Protocol budgets are checked from counted facets (ordered Bell,
       labeled acyclic digraphs, ias chains; each equal to the template's
       length), before any view family or template is built
@@ -76,7 +79,13 @@ from itermem import (
     schedule_oracle,
 )
 from itermem.complexes import build_complex
-from itermem.protocols import _family_count, _outcome_views, _template, _with_subsets
+from itermem.protocols import (
+    ORACLE_CAP,
+    _family_count,
+    _outcome_views,
+    _template,
+    _with_subsets,
+)
 
 TRIANGLE_COUNTS = {IIS: 13, IAS: 19, IC: 25}
 IC_COUNTS = (1, 3, 25, 543, 29281)  # labeled acyclic digraphs
@@ -207,6 +216,9 @@ ORACLE_CORPUS = {
     **{f"rand3.{seed}": gen_random(seed, 3, 4) for seed in range(4)},
     **{f"rand4.{seed}": gen_random(seed, 4, 3) for seed in range(2)},
 }
+# the schedule oracle also walks the 4-simplex, past the unsampled raw
+# interleavings' snapshot cap
+SCHEDULE_CORPUS = {**ORACLE_CORPUS, "D4": gen_simplex(4)}
 
 
 def _misses_acyclic(views: dict[int, frozenset[int]], owner: dict[int, int]) -> bool:
@@ -406,16 +418,16 @@ class TestOracleEquivalence:
         c = gen_simplex(3)
         with pytest.raises(ResourceLimit):
             schedule_oracle(c, _facet(c), IC)
-        c5 = gen_simplex(4)
+        c6 = gen_simplex(5)
         with pytest.raises(ResourceLimit):
-            schedule_oracle(c5, _facet(c5), IAS)
+            schedule_oracle(c6, _facet(c6), IAS)
 
-    @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_CORPUS))
     def test_schedule_oracle_equals_reference(self, name):
-        c = ORACLE_CORPUS[name]
+        c = SCHEDULE_CORPUS[name]
         for f in c.facets:
             for pat in PATTERNS:
-                if pat != IC or len(f) <= 3:
+                if len(f) <= ORACLE_CAP[pat]:
                     got = schedule_oracle(c, f, pat)
                     assert got == _reference_schedule_oracle(c, f, pat), (f, pat)
 
@@ -442,6 +454,13 @@ class TestOracleEquivalence:
         c = gen_simplex(2)
         f = _facet(c)
         assert raw_interleaving_views(c, f, IC, sample=8, seed=1) <= round_views(c, f, IC)
+
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_raw_interleavings_need_a_sample(self, sample):
+        # drawing nothing gave an empty set, which lies within every closed form
+        c = gen_simplex(2)
+        with pytest.raises(InvalidParameters):
+            raw_interleaving_views(c, _facet(c), IC, sample=sample)
 
     def test_raw_interleavings_edge(self):
         c = gen_simplex(1)
