@@ -81,12 +81,15 @@ def bounds_table(
     and reported as the float nearest to it when that is a normal float.
     Past the normal floats (far above them, or below them when b is far
     above n) it stays exact, a Fraction when b > n, and `rows` shows it in
-    scientific notation.
+    scientific notation.  A negative `measured_rounds` raises
+    InvalidParameters.
     """
     if n < 2:
         raise InvalidParameters("need at least two processes")
     if r < 1 or b < 1:
         raise InvalidParameters("need r >= 1 and b >= 1")
+    if measured_rounds is not None and measured_rounds < 0:
+        raise InvalidParameters("need measured rounds >= 0")
     if n == 2:
         lower = float(r)
     else:

@@ -11,26 +11,27 @@ is distinguishable outright.  Two repairs over the plain greedy sweep are
 load-bearing and documented inline: candidate re-seeding (termination) and
 round-global per-color code uniqueness (distinguishability across stars).
 
-`split_to_budget` compiles any sequence to b-bit registers by packing the
-faces it keeps first-fit into rounds, which is first-fit greedy coloring of
-the graph of faces that cannot share a round (Welsh & Powell, Comput. J.
-1967).
+`split_to_budget` compiles a covering sequence (one `verify_cover`
+accepts) to b-bit registers by packing the facets of c first-fit into
+rounds, which is first-fit greedy coloring of the graph of facets that
+cannot share a round (Welsh & Powell, Comput. J. 1967).  Its output depends
+only on c and b; a sequence that does not cover raises InvalidParameters.
 
 Which facets a sequence codes whole is read from one coding map,
 `encoding.rounds_coding`: per vid, the rounds that code it as bits.  A
 facet is coded whole by some round iff its vertices' masks AND to nonzero
-(`_unkept` returns the others).  `verify_cover`, `split_to_budget` and the
-simulator's plan all read that map.  The library's own sequences are built
-unchecked (`Encoding._of`); outside input goes through `Encoding`.
+(`_unkept` returns the others).  `verify_cover`, which `split_to_budget`
+calls, and the simulator's plan both read that map.  The library's own
+sequences are built unchecked (`Encoding._of`); outside input goes through
+`Encoding`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
-from .complexes import ChromaticComplex, Simplex, _maximal
+from .complexes import ChromaticComplex, Simplex
 from .encoding import Encoding, rounds_coding
 from .errors import InvalidParameters, ItermemError
 
@@ -173,53 +174,43 @@ def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:
 def split_to_budget(
     seq: list[Encoding], c: ChromaticComplex, b: int
 ) -> list[Encoding]:
-    """Pack the faces seq keeps into rounds of at most 2^b - 1 codes each.
+    """Pack the facets of c into rounds of at most 2^b - 1 codes each.
 
-    The faces a sequence keeps are those some sound round codes whole (see
-    `verify_cover`); for a covering sequence, such as every `greedy_star`
-    output, they are the facets of c, taken as they are.  Otherwise the
-    facets whose round masks over the sound rounds AND to 0 (`_unkept` on
-    `rounds_coding`) are the missed ones, and only they are cut to each
-    sound round; the kept facets and the maximal cuts are the faces.
-    Faces are taken in sorted order, and each joins the first round where
-    every vertex of the face is already coded or can take the least code
+    seq must cover c (`verify_cover`), or InvalidParameters is raised; it
+    is checked, not read otherwise, so the packing depends only on c and b.
+    Facets are taken in sorted order, and each joins the first round where
+    every vertex of the facet is already coded or can take the least code
     in 1..2^b-1 that none of its coded rivals uses.  The output is a sound
-    sequence that keeps every face seq keeps, so it covers c whenever seq
-    does.
+    sequence that codes every facet whole, so it covers c too.
 
     Per vertex, a bitmask holds the rounds in which its coded rivals use
-    every code; OR-ing the masks of a face's vertices gives its first round
-    with room in one step.  Vertices of a face have distinct colors and so
-    are never rivals of each other: coding one leaves the others' codes free.
+    every code; OR-ing the masks of a facet's vertices gives its first
+    round with room in one step.  Vertices of a facet have distinct colors
+    and so are never rivals of each other: coding one leaves the others'
+    codes free.
     """
     if b < 1:
         raise InvalidParameters("need b >= 1")
+    if not verify_cover(c, seq):
+        raise InvalidParameters("need a sequence that covers c (verify_cover)")
     of = c.rivals()
     # a vertex with fewer rivals than codes always finds a free code, so
     # codes past the largest rival count plus one are never handed out
     budget = min(2**b - 1, max(map(len, of.values()), default=0) + 1)
     every_code = (1 << (budget + 1)) - 2  # bits 1..budget
-    sound = [e for e in seq if _sound(c, e)]
-    missed = _unkept(c.facets, rounds_coding(sound))
-    faces = c.facets
-    if missed:
-        # a facet some round codes whole holds all its cuts, so only the
-        # other facets are cut by every round
-        coded = [e.coded_vids() for e in sound]
-        faces = _maximal(chain(faces - missed, (f & s for f in missed for s in coded)))
     rounds: list[dict[int, int]] = []  # per round: vid -> code
     taken: list[dict[int, int]] = []  # per round: open vid -> its rivals' codes
     full: dict[int, int] = {}  # vid -> rounds with no code left for it
-    for face in sorted(faces, key=sorted):
+    for facet in sorted(c.facets, key=sorted):
         blocked = 0
-        for v in face:
+        for v in facet:
             blocked |= full.get(v, 0)
         i = (~blocked & (blocked + 1)).bit_length() - 1
         if i == len(rounds):
             rounds.append({})
             taken.append({})
         codes, near, bit = rounds[i], taken[i], 1 << i
-        for v in face:
+        for v in facet:
             if v in codes:
                 continue
             used = near.pop(v, 0) | 1  # code 0 is never handed out

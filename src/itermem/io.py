@@ -96,6 +96,13 @@ def complex_from_dict(d: dict) -> ChromaticComplex:
             facets = [Simplex(_json_int(v, "facet entry") for v in f) for f in rows]
     except (KeyError, TypeError) as exc:
         raise UnsupportedFormat(f"malformed complex document: {exc}") from exc
+    # repeats would be dropped by the dict and the frozensets; the lengths
+    # compare in C
+    if len(vertices) != len(d["vertices"]):
+        raise UnsupportedFormat("two vertex rows share a vid")
+    if sum(map(len, rows)) != sum(map(len, facets)):
+        bad = next(row for row, f in zip(rows, facets) if len(row) != len(f))
+        raise UnsupportedFormat(f"facet row {bad} repeats a vid")
     colors = {v.color for v in vertices.values()}
     if colors and n < max(colors) + 1:
         raise UnsupportedFormat(f"n={n} below the {len(colors)} colors present")

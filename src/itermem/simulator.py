@@ -65,6 +65,8 @@ from .complexes import (
 from .encoding import Encoding, rounds_coding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
 from .generators import gen_glued
+from .greedy import greedy_star, split_to_budget
+from .io import _canonical_label, encoding_to_dict
 from .iso import is_isomorphic
 from .protocols import (
     IC,
@@ -255,9 +257,11 @@ def bounded_protocol_complex(
     if total > max_facets:
         raise ResourceLimit(f"bounded protocol makes {total} facets, over {max_facets}")
     # per key, its vectors as rows: the template's own when it folded to all of it
+    # (the count first, so a key that stays solo never builds its template)
     compiled: dict[tuple[int, frozenset[int]], CompiledRows] = {}
     for (k, masks), vecs in folded.items():
-        compiled[k, masks] = _compiled(IC, k) if vecs == _packed_ic(k) else compile_rows(
+        whole = len(vecs) == _family_count(IC, k) and vecs == _packed_ic(k)
+        compiled[k, masks] = _compiled(IC, k) if whole else compile_rows(
             enumerate(_unpack(v, k)) for v in sorted(vecs)
         )
     _check_decodes(c, seq)
@@ -290,10 +294,14 @@ def _fold(k: int, coded: frozenset[int]) -> frozenset[int]:
     holds the whole template: the template is up-closed, so or-ing an
     addition into one of its vectors stays in it, and each vector t is kept
     by its own family's addition, t | (decoded & t) = t.  A round that codes
-    every position reaches the template from the solo vector at once.
+    every position reaches the template from the solo vector at once.  With
+    no coded mask the solo vector is the fold, and the template, which has
+    millions of families from k = 6 on, is not built.
     """
-    full = _packed_ic(k)
     vecs = {_pack([1 << i for i in range(k)], k)}
+    if not coded:
+        return frozenset(vecs)
+    full = _packed_ic(k)
     for m in sorted(coded, key=lambda m: (-m.bit_count(), m)):
         if vecs == full:
             break
@@ -385,8 +393,6 @@ def code_collision_counterexample() -> tuple[ChromaticComplex, list[Encoding], d
     broken_full = _observation_complex(c, c, broken, StateRegistry(c))
     repaired_full = bounded_protocol_complex(c, [repaired])
 
-    from .io import _canonical_label, encoding_to_dict
-
     evidence = {
         "merged_states": [
             {
@@ -417,8 +423,6 @@ def iterate_pipeline(c: ChromaticComplex, r: int, b: int) -> tuple[ChromaticComp
     next complex.  Returns the final complex and the total bounded round
     count.
     """
-    from .greedy import greedy_star, split_to_budget
-
     if r < 1 or b < 1:
         raise InvalidParameters("need r >= 1 and b >= 1")
     cur = c

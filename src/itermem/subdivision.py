@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, StateRegistry
 from .errors import InvalidParameters
+from .generators import gen_simplex
 from .protocols import IIS, one_round, protocol_complex
 
 
@@ -49,8 +50,6 @@ class GrowthRow:
 
 def degree_growth_table(n: int, r_max: int) -> list[GrowthRow]:
     """Exact max-degree of Ch^r of the n-simplex for r = 1..r_max."""
-    from .generators import gen_simplex
-
     if n < 1 or r_max < 2:
         raise InvalidParameters("need n >= 1 and r_max >= 2")
     cur = gen_simplex(n)

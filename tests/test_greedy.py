@@ -17,9 +17,12 @@ Core claims:
       collect, and the glued pair coded by greedy's first round alone is
       rejected (its uncoded apex discards what it reads), as is any
       sequence with a round whose codes clash
-    - split_to_budget packs: codes stay within 2^b - 1, every coded vertex
-      is distinguishable in its round, every face the input keeps is kept,
-      on greedy and on random encodings, at any b
+    - split_to_budget packs a covering sequence: codes stay within 2^b - 1,
+      every coded vertex is distinguishable in its round, the packing
+      covers, and it is the same whichever cover is given (greedy's, one
+      round per facet, greedy's reversed and repeated, the exact minimum,
+      drawn ones); a sequence that does not cover, or has an unsound round,
+      raises InvalidParameters
     - Ch^3 of the triangle packs into 148 / 19 / 5 rounds at b = 1 / 2 / 3
     - Packed round counts never fall below the degree lower bound
     - The coding map: bit r of a vid's mask is set iff round r codes it,
@@ -79,6 +82,15 @@ def encodings(draw, c, codes=2):
     """An encoding of c with bottoms and few codes, so conflicts are common."""
     code = st.none() | st.integers(0, codes)
     return Encoding({v: draw(code) for v in sorted(c.vertices)})
+
+
+@st.composite
+def dense_encodings(draw, c):
+    """An encoding that codes all but at most two vertices of c, with wide
+    codes, so that drawn sequences often cover."""
+    vids = sorted(c.vertices)
+    dropped = draw(st.sets(st.sampled_from(vids), max_size=2))
+    return Encoding({v: draw(st.integers(0, 40)) for v in vids if v not in dropped})
 
 
 @st.composite
@@ -327,26 +339,45 @@ class TestSplitToBudget:
         _assert_keeps(c, [e], sub)
         assert verify_cover(c, sub)
 
-    def test_packing_keeps_input_faces(self):
-        # single greedy rounds keep proper faces as well as facets
-        for seed in range(8):
-            c = gen_random(seed, 3, 6)
-            seq, _ = greedy_star(c)
+    def test_non_covering_sequences_rejected(self):
+        # a greedy prefix, no round at all, and one unsound round that codes
+        # both facets whole: the apexes share a code and a neighbor
+        c = gen_glued(2)
+        unsound = Encoding({v: 1 for v in c.vertices})
+        for seq in (greedy_star(c)[0][:1], [], [unsound]):
+            assert not verify_cover(c, seq)
             for b in (1, 2, 3):
-                for e in seq:
-                    sub = split_to_budget([e], c, b)
-                    _assert_keeps(c, [e], sub)
-                    assert all(k <= 2**b - 1 for s in sub for _, k in s.items())
+                with pytest.raises(InvalidParameters):
+                    split_to_budget(seq, c, b)
 
+    def test_covering_sequences_pack_alike(self):
+        # the packing depends on c and b only, whichever cover is given
+        for seed in range(16):
+            c = gen_random(seed, 2 + seed % 3, 2)
+            if seed % 2:
+                c = iterate_subdivide(c, 1)
+            greedy = greedy_star(c)[0]
+            per_facet = [Encoding(dict.fromkeys(f, 1)) for f in sorted(c.facets, key=sorted)]
+            covers = (greedy, per_facet, greedy[::-1] * 2, exact_min_sequence(c)[1])
+            for b in (1, 2, 3):
+                want = split_to_budget(greedy, c, b)
+                for seq in covers:
+                    assert verify_cover(c, seq)
+                    assert split_to_budget(seq, c, b) == want
+
+    @settings(max_examples=60, deadline=None)
     @given(st.data(), random_complexes, st.integers(1, 3))
-    def test_packing_keeps_input_faces_on_random_encodings(self, data, c, b):
-        # few codes and bottoms: unsound rounds, which keep nothing, are common
-        seq = data.draw(st.lists(encodings(c, codes=5), max_size=3))
-        sub = split_to_budget(seq, c, b)
-        _assert_keeps(c, seq, sub)
-        _assert_round_distinguishable(c, sub)
-        assert all(k <= 2**b - 1 for e in sub for _, k in e.items())
-        assert verify_cover(c, sub) or not verify_cover(c, seq)
+    def test_any_cover_packs_as_greedy(self, data, c, b):
+        # about two in five drawn sequences cover; the others are refused
+        seq = data.draw(st.lists(dense_encodings(c), min_size=1, max_size=3))
+        if verify_cover(c, seq):
+            sub = split_to_budget(seq, c, b)
+            assert sub == split_to_budget(greedy_star(c)[0], c, b)
+            assert verify_cover(c, sub)
+            assert all(1 <= k <= 2**b - 1 for e in sub for _, k in e.items())
+        else:
+            with pytest.raises(InvalidParameters):
+                split_to_budget(seq, c, b)
 
     def test_wide_registers(self):
         # more codes than any vertex has rivals: one round per conflict class

@@ -12,7 +12,8 @@ Core claims:
     - DOT export: one node per vertex with a color attribute, one edge per
       1-skeleton edge; csv-fvector matches the frozen subdivision value
     - Unknown formats and malformed documents are rejected, including
-      encoding keys that are not the digits str(vid) writes
+      encoding keys that are not the digits str(vid) writes, a vid listed
+      by two vertex rows and a facet row that repeats a vid
     - Encoding sequences round-trip, including block metadata
     - CLI: gen/subdivide/protocol/greedy-star/simulate/verify/bounds/
       reduce-setcover/exact-min/export/counterexample wire together
@@ -27,8 +28,9 @@ Core claims:
       non-integer set-cover items, input files that are not UTF-8 for
       export, simulate, verify and reduce-setcover, and options a
       subcommand does not read: --seed outside gen, --max-facets outside
-      gen/subdivide/protocol/simulate), 3 resources (also an isomorphism
-      search past its node budget), 4 any other exception
+      gen/subdivide/protocol/simulate, repeated vids in a complex
+      document, a negative bounds --measured), 3 resources (also an
+      isomorphism search past its node budget), 4 any other exception
     - protocol notes a facet past the schedule oracle's cap for its
       pattern, and only then: not ic on 4-color triangles, but iis on Δ⁵
     - subdivide and protocol --pattern iis write the same bytes; verify
@@ -58,6 +60,7 @@ from itermem import (
     PATTERNS,
     ChromaticComplex,
     Encoding,
+    InvalidParameters,
     ResourceLimit,
     UnsupportedFormat,
     Vertex,
@@ -273,6 +276,17 @@ class TestComplexJson:
         target[last] = bad
         with pytest.raises(UnsupportedFormat):
             import_complex(json.dumps(doc))
+
+    def test_import_rejects_repeated_vids(self):
+        # read silently, vid 0 would come back with color 1, and [0, 1, 1]
+        # as {0, 1}
+        doc = complex_to_dict(gen_simplex(2))
+        twice = {**doc, "vertices": doc["vertices"] + [{"vid": 0, "color": 1, "label": ""}]}
+        with pytest.raises(UnsupportedFormat, match="share a vid"):
+            import_complex(twice)
+        for facets in ([[0, 1, 1]], [[0, 1, 2], [2, 2]]):
+            with pytest.raises(UnsupportedFormat, match="repeats a vid"):
+                import_complex(json.dumps({**doc, "facets": facets}))
 
     def test_unknown_format(self):
         with pytest.raises(UnsupportedFormat):
@@ -502,6 +516,13 @@ class TestCli:
         assert lower == float(factorial(3) ** 34 * 2 ** 2) == 1.1460471998322817e27
         assert isinstance(lower, float)
 
+    def test_bounds_refuse_negative_measured_rounds(self, capsys):
+        with pytest.raises(InvalidParameters):
+            bounds_table(3, 1, 1, measured_rounds=-5)
+        assert bounds_table(3, 1, 1, measured_rounds=0).measured_rounds == 0
+        assert main(["bounds", "--n", "3", "--r", "1", "--b", "1", "--measured", "-5"]) == 2
+        assert "measured rounds" not in capsys.readouterr().out
+
     def test_bounds_two_process_row(self, capsys):
         assert main(["bounds", "--n", "2", "--r", "5", "--b", "1"]) == 0
         assert "two-process round complexity: 1" in capsys.readouterr().out
@@ -537,6 +558,17 @@ class TestCli:
         assert main(["subdivide", "--in", str(src), "--seed", "3"]) == 2
         assert main(["export", "--in", str(src), "--max-facets", "9"]) == 2
         assert main(["subdivide", "--in", str(src), "--max-facets", "99"]) == 0
+
+    def test_repeated_vid_documents_exit_2(self, tmp_path, capsys):
+        src = self._gen(tmp_path)
+        doc = json.loads(src.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "vertices": doc["vertices"] + doc["vertices"][:1]}))
+        assert main(["export", "--in", str(bad)]) == 2
+        assert "share a vid" in capsys.readouterr().err
+        bad.write_text(json.dumps({**doc, "facets": [[0, 1, 1], *doc["facets"]]}))
+        assert main(["subdivide", "--in", str(bad)]) == 2
+        assert "repeats a vid" in capsys.readouterr().err
 
     def test_non_integer_documents_exit_2(self, tmp_path, capsys):
         src = self._gen(tmp_path)

@@ -59,6 +59,8 @@ Core claims:
       simplex, glued fans and paths) equal full-information collect, at
       pinned round counts
     - Four colors run: with no rounds the 3-simplex comes back as it is;
+      so do Δ⁵ and Δ⁶ with no round or a one-vertex round, without
+      building their ic template;
       a 5-vertex facet coded by two rounds on different 4-subsets raises
       ResourceLimit from the fold-work projection (2^20 vectors), before
       any fold work
@@ -116,6 +118,7 @@ from itermem import (
     export_complex,
 )
 from itermem.protocols import _interleavings, _programs, _run, _template, subcomplex_sample
+from itermem import simulator
 from itermem.simulator import _fold, _pack
 
 A1, P1, P2, A2 = 0, 1, 2, 3
@@ -580,6 +583,21 @@ class TestBoundedComplex:
     def test_four_colors_without_rounds_is_solo(self):
         c = gen_simplex(3)
         assert bounded_protocol_complex(c, []) == c
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("seq", [[], [Encoding({0: 1})]], ids=["none", "one-vertex"])
+    def test_no_coded_pair_never_builds_the_template(self, monkeypatch, n, seq):
+        # Δ⁵'s ic template has 3,781,503 families; with no round coding two
+        # vertices of a facet the fold is the solo vector, without it
+        packed = simulator._packed_ic
+
+        def small_only(k):
+            assert k < 6, f"ic template built for k = {k}"
+            return packed(k)
+
+        monkeypatch.setattr(simulator, "_packed_ic", small_only)
+        c = gen_simplex(n)
+        assert bounded_protocol_complex(c, seq) == c
 
     def test_facet_projection_raises_before_folding(self):
         # two rounds coding different 4-subsets of a 5-vertex facet: one
