@@ -28,6 +28,7 @@ from .generators import gen_glued, gen_path, gen_random, gen_simplex
 from .greedy import greedy_star, split_to_budget, verify_cover
 from .io import (
     FORMATS,
+    _loads,
     export_complex,
     import_complex,
     sequence_from_list,
@@ -61,15 +62,8 @@ def _write_json(path: str, doc) -> None:
     _write(path, (json.dumps(doc, indent=2, sort_keys=True, default=repr) + "\n").encode())
 
 
-def _read_json(path: str):
-    try:
-        return json.loads(Path(path).read_bytes())
-    except UnicodeDecodeError as exc:
-        raise UnsupportedFormat(f"not JSON: {exc}") from exc
-
-
 def _read_sequence(path: str) -> list:
-    return sequence_from_list(_read_json(path))
+    return sequence_from_list(_loads(Path(path).read_bytes()))
 
 
 def _emit(args, summary: dict) -> None:
@@ -241,7 +235,7 @@ def _cmd_bounds(args) -> int:
 
 def _parse_instance(args) -> SetCoverInstance:
     if args.infile:
-        doc = _read_json(args.infile)
+        doc = _loads(Path(args.infile).read_bytes())
         try:
             return SetCoverInstance(doc["universe"], doc["subsets"])
         except (KeyError, TypeError) as exc:
@@ -430,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     (AmbiguousDecode, "verification failed", 1),
     (ResourceLimit, "resource limit", 3),
-    ((ItermemError, OSError, json.JSONDecodeError), "error", 2),
+    ((ItermemError, OSError), "error", 2),
 )
 
 

@@ -13,6 +13,14 @@ color adjacent to a neighbor of v.  They depend on the complex alone, so
 here reads that cache; v is distinguishable iff no rival has v's code.
 This is the same predicate as the two-hop scan, not an approximation.
 
+One clash relation serves both soundness rules: `_clashes` yields each
+pair of coded rivals that a round codes alike.  `greedy.verify_cover`
+calls a round sound iff it yields no pair (every reader decodes).  The
+simulator raises AmbiguousDecode iff a yielded pair has a coded common
+neighbor, since only a coded reader decodes what it reads.  So the two
+rules differ by that coded-reader filter alone, and a sequence
+`verify_cover` accepts always simulates.
+
 `rounds_coding` turns a sequence into per-vertex round masks, the one
 coding map that the cover checks of `greedy` and the simulator read.
 """
@@ -20,7 +28,7 @@ coding map that the cover checks of `greedy` and the simulator read.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .complexes import ChromaticComplex
 from .errors import InvalidParameters, VertexNotInComplex
@@ -88,6 +96,23 @@ def rounds_coding(seq: Iterable[Encoding]) -> dict[int, int]:
         for v in enc._codes:
             coding[v] = get(v, 0) | bit
     return coding
+
+
+def _clashes(c: ChromaticComplex, enc: Encoding) -> Iterator[tuple[int, int]]:
+    """Each pair (v, x), v < x, of rivals in c that enc codes alike.
+
+    A vertex v of c is distinguishable under enc iff v is uncoded or in no
+    yielded pair; vids outside c are ignored.
+    """
+    of = c.rivals()
+    by_code: dict[int, set[int]] = {}
+    for v, k in enc._codes.items():
+        by_code.setdefault(k, set()).add(v)
+    for v, k in enc._codes.items():
+        if v in of and not by_code[k].isdisjoint(of[v]):
+            for x in sorted(by_code[k].intersection(of[v])):
+                if v < x:
+                    yield v, x
 
 
 def is_vertex_distinguishable(c: ChromaticComplex, v: int, enc: Encoding) -> bool:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import ChromaticComplex, Simplex
-from .encoding import Encoding, rounds_coding
+from .encoding import Encoding, _clashes, rounds_coding
 from .errors import InvalidParameters, ItermemError
 
 
@@ -128,15 +128,6 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
 # -- cover verification and packing -------------------------------------------
 
 
-def _sound(c: ChromaticComplex, enc: Encoding) -> bool:
-    """True iff every vertex of c that enc codes is distinguishable."""
-    of = c.rivals()
-    by_code: dict[int, set[int]] = {}
-    for v, k in enc.items():
-        by_code.setdefault(k, set()).add(v)
-    return all(by_code[k].isdisjoint(of[v]) for v, k in enc.items() if v in of)
-
-
 def _unkept(faces: Iterable[Simplex], coding: dict[int, int]) -> set[Simplex]:
     """The faces no round codes whole: their vertices' round masks
     (`rounds_coding`) AND to 0."""
@@ -154,21 +145,25 @@ def _unkept(faces: Iterable[Simplex], coding: dict[int, int]) -> set[Simplex]:
 def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:
     """True iff every round is sound and some round codes each facet of c whole.
 
-    A round is sound when every vertex it codes is distinguishable; an
-    unsound round can make `decode` ambiguous.  A facet counts only in a
-    round that codes all its vertices: an uncoded process discards what it
-    reads, so a facet with an uncoded vertex gains nothing in that round,
-    however distinguishable the vertex is.  On such a sequence the bounded
-    simulation is the full-information collect complex up to isomorphism:
-    the round that codes a facet whole reaches each collect view, and the
-    other rounds only add unions with collect views, which are collect
-    views again.
+    A round is sound when it codes no two rivals alike (`encoding._clashes`
+    yields nothing), that is, when every vertex it codes is
+    distinguishable.  The simulator's decode check reads the same pairs
+    but raises only for a pair with a coded common neighbor, the one reader
+    that decodes both; so every sound round decodes, while a round whose
+    clashing pairs have only uncoded common neighbors simulates yet is
+    rejected here.  A facet counts only in a round that codes all its
+    vertices: an uncoded process discards what it reads, so a facet with an
+    uncoded vertex gains nothing in that round, however distinguishable the
+    vertex is.  On such a sequence the bounded simulation is the
+    full-information collect complex up to isomorphism: the round that
+    codes a facet whole reaches each collect view, and the other rounds
+    only add unions with collect views, which are collect views again.
 
     After the soundness check, one pass builds each vid's round mask
     (`rounds_coding`), and a facet is coded whole iff its vertices' masks
     AND to nonzero.
     """
-    return all(_sound(c, e) for e in seq) and not _unkept(c.facets, rounds_coding(seq))
+    return not any(any(_clashes(c, e)) for e in seq) and not _unkept(c.facets, rounds_coding(seq))
 
 
 def split_to_budget(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import chain, combinations
+from operator import itemgetter
 
 from .complexes import ChromaticComplex, Simplex, Vertex, gc_paused
 from .encoding import Encoding
@@ -54,7 +55,7 @@ def _canonical_label(label) -> str:
 
 def complex_to_dict(c: ChromaticComplex) -> dict:
     return {
-        "n": len(c.colors()),
+        "n": max(c.colors(), default=-1) + 1,
         "vertices": [
             {
                 "vid": v.vid,
@@ -67,46 +68,49 @@ def complex_to_dict(c: ChromaticComplex) -> dict:
     }
 
 
-def _json_int(x, what: str) -> int:
-    """x if it is a JSON integer; bools, floats and strings are rejected."""
-    if type(x) is not int:
-        raise UnsupportedFormat(f"{what} must be an integer, got {x!r}")
-    return x
-
-
-def _all_ints(rows) -> bool:
-    """Whether every entry of every row is a JSON integer, in one C-level pass."""
-    try:
-        return set(map(type, chain.from_iterable(rows))) <= {int}
-    except TypeError:  # a row that is not iterable
-        return False
+def _typed(rows, kind: type, what: str):
+    """rows, once every entry of every row has type `kind`, int or str (one
+    C-level pass, so bools and floats are not ints); else UnsupportedFormat
+    naming the first entry that has not."""
+    if not set(map(type, chain.from_iterable(rows))) <= {kind}:
+        bad = next(x for row in rows for x in row if type(x) is not kind)
+        must = "an integer" if kind is int else "a string"
+        raise UnsupportedFormat(f"{what} must be {must}, got {bad!r}")
+    return rows
 
 
 def complex_from_dict(d: dict) -> ChromaticComplex:
+    """The complex a `complex_to_dict` document describes.
+
+    A document export never writes raises UnsupportedFormat rather than
+    read as some other complex: a vid listed twice, a facet row that is
+    empty or repeats a vid, a label that is not a string, a vertex row no
+    facet uses, or n not above every color.  Every check is a C-level pass
+    over the rows; a Python loop runs only to name the first offender.
+    """
     try:
-        n = _json_int(d["n"], "n")
-        vertices = {}
-        for row in d["vertices"]:
-            vid = _json_int(row["vid"], "vid")
-            vertices[vid] = Vertex(vid, _json_int(row["color"], "color"), row["label"])
-        rows = d["facets"]
-        if _all_ints(rows):
-            facets = list(map(Simplex, rows))
-        else:  # name the first offending entry
-            facets = [Simplex(_json_int(v, "facet entry") for v in f) for f in rows]
+        [[n]] = _typed([[d["n"]]], int, "n")
+        rows = d["vertices"]
+        [vids] = _typed([list(map(itemgetter("vid"), rows))], int, "vid")
+        [colors] = _typed([list(map(itemgetter("color"), rows))], int, "color")
+        [labels] = _typed([list(map(itemgetter("label"), rows))], str, "label")
+        facets = list(map(Simplex, _typed(d["facets"], int, "facet entry")))
     except (KeyError, TypeError) as exc:
         raise UnsupportedFormat(f"malformed complex document: {exc}") from exc
-    # repeats would be dropped by the dict and the frozensets; the lengths
-    # compare in C
-    if len(vertices) != len(d["vertices"]):
+    vertices = dict(zip(vids, map(Vertex, vids, colors, labels)))
+    if len(vertices) != len(vids):
         raise UnsupportedFormat("two vertex rows share a vid")
-    if sum(map(len, rows)) != sum(map(len, facets)):
-        bad = next(row for row, f in zip(rows, facets) if len(row) != len(f))
+    if sum(map(len, d["facets"])) != sum(map(len, facets)):
+        bad = next(row for row, f in zip(d["facets"], facets) if len(row) != len(f))
         raise UnsupportedFormat(f"facet row {bad} repeats a vid")
-    colors = {v.color for v in vertices.values()}
-    if colors and n < max(colors) + 1:
-        raise UnsupportedFormat(f"n={n} below the {len(colors)} colors present")
-    return ChromaticComplex(vertices, facets)
+    if not all(facets):
+        raise UnsupportedFormat("a facet row is empty")
+    if colors and n <= max(colors):
+        raise UnsupportedFormat(f"n={n} does not exceed color {max(colors)}")
+    c = ChromaticComplex(vertices, facets)
+    if len(c.vertices) != len(vertices):  # the constructor drops unused vertices
+        raise UnsupportedFormat(f"vid {min(vertices.keys() - c.vertices)} is in no facet")
+    return c
 
 
 @gc_paused
@@ -147,17 +151,30 @@ def _json_document(doc: dict) -> str:
     )
 
 
-@gc_paused
-def import_complex(data: bytes | str | dict) -> ChromaticComplex:
-    if isinstance(data, dict):
-        return complex_from_dict(data)
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key, which the dict would keep
+    only the last of, raises UnsupportedFormat (`_loads`' object hook)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _v in pairs]
+        key = next(k for k in keys if keys.count(k) > 1)
+        raise UnsupportedFormat(f"JSON object repeats key {key!r}")
+    return obj
+
+
+def _loads(data: bytes | str):
+    """JSON text as Python values, refusing repeated object keys; text that
+    is not UTF-8 JSON raises UnsupportedFormat."""
     try:
-        doc = json.loads(data)
+        return json.loads(data, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UnsupportedFormat(f"not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UnsupportedFormat("complex document must be a JSON object")
-    return complex_from_dict(doc)
+
+
+@gc_paused
+def import_complex(data: bytes | str | dict) -> ChromaticComplex:
+    # any other JSON value is refused by complex_from_dict's lookups
+    return complex_from_dict(data if isinstance(data, dict) else _loads(data))
 
 
 def _to_dot(c: ChromaticComplex) -> str:

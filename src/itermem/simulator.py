@@ -10,10 +10,10 @@ the set of facet vids it has seen.  `run_bounded` executes one run per
 round on the read-step model of `protocols` (`_run`) and decodes what each
 reader saw (`_decode_reads`); `bounded_protocol_complex` folds every
 execution per round into packed knowledge vectors over the one-round ic
-template, and checks decoding once per coded edge.  States are numbered as
-`protocols.one_round` numbers them (see `StateRegistry`), so a covering
-sequence simulates to the one-round collect complex itself, vids and
-labels included.
+template, and checks decoding once per clashing pair.  States are
+numbered as `protocols.one_round` numbers them (see `StateRegistry`), so
+a covering sequence simulates to the one-round collect complex itself,
+vids and labels included.
 
 The fold has no color cap.  Up to 3 processes the ic template is checked
 by the schedule oracle of `protocols`, and in the tests the fold by
@@ -28,9 +28,14 @@ candidate (a neighbor of p with q's color and code), so the answer is q,
 or AmbiguousDecode when another neighbor of p has q's color and code.
 Every coded pair of a facet is read in some family (everyone sees everyone
 in one), so some execution raises iff a round codes a vertex p and two of
-p's neighbors with one color and one code.  `_check_decodes` decides this
-in one pass per round over each coded vertex's coded neighbors, without
-visiting a facet.
+p's neighbors with one color and one code.  Two such neighbors are rivals
+coded alike, so `_check_decodes` reads the one clash relation that
+`verify_cover` reads (`encoding._clashes`) and raises iff a yielded pair
+has a coded common neighbor, without visiting a facet.  That reader is
+the whole difference between the two rules: `verify_cover` rejects every
+clashing pair, as if uncoded processes decoded too, so every sequence it
+accepts simulates, and a round whose clashing pairs have only uncoded
+common neighbors simulates although `verify_cover` rejects it.
 
 So a facet's fold is a function of its key: its size k and the set of
 coded-position masks of the rounds that code two or more of its vertices.
@@ -62,7 +67,7 @@ from .complexes import (
     compile_rows,
     gc_paused,
 )
-from .encoding import Encoding, rounds_coding
+from .encoding import Encoding, _clashes, rounds_coding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
 from .generators import gen_glued
 from .greedy import greedy_star, split_to_budget
@@ -211,7 +216,7 @@ def bounded_protocol_complex(
     Before any fold, the fold work: at most min(2^(k(k-1)),
     ``_family_count(IC, k)``^|masks|) vectors per distinct key, since each
     position always sees itself.  After folding, the exact facet count.
-    Only then is decoding checked, once per coded edge of each round
+    Only then is decoding checked, once per clashing pair of each round
     rather than per facet (`_check_decodes`; see the module docstring),
     so an ambiguous code raises AmbiguousDecode before any facet is
     emitted.
@@ -274,17 +279,15 @@ def bounded_protocol_complex(
 
 
 def _check_decodes(c: ChromaticComplex, seq: list[Encoding]) -> None:
-    """Raise AmbiguousDecode if some round codes a vertex and two of its
-    neighbors with one color and one code (see the module docstring)."""
+    """Raise AmbiguousDecode if some round codes two rivals alike
+    (`encoding._clashes`) and a common neighbor of theirs, which reads both
+    (see the module docstring)."""
     adj = c.adjacency()
-    color = {v: x.color for v, x in c.vertices.items()}
     for enc in seq:
-        heard = {v: (color[v], code) for v, code in enc.items() if v in color}
-        for p in heard:
-            near = [heard[x] for x in adj[p] if x in heard]
-            if len(set(near)) < len(near):
-                source, value = next(k for k in near if near.count(k) > 1)
-                decode(p, source, value, enc, c)  # raises, naming the candidates
+        for v, x in _clashes(c, enc):
+            for p in sorted(set(adj[v]).intersection(adj[x])):
+                if enc.value(p) is not None:  # raises, naming the candidates
+                    decode(p, c.vertices[v].color, enc.value(v), enc, c)
 
 
 def _fold(k: int, coded: frozenset[int]) -> frozenset[int]:

@@ -8,6 +8,10 @@ Core claims:
       predicate matches the pairwise two-hop scan kept here as reference
     - The two-triangle complex with both apexes coded 1 is the canonical
       failure; distinct apex codes repair it
+    - The one clash relation (`_clashes`) yields, once each as (v, x) with
+      v < x, exactly the pairs of coded two-hop same-color vertices with
+      one code, by the pairwise scan; so it yields nothing iff every coded
+      vertex is distinguishable
     - Degree lower bound: frozen values on the triangle, glued pair, and
       one subdivision round; bad parameters raise
 """
@@ -28,6 +32,7 @@ from itermem import (
     is_vertex_distinguishable,
     lower_bound_rounds,
 )
+from itermem.encoding import _clashes
 
 A1, P1, P2, A2 = 0, 1, 2, 3
 
@@ -130,6 +135,45 @@ class TestVertexDistinguishability:
         assert all(is_vertex_distinguishable(c, v, e) for v in alpha.vertices)
         shared = Encoding({A1: 1, A2: 1, P1: 1, P2: 1})
         assert not all(is_vertex_distinguishable(c, v, shared) for v in alpha.vertices)
+
+
+def reference_clashes(c, enc):
+    """Every {v, x} of coded same-color vertices two hops apart with one
+    code, by the pairwise scan (no rival cache)."""
+    adj = c.adjacency()
+    out = set()
+    for u in adj:
+        for v in adj[u]:
+            for x in adj[u]:
+                if (
+                    v != x
+                    and c.vertices[v].color == c.vertices[x].color
+                    and enc.value(v) is not None
+                    and enc.value(v) == enc.value(x)
+                ):
+                    out.add(frozenset({v, x}))
+    return out
+
+
+class TestClashes:
+    def test_glued_apexes(self):
+        c = _glued()
+        assert list(_clashes(c, Encoding({A1: 1, A2: 1}))) == [(A1, A2)]
+        assert list(_clashes(c, Encoding({A1: 1, A2: 2, P1: 1, P2: 1}))) == []
+        # an uncoded vertex clashes with nothing, and vids outside c are ignored
+        assert list(_clashes(c, Encoding({A1: 1, 99: 1}))) == []
+
+    @given(st.data(), random_complexes)
+    def test_yields_the_same_code_rival_pairs(self, data, c):
+        enc = data.draw(encodings(c))
+        pairs = list(_clashes(c, enc))
+        assert all(v < x for v, x in pairs)
+        assert len(set(pairs)) == len(pairs)
+        assert set(map(frozenset, pairs)) == reference_clashes(c, enc)
+        coded_distinguishable = all(
+            is_vertex_distinguishable(c, v, enc) for v in enc.coded_vids()
+        )
+        assert (not pairs) == coded_distinguishable
 
 
 class TestLowerBound:

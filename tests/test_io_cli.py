@@ -14,6 +14,11 @@ Core claims:
     - Unknown formats and malformed documents are rejected, including
       encoding keys that are not the digits str(vid) writes, a vid listed
       by two vertex rows and a facet row that repeats a vid
+    - Import refuses documents export never writes: a repeated object key,
+      a label that is not a string, an empty facet row, a vertex row no
+      facet uses, n not above every color (the message names the color)
+    - Stars, links and faces, whose colors need not be 0..k-1, export n as
+      the largest color + 1 and import back to the same bytes
     - Encoding sequences round-trip, including block metadata
     - CLI: gen/subdivide/protocol/greedy-star/simulate/verify/bounds/
       reduce-setcover/exact-min/export/counterexample wire together
@@ -37,6 +42,11 @@ Core claims:
       decides Ch^2 of the 3-simplex ~= a vid-shuffled IIS^2 (1,124
       vertices a side)
     - simulate on a non-distinguishing encoding (AmbiguousDecode) exits 1
+    - One clash relation, two rules: on the glued pair, apexes coded alike
+      with their common neighbors uncoded fail verify (exit 1) yet
+      simulate to IC(c) (exit 0); a coded common neighbor makes simulate
+      exit 1
+    - A repeated key in a complex, encoding or set-cover file exits 2
     - simulate --verify-against compares with == first and searches for an
       isomorphism only when the complexes differ
     - simulate --verify-against ic on IC(Δ³) with a 3-bit cover exits 0 at
@@ -82,6 +92,7 @@ from itermem import (
 from itermem.cli import build_parser, main
 from itermem.io import (
     _canonical_label,
+    _loads,
     complex_to_dict,
     encoding_from_dict,
     encoding_to_dict,
@@ -292,6 +303,49 @@ class TestComplexJson:
         with pytest.raises(UnsupportedFormat):
             export_complex(gen_simplex(1), "yaml")
 
+    def test_subcomplexes_round_trip(self):
+        # a link or star can miss color 0, so n is the largest color + 1
+        assert complex_to_dict(gen_simplex(2).link(0))["n"] == 3
+        for c in (gen_simplex(2), gen_simplex(3), gen_glued(3), chromatic_subdivide(gen_simplex(2))):
+            parts = [c.link(v) for v in c.vertices] + [c.star([v]) for v in c.vertices]
+            parts += [c.subcomplex([sorted(f)[1:]]) for f in c.facets]
+            for part in parts:
+                blob = export_complex(part, "json")
+                assert export_complex(import_complex(blob), "json") == blob
+
+    def test_n_below_a_color_names_it(self):
+        doc = {"n": 2, "vertices": [{"vid": 0, "color": 2, "label": ""}], "facets": [[0]]}
+        with pytest.raises(UnsupportedFormat, match="color 2"):
+            import_complex(doc)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: d["vertices"][0].update(label=[1, 2]), "label must be a string"),
+            (lambda d: d["vertices"][0].update(label={"a": 1}), "label must be a string"),
+            (lambda d: d["vertices"][0].update(label=None), "label must be a string"),
+            (lambda d: d["vertices"][0].update(label=7), "label must be a string"),
+            (lambda d: d["facets"].append([]), "empty"),
+            (lambda d: d["vertices"].append({"vid": 9, "color": 0, "label": ""}), "vid 9 is in no facet"),
+        ],
+        ids=["list-label", "object-label", "null-label", "int-label", "empty-facet", "unused-vertex"],
+    )
+    def test_import_refuses_what_export_never_writes(self, edit, match):
+        doc = complex_to_dict(gen_simplex(2))
+        edit(doc)
+        with pytest.raises(UnsupportedFormat, match=match):
+            import_complex(json.dumps(doc))
+
+    def test_import_refuses_repeated_keys(self):
+        blob = export_complex(gen_simplex(2), "json").decode()
+        with pytest.raises(UnsupportedFormat, match="repeats key 'n'"):
+            import_complex(blob.replace('"n": 3', '"n": 3, "n": 1'))
+        with pytest.raises(UnsupportedFormat, match="repeats key 'label'"):
+            import_complex(blob.replace('"label": "s0"', '"label": "s0", "label": "x"', 1))
+        with pytest.raises(UnsupportedFormat, match="repeats key '0'"):
+            _loads('[{"assignment": {"0": 1, "0": 2}}]')
+        assert _loads('{"a": {"b": 1}, "b": [{"a": 2}]}') == {"a": {"b": 1}, "b": [{"a": 2}]}
+
 
 class TestOtherFormats:
     def test_dot_triangle(self):
@@ -413,6 +467,57 @@ class TestCli:
         capsys.readouterr()
         assert main(["simulate", "--in", str(src), "--encodings", str(enc)]) == 1
         assert "verification failed" in capsys.readouterr().err
+
+    def test_verify_and_simulate_differ_by_the_coded_reader(self, tmp_path, capsys):
+        # apexes 0 and 3 coded alike: only their common neighbors 1 and 2
+        # read both, and they are uncoded in that round
+        src = self._gen(tmp_path)
+        enc = tmp_path / "e.json"
+        rounds = [{"0": 1, "3": 1}, {"0": 1, "1": 2, "2": 3}, {"3": 1, "1": 2, "2": 3}]
+        enc.write_text(json.dumps([{"assignment": r} for r in rounds]))
+        assert main(["verify", "--in", str(src), "--encodings", str(enc)]) == 1
+        assert main(["simulate", "--in", str(src), "--encodings", str(enc),
+                     "--verify-against", "ic"]) == 0
+        rounds[0]["1"] = 2
+        enc.write_text(json.dumps([{"assignment": r} for r in rounds]))
+        capsys.readouterr()
+        assert main(["simulate", "--in", str(src), "--encodings", str(enc)]) == 1
+        assert "matches vids [0, 3]" in capsys.readouterr().err
+
+    def test_repeated_keys_exit_2(self, tmp_path, capsys):
+        src = self._gen(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text('[{"assignment": {"0": 1, "0": 2}}]')
+        for cmd in ("simulate", "verify"):
+            assert main([cmd, "--in", str(src), "--encodings", str(bad)]) == 2
+            assert "repeats key '0'" in capsys.readouterr().err
+        bad.write_text('{"universe": [1, 2], "subsets": [[1]], "subsets": [[1, 2]]}')
+        assert main(["reduce-setcover", "--in", str(bad)]) == 2
+        assert "repeats key 'subsets'" in capsys.readouterr().err
+        bad.write_text(src.read_text().replace('"n": 3', '"n": 3, "n": 1'))
+        assert main(["export", "--in", str(bad)]) == 2
+        assert "repeats key 'n'" in capsys.readouterr().err
+
+    def test_documents_export_never_writes_exit_2(self, tmp_path):
+        src = self._gen(tmp_path)
+        doc = json.loads(src.read_text())
+        bad = tmp_path / "bad.json"
+        for edit in (
+            lambda d: d["vertices"][0].update(label=None),
+            lambda d: d["facets"].append([]),
+            lambda d: d["vertices"].append({"vid": 9, "color": 0, "label": ""}),
+        ):
+            d = json.loads(json.dumps(doc))
+            edit(d)
+            bad.write_text(json.dumps(d))
+            assert main(["export", "--in", str(bad)]) == 2
+
+    def test_link_exports_and_reads_back(self, tmp_path):
+        link = tmp_path / "link.json"
+        link.write_bytes(export_complex(gen_simplex(2).link(0), "json"))
+        out = tmp_path / "again.json"
+        assert main(["export", "--in", str(link), "--out", str(out)]) == 0
+        assert out.read_bytes() == link.read_bytes()
 
     def test_simulate_checks_equality_before_search(self, tmp_path, monkeypatch):
         src = self._gen(tmp_path)

@@ -52,7 +52,7 @@ from itermem import (
     split_to_budget,
     verify_cover,
 )
-from itermem.greedy import _sound
+from itermem.encoding import _clashes
 
 
 def _inst(universe, subsets):
@@ -72,7 +72,7 @@ def _reference_min(c):
     feasible = []
     for mask in range(1, 1 << m):
         vids = frozenset().union(*(facets[i] for i in range(m) if mask & (1 << i)))
-        if _sound(c, Encoding(dict.fromkeys(vids, 1))):
+        if not any(_clashes(c, Encoding(dict.fromkeys(vids, 1)))):
             feasible.append(mask)
     feasible.sort(key=lambda t: -bin(t).count("1"))
     maximal = []

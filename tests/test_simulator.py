@@ -35,7 +35,7 @@ Core claims:
     - Any encoding that decodes keeps every input vertex, vid and Vertex,
       as the state of a process that saw only itself
     - Soundness: bounded runs only produce full-information collect views
-    - The fold, with decoding checked once per coded edge, gives the same
+    - The fold, with decoding checked once per clashing pair, gives the same
       facets, as sets of (color, view) states, as the per-vector decode
       loop it replaced (kept here as the reference), on greedy + split
       encodings over random 3- and 4-color complexes, and on random
@@ -48,6 +48,14 @@ Core claims:
       bytes included, on random 3-color and mixed-facet-size complexes
     - A non-distinguishing encoding (the counterexample's shared apex
       code) still raises AmbiguousDecode
+    - One clash relation: bounded_protocol_complex raises AmbiguousDecode
+      iff the per-coded-reader scan it replaced (kept here as the
+      reference) finds two coded neighbors with one color and code, on
+      random 3- and 4-color and mixed-size complexes and encodings with
+      bottoms; the rules of verify_cover and the simulator differ by the
+      coded reader alone: on the glued pair, apexes coded alike with both
+      common neighbors uncoded fail verify_cover yet simulate to IC(c)
+      itself, and coding one common neighbor raises, naming both apexes
     - The shared-apex counterexample: merged states break intersection
       preservation; distinct apex codes restore the isomorphism
     - iterate_pipeline composes iterations into the r-round collect
@@ -116,6 +124,7 @@ from itermem import (
     split_to_budget,
     code_collision_counterexample,
     export_complex,
+    verify_cover,
 )
 from itermem.protocols import _interleavings, _programs, _run, _template, subcomplex_sample
 from itermem import simulator
@@ -410,6 +419,48 @@ class TestDecodeTable:
         c, broken, _ = code_collision_counterexample()
         with pytest.raises(AmbiguousDecode):
             bounded_protocol_complex(c, broken)
+
+
+def _reference_decode_scan(c, seq):
+    """Whether some round codes a reader p and two neighbors of p with one
+    color and one code: per round, each coded vertex's coded neighbors."""
+    adj = c.adjacency()
+    for enc in seq:
+        heard = {v: (c.vertices[v].color, code) for v, code in enc.items() if v in c.vertices}
+        for p in heard:
+            near = [heard[x] for x in adj[p] if x in heard]
+            if len(set(near)) < len(near):
+                return True
+    return False
+
+
+# the glued pair's apexes coded alike in round 0, then each triangle whole
+_GLUED_ROUNDS = [{A1: 1, A2: 1}, {A1: 1, P1: 2, P2: 3}, {A2: 1, P1: 2, P2: 3}]
+
+
+class TestOneClashRelation:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(three_color_complexes | four_color_complexes | mixed_complexes, st.data())
+    def test_raises_iff_a_coded_reader_sees_a_repeat(self, c, data):
+        code = st.none() | st.integers(0, 1)
+        seq = [
+            Encoding({v: data.draw(code) for v in sorted(c.vertices)})
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        raised = _bounded_or_ambiguous(bounded_protocol_complex, c, seq) is AmbiguousDecode
+        assert raised == _reference_decode_scan(c, seq)
+
+    def test_uncoded_common_neighbors_split_the_two_rules(self):
+        c = gen_glued(2)
+        seq = [Encoding(r) for r in _GLUED_ROUNDS]
+        assert not verify_cover(c, seq)
+        assert bounded_protocol_complex(c, seq) == protocol_complex(c, IC, 1)
+
+    def test_a_coded_common_neighbor_raises_naming_both_apexes(self):
+        c = gen_glued(2)
+        seq = [Encoding({**_GLUED_ROUNDS[0], P1: 2}), *map(Encoding, _GLUED_ROUNDS[1:])]
+        with pytest.raises(AmbiguousDecode, match=r"matches vids \[0, 3\] near vid 1"):
+            bounded_protocol_complex(c, seq)
 
 
 @cache
