@@ -59,7 +59,30 @@ def _write(path: str, data: bytes) -> None:
 
 
 def _write_json(path: str, doc) -> None:
-    _write(path, (json.dumps(doc, indent=2, sort_keys=True, default=repr) + "\n").encode())
+    _write(path, (_json_text(doc) + "\n").encode())
+
+
+# one scalar or empty container, by the C encoder, which leaves no cycle
+_leaf = json.JSONEncoder(default=repr).encode
+
+
+def _json_text(doc, indent: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True, default=repr)``.
+
+    The standard library indents with a pure-Python encoder whose closures
+    form a reference cycle on every call, so containers are laid out here
+    and only their leaves go through `_leaf`.
+    """
+    inner = indent + "  "
+    if isinstance(doc, dict) and doc:
+        items = [
+            f"{inner}{_leaf(k if isinstance(k, str) else _leaf(k))}: {_json_text(v, inner)}"
+            for k, v in sorted(doc.items())
+        ]
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(doc, (list, tuple)) and doc:
+        return "[" + ",".join(inner + _json_text(v, inner) for v in doc) + indent + "]"
+    return _leaf(doc)
 
 
 def _read_sequence(path: str) -> list:

@@ -7,18 +7,18 @@ treated as immutable: all operations return new complexes.
 
 The public calls that allocate per facet or per state run with CPython's
 cyclic garbage collector paused (`gc_paused`): `protocol_complex` and
-`one_round` (so also `iterate_subdivide` and `chromatic_subdivide`),
-`bounded_protocol_complex`, `iterate_pipeline`, `import_complex`,
-`export_complex`, `ChromaticComplex.f_vector`, `is_isomorphic`,
-`schedule_oracle` and `cli.main`.  Their frozensets, tuples and `Vertex`es
-form no reference cycles, so the collector, which would otherwise rescan
-them by the hundred thousand, finds nothing to free: reference counting
-already frees all they drop, and the pause changes no result and leaks
-nothing.  (`cli.main` with ``--json-out`` is the one exception: the
-standard library's indenting JSON encoder leaves a cycle of 31 objects
-per call, whatever the input size, which the first collection after the
-call frees.)  The pause is process-wide, so cyclic collections that other
-threads would trigger wait until the call returns.
+`one_round` (so also `iterate_subdivide`), `chromatic_subdivide` (whose
+registry is built inside the pause), `bounded_protocol_complex`,
+`iterate_pipeline`, `import_complex`, `export_complex`,
+`ChromaticComplex.f_vector`, `is_isomorphic`, `schedule_oracle` and
+`cli.main`.  Their frozensets, tuples and `Vertex`es form no reference
+cycles, so the collector, which would otherwise rescan them by the
+hundred thousand, finds nothing to free: reference counting already frees
+all they drop, and the pause changes no result and leaks nothing.  (The
+JSON documents `cli.main` writes are laid out by `cli._json_text`, not by
+the standard library's indenting encoder, whose closures would leave a
+cycle per call.)  The pause is process-wide, so cyclic collections that
+other threads would trigger wait until the call returns.
 """
 
 from __future__ import annotations
@@ -89,27 +89,29 @@ class StateRegistry:
     several subcomplexes of the base into one vid space.
 
     Fresh vids follow the order of first requests, and every builder makes
-    that order a function of content, never of a set's iteration order:
-    facets in sorted order, then within a facet the states of each view
-    family in template order (`protocols.one_round`, which is also the
-    chromatic subdivision), or of each knowledge vector, view masks packed
-    into an int whose order is the order of the mask tuples, in sorted
-    order of the vectors (`simulator.bounded_protocol_complex`; the ic
-    template is itself sorted, so a vector set equal to it is numbered as
-    `one_round` numbers it).  Equal complexes thus build equal vids however
+    that order a function of content, never of a set's iteration order.
+    For round complexes the one place that defines it is the one round
+    emitter, `protocols._emit_round`, which is `emit`'s one caller.  It
+    walks the facets in sorted order, places each facet's vids by color
+    rank, and emits the rows its caller compiled for that facet.
+    `protocols.one_round` (also the chromatic subdivision) supplies each
+    facet size's view families in template order;
+    `simulator.bounded_protocol_complex` supplies each key's knowledge
+    vectors, view masks packed into an int whose order is the order of the
+    mask tuples, in sorted order, or the ic template's own rows when a key
+    folds to all of it.  Equal complexes thus build equal vids however
     their facets were listed.
 
-    The round builders request a facet's states through `emit`, from a
-    template compiled by `compile_rows`: its distinct states listed in
+    Rows come from `compile_rows`: a template's distinct states listed in
     first-use order, so the first request for each state, and hence each
     fresh vid, comes in the order the per-family requests would make.
 
-    They return through `complex`, which checks nothing per facet, because
-    emission already guarantees all that `ChromaticComplex` would check.
-    `get` maps distinct (color, payload) pairs to distinct vids, each
-    registered with a `Vertex` of that vid and color.  A round emits each
-    input facet's states on its positions, one color per position, so no
-    output facet repeats a color.  And no output facet lies inside another:
+    The emitter returns through `complex`, which checks nothing per facet,
+    because emission already guarantees all that `ChromaticComplex` would
+    check.  `get` maps distinct (color, payload) pairs to distinct vids,
+    each registered with a `Vertex` of that vid and color.  A round emits
+    each input facet's states on its positions, one color per position, so
+    no output facet repeats a color.  And no output facet lies inside another:
     one input facet's output facets have one size, and every state's view
     holds its own input vertex, so an output facet of input facet f inside
     one of g would put f inside g, which the input complex rules out.

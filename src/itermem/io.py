@@ -87,6 +87,9 @@ def complex_from_dict(d: dict) -> ChromaticComplex:
     empty or repeats a vid, a label that is not a string, a vertex row no
     facet uses, or n not above every color.  Every check is a C-level pass
     over the rows; a Python loop runs only to name the first offender.
+    An n above the largest color + 1 is accepted, since a hand-written file
+    may give the process count of a smaller complex; the complex does not
+    keep it, so a re-export writes n as the largest color + 1.
     """
     try:
         [[n]] = _typed([[d["n"]]], int, "n")

@@ -32,12 +32,15 @@ color rank.  ias keeps the definition, the pairwise comparable members of
 the product of self-inclusive views, searched depth-first so that an
 incomparable prefix is dropped once.  ic is generated instead: the misses
 digraph is acyclic iff some order of the processes lets each one see its
-whole prefix and any subset of its suffix.  `one_round` numbers new states by content
-(see `StateRegistry`) and checks its budget against counts of the families
+whole prefix and any subset of its suffix.  `one_round` checks its budget
+(`DEFAULT_MAX_FACETS` unless given) against counts of the families
 (`_family_count`), so a facet too large to enumerate raises ResourceLimit
-without building its template.  It emits a facet's families from the
-template compiled once per size (`_compiled`): each distinct (position,
-view) state is requested once per facet, in first-use order.
+without building its template.  It emits each facet's families from the
+template compiled once per size (`_compiled`) through `_emit_round`, the
+one round emitter, which `simulator.bounded_protocol_complex` shares.
+The emitter defines the facet order that numbers new states (facets in
+sorted order, vids by color rank; see `StateRegistry`), and requests each
+distinct (position, view) state once per facet, in first-use order.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import itertools
 import random
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .complexes import (
     DEFAULT_MAX_FACETS,
@@ -239,16 +242,10 @@ def _chain_count(s: int, u: int) -> int:
     return total
 
 
-def _placement(
-    c: ChromaticComplex, facet: Simplex
-) -> tuple[list[int], list[int], list[frozenset[int]]]:
-    """A facet's vids on template positions by color rank.
-
-    Returns the vid and the color at each position, and the vid set of
-    every view mask over those positions.
-    """
+def _placement(c: ChromaticComplex, facet: Simplex) -> tuple[list[int], list[int]]:
+    """A facet's vids on template positions by color rank, and their colors."""
     at = sorted(facet, key=lambda v: c.vertices[v].color)
-    return at, [c.vertices[v].color for v in at], mask_sets(at)
+    return at, [c.vertices[v].color for v in at]
 
 
 def _families(
@@ -258,7 +255,8 @@ def _families(
 
     Each family lists its (color, view) pairs in color order (`_placement`).
     """
-    at, colors, sets = _placement(c, facet)
+    at, colors = _placement(c, facet)
+    sets = mask_sets(at)
     return [
         [(colors[i], sets[m]) for i, m in enumerate(fam)]
         for fam in _template(pattern, len(at))
@@ -454,33 +452,45 @@ def raw_interleaving_views(
 # -- protocol complexes ------------------------------------------------------
 
 
+def _emit_round(
+    c: ChromaticComplex, registry: StateRegistry, rows_of: Callable[[list], list[CompiledRows]]
+) -> ChromaticComplex:
+    """One round on every facet of c, emitted through `registry`.
+
+    The one place that orders and places a round's facets: it walks them
+    in sorted order, the order that numbers fresh vids (`StateRegistry`),
+    and places each one's vids by color rank (`_placement`).  `rows_of`
+    takes these placements, (vids, colors) per facet in that order, and
+    returns each facet's compiled rows in the same order, before the first
+    state is emitted, so a caller's budget checks raise first.
+    """
+    placed = [_placement(c, f) for f in sorted(c.facets, key=sorted)]
+    facets: list[Simplex] = []
+    for (at, colors), rows in zip(placed, rows_of(placed)):
+        registry.emit(colors, mask_sets(at), rows, facets)
+    return registry.complex(facets)
+
+
 @gc_paused
 def one_round(
     c: ChromaticComplex,
     pattern: str,
     registry: StateRegistry,
-    max_facets: int | None = None,
+    max_facets: int = DEFAULT_MAX_FACETS,
 ) -> ChromaticComplex:
     """One full-information round applied to every facet of c.
 
     States come from `registry`, so an input vid stays the vid of its
     process's solo view.  (Executions on a proper face of a facet are faces
     of that facet's executions, so iterating over facets loses nothing.)
-    With `max_facets` set, the facet count is projected from the family
-    counts before any family is built.
+    The facet count is projected from the family counts before any family
+    is built, and over `max_facets` raises ResourceLimit.
     """
     _check_pattern(pattern)
-    if max_facets is not None:
-        projected = sum(_family_count(pattern, len(f)) for f in c.facets)
-        if projected > max_facets:
-            raise ResourceLimit(
-                f"protocol round would make {projected} facets, over {max_facets}"
-            )
-    facets: list[Simplex] = []
-    for f in sorted(c.facets, key=sorted):
-        at, colors, sets = _placement(c, f)
-        registry.emit(colors, sets, _compiled(pattern, len(at)), facets)
-    return registry.complex(facets)
+    projected = sum(_family_count(pattern, len(f)) for f in c.facets)
+    if projected > max_facets:
+        raise ResourceLimit(f"protocol round would make {projected} facets, over {max_facets}")
+    return _emit_round(c, registry, lambda ps: [_compiled(pattern, len(at)) for at, _ in ps])
 
 
 @gc_paused
@@ -526,7 +536,8 @@ def check_intersection_preserving(
     """One round's protocol of an intersection equals intersection of protocols.
 
     Samples `trials` random subcomplex pairs A, B of c and compares
-    X(A) ∩ X(B) with X(A ∩ B), all built over one registry on c.
+    X(A) ∩ X(B) with X(A ∩ B), all built over one registry on c, each
+    within `DEFAULT_MAX_FACETS` (`one_round`).
     """
     if not c.facets:
         return True

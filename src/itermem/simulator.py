@@ -10,10 +10,12 @@ the set of facet vids it has seen.  `run_bounded` executes one run per
 round on the read-step model of `protocols` (`_run`) and decodes what each
 reader saw (`_decode_reads`); `bounded_protocol_complex` folds every
 execution per round into packed knowledge vectors over the one-round ic
-template, and checks decoding once per clashing pair.  States are
-numbered as `protocols.one_round` numbers them (see `StateRegistry`), so
-a covering sequence simulates to the one-round collect complex itself,
-vids and labels included.
+template, and checks decoding once per clashing pair.  It emits its
+states through `protocols._emit_round`, the one round emitter, which
+`one_round` uses too and which defines the facet order that numbers vids
+(see `StateRegistry`).  Under a covering sequence every facet folds to the
+whole ic template and emits that template's own rows, so the result is
+the one-round collect complex itself, vids and labels included.
 
 The fold has no color cap.  Up to 3 processes the ic template is checked
 by the schedule oracle of `protocols`, and in the tests the fold by
@@ -54,7 +56,7 @@ exact facet count.  The edge check comes after both.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import index, or_
 
 from .complexes import (
@@ -66,6 +68,7 @@ from .complexes import (
     assert_facet,
     compile_rows,
     gc_paused,
+    mask_sets,
 )
 from .encoding import Encoding, _clashes, rounds_coding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
@@ -77,6 +80,7 @@ from .protocols import (
     IC,
     GlobalView,
     _compiled,
+    _emit_round,
     _families,
     _family_count,
     _placement,
@@ -156,7 +160,8 @@ def run_bounded(c: ChromaticComplex, facet, seq: list[Encoding], runs) -> Global
     f = assert_facet(c, facet)
     if len(runs) != len(seq):
         raise InvalidParameters("need exactly one run per encoding function")
-    at, colors, sets = _placement(c, f)
+    at, colors = _placement(c, f)
+    sets = mask_sets(at)
     k = len(at)
     vec = _pack([1 << i for i in range(k)], k)  # a knowledge vector, as in the fold
     for enc, run in zip(seq, runs):
@@ -221,22 +226,27 @@ def bounded_protocol_complex(
     so an ambiguous code raises AmbiguousDecode before any facet is
     emitted.
 
-    States are registered through `StateRegistry.emit`, from the sorted
-    vectors compiled once per key, as `protocols.one_round` registers the
-    sorted ic template; a key that folds to the whole template emits from
-    ``protocols._compiled(IC, k)`` itself.  So a covering sequence yields
-    ``protocol_complex(c, IC, 1)`` itself, which both return through
-    `StateRegistry.complex`.
+    States are emitted by `protocols._emit_round`, the round emitter of
+    `protocols.one_round`, from the sorted vectors compiled once per key.
+    A key that folds to the whole template emits the ic template's own
+    rows, ``protocols._compiled(IC, k)``, which are `one_round`'s.  So a
+    covering sequence, whose every key folds whole, yields
+    ``protocol_complex(c, IC, 1)`` itself by construction.
     """
+    return _emit_round(c, StateRegistry(c), partial(_bounded_rows, c, seq, max_facets))
+
+
+def _bounded_rows(c: ChromaticComplex, seq: list[Encoding], max_facets: int, placed) -> list:
+    """The compiled rows of each placed facet (see `bounded_protocol_complex`),
+    returned after the budget and decode checks."""
     coding = rounds_coding(seq)
-    color = {v: x.color for v, x in c.vertices.items()}
     keys: dict = {}  # each distinct key, mapped to its one stored copy
-    plan = []  # per facet in sorted order: the facet and its key
-    for f in sorted(c.facets, key=sorted):
+    plan = []  # per placed facet: its key
+    for at, _colors in placed:
         # the rounds grouped by the positions they code, refined position by position
         parts: dict[int, int] = {}
         seen = 0
-        for i, v in enumerate(sorted(f, key=color.__getitem__)):
+        for i, v in enumerate(at):
             rounds = coding.get(v, 0)
             if not rounds:
                 continue
@@ -250,32 +260,29 @@ def bounded_protocol_complex(
                 split[1 << i] = first
             seen |= rounds
             parts = split
-        key = len(f), frozenset(m for m in parts if m & m - 1)
-        plan.append((f, keys.setdefault(key, key)))
+        key = len(at), frozenset(m for m in parts if m & m - 1)
+        plan.append(keys.setdefault(key, key))
     work = sum(min(1 << k * (k - 1), _family_count(IC, k) ** len(ms)) for k, ms in keys)
     if work > max_facets:
         raise ResourceLimit(
             f"bounded protocol could fold {work} knowledge vectors, over {max_facets}"
         )
     folded = {key: _fold(*key) for key in keys}
-    total = sum(len(folded[key]) for _f, key in plan)
+    total = sum(len(folded[key]) for key in plan)
     if total > max_facets:
         raise ResourceLimit(f"bounded protocol makes {total} facets, over {max_facets}")
-    # per key, its vectors as rows: the template's own when it folded to all of it
-    # (the count first, so a key that stays solo never builds its template)
-    compiled: dict[tuple[int, frozenset[int]], CompiledRows] = {}
-    for (k, masks), vecs in folded.items():
-        whole = len(vecs) == _family_count(IC, k) and vecs == _packed_ic(k)
-        compiled[k, masks] = _compiled(IC, k) if whole else compile_rows(
-            enumerate(_unpack(v, k)) for v in sorted(vecs)
-        )
+    compiled = {key: _key_rows(key[0], vecs) for key, vecs in folded.items()}
     _check_decodes(c, seq)
-    reg = StateRegistry(c)
-    facets: list[Simplex] = []
-    for f, key in plan:
-        _at, colors, sets = _placement(c, f)
-        reg.emit(colors, sets, compiled[key], facets)
-    return reg.complex(facets)
+    return [compiled[key] for key in plan]
+
+
+def _key_rows(k: int, vecs: frozenset[int]) -> CompiledRows:
+    """A key's folded vectors as compiled rows, in sorted order, or the ic
+    template's own rows when they are all of it (counted first, so a key
+    that stays solo never builds its template)."""
+    if len(vecs) == _family_count(IC, k) and vecs == _packed_ic(k):
+        return _compiled(IC, k)
+    return compile_rows(enumerate(_unpack(v, k)) for v in sorted(vecs))
 
 
 def _check_decodes(c: ChromaticComplex, seq: list[Encoding]) -> None:

@@ -17,18 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, StateRegistry
+from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, StateRegistry, gc_paused
 from .errors import InvalidParameters
 from .generators import gen_simplex
 from .protocols import IIS, one_round, protocol_complex
 
 
+@gc_paused
 def chromatic_subdivide(
     c: ChromaticComplex, registry: StateRegistry | None = None
 ) -> ChromaticComplex:
     """One round of standard chromatic subdivision: one iis round.
 
-    Pass a shared registry (built on a common base) to subdivide several
+    Like every builder it keeps to `DEFAULT_MAX_FACETS`: a projected facet
+    count over it raises ResourceLimit before any facet is built.  Pass a
+    shared registry (built on a common base) to subdivide several
     subcomplexes into a common vid space.
     """
     return one_round(c, IIS, registry or StateRegistry(c))

@@ -331,9 +331,8 @@ def _entry_points(tmp_path):
     facet = next(iter(d2.facets))
     src = tmp_path / "d2.json"
     src.write_bytes(export_complex(d2, "json"))
-    # no --json-out: the standard library's indenting JSON encoder leaves
-    # a fixed-size cycle of its own closures on every call
-    argv = ["subdivide", "--in", str(src), "--rounds", "2", "--out", str(tmp_path / "o.json")]
+    argv = ["subdivide", "--in", str(src), "--rounds", "2", "--out", str(tmp_path / "o.json"),
+            "--json-out", str(tmp_path / "s.json")]
     return {
         "protocol_complex": lambda: protocol_complex(d2, "iis", 2),
         "one_round": lambda: one_round(d2, "ic", StateRegistry(d2)),
@@ -357,7 +356,7 @@ _BODIES = {
     "protocol_complex": protocol_complex,
     "one_round": one_round,
     "iterate_subdivide": protocol_complex,
-    "chromatic_subdivide": one_round,
+    "chromatic_subdivide": chromatic_subdivide,
     "bounded_protocol_complex": bounded_protocol_complex,
     "iterate_pipeline": iterate_pipeline,
     "import_complex": import_complex,

@@ -56,6 +56,11 @@ Core claims:
     - gen compares the facet count it will build with --max-facets before
       generating anything
     - --json-out mirrors a machine-readable summary
+    - JSON documents the CLI writes (a summary, a sequence, a trace) are
+      byte for byte json.dumps(doc, indent=2, sort_keys=True,
+      default=repr) + "\n"
+    - A document whose n exceeds its largest color + 1 imports to the same
+      complex, and re-export writes n as the largest color + 1
 """
 
 import json
@@ -89,7 +94,7 @@ from itermem import (
     schedule_oracle,
     split_to_budget,
 )
-from itermem.cli import build_parser, main
+from itermem.cli import _write_json, build_parser, main
 from itermem.io import (
     _canonical_label,
     _loads,
@@ -98,6 +103,7 @@ from itermem.io import (
     encoding_to_dict,
     sequence_from_list,
     sequence_to_list,
+    trace_to_dict,
 )
 from test_iso import _permuted
 
@@ -312,6 +318,16 @@ class TestComplexJson:
             for part in parts:
                 blob = export_complex(part, "json")
                 assert export_complex(import_complex(blob), "json") == blob
+
+    def test_n_above_the_largest_color_reads_back(self):
+        # a hand-written file may give the process count of a smaller
+        # complex: it imports to the same complex, and export writes n as
+        # the largest color + 1
+        doc = {**complex_to_dict(gen_simplex(2)), "n": 5}
+        c = import_complex(json.dumps(doc))
+        assert c == import_complex(export_complex(gen_simplex(2), "json"))
+        assert json.loads(export_complex(c, "json"))["n"] == 3
+        assert export_complex(c, "json") == export_complex(gen_simplex(2), "json")
 
     def test_n_below_a_color_names_it(self):
         doc = {"n": 2, "vertices": [{"vid": 0, "color": 2, "label": ""}], "facets": [[0]]}
@@ -646,6 +662,22 @@ class TestCli:
         doc = json.loads(summary.read_text())
         assert doc["intersection_preserved"] is False
         assert doc["repaired_isomorphic_to_full_information"] is True
+
+    def test_json_documents_match_the_stdlib_encoder(self, tmp_path):
+        # _write_json lays out containers itself, to leave no reference
+        # cycle, with the bytes of the stdlib's indenting encoder
+        c = gen_glued(2)
+        seq, trace = greedy_star(c)
+        docs = {
+            "summary": code_collision_counterexample()[2],
+            "sequence": sequence_to_list(split_to_budget(seq, c, 1)),
+            "trace": trace_to_dict(trace),
+            "scalars": {"t": (1, 2.5, None, True, "é\n"), "e": {}, "l": [], "o": {3: {1, 2}}},
+        }
+        for name, doc in docs.items():
+            _write_json(str(tmp_path / name), doc)
+            want = json.dumps(doc, indent=2, sort_keys=True, default=repr) + "\n"
+            assert (tmp_path / name).read_bytes() == want.encode(), name
 
     def test_json_out_summary(self, tmp_path):
         path = self._gen(tmp_path, extra=["--json-out", str(tmp_path / "s.json")])

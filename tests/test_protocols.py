@@ -45,7 +45,10 @@ Core claims:
       raises InvalidParameters
     - Protocol budgets are checked from counted facets (ordered Bell,
       labeled acyclic digraphs, ias chains; each equal to the template's
-      length), before any view family or template is built
+      length), before any view family or template is built; with no
+      max_facets, one_round and chromatic_subdivide project against
+      DEFAULT_MAX_FACETS (ic on Ch²Δ³: 5,625 × 543; iis on Ch³Δ³:
+      421,875 × 75)
 """
 
 import functools
@@ -71,6 +74,7 @@ from itermem import (
     gen_glued,
     gen_random,
     gen_simplex,
+    iterate_subdivide,
     one_round,
     ordered_set_partitions,
     protocol_complex,
@@ -78,7 +82,7 @@ from itermem import (
     round_views,
     schedule_oracle,
 )
-from itermem.complexes import build_complex
+from itermem.complexes import DEFAULT_MAX_FACETS, build_complex
 from itermem.protocols import (
     ORACLE_CAP,
     _family_count,
@@ -624,6 +628,23 @@ class TestProtocolComplex:
         assert len(x.facets) == 543
         with pytest.raises(ResourceLimit):
             protocol_complex(gen_simplex(3), IC, 1, max_facets=542)
+
+    def test_default_budget_projected_before_building(self, monkeypatch):
+        # with no max_facets, one_round and chromatic_subdivide keep to
+        # DEFAULT_MAX_FACETS like every other builder, and raise from the
+        # projection before any facet's rows are compiled
+        ch2 = iterate_subdivide(gen_simplex(3), 2)  # 5,625 facets
+        ch3 = iterate_subdivide(ch2, 1)  # 421,875 facets
+
+        def built(*args):
+            raise AssertionError("rows were compiled past the default budget")
+
+        monkeypatch.setattr("itermem.protocols._compiled", built)
+        over = f"facets, over {DEFAULT_MAX_FACETS}"
+        with pytest.raises(ResourceLimit, match=f"make {5625 * 543} {over}"):
+            one_round(ch2, IC, StateRegistry(ch2))
+        with pytest.raises(ResourceLimit, match=f"make {421875 * 75} {over}"):
+            chromatic_subdivide(ch3)
 
 
 class TestStructuralChecks:
