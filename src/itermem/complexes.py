@@ -7,11 +7,11 @@ treated as immutable: all operations return new complexes.
 
 The public calls that allocate per facet or per state run with CPython's
 cyclic garbage collector paused (`gc_paused`): `protocol_complex` and
-`one_round` (so also `iterate_subdivide`), `chromatic_subdivide` (whose
-registry is built inside the pause), `bounded_protocol_complex`,
-`iterate_pipeline`, `import_complex`, `export_complex`,
-`ChromaticComplex.f_vector`, `is_isomorphic`, `schedule_oracle` and
-`cli.main`.  Their frozensets, tuples and `Vertex`es form no reference
+`one_round` (so also `iterate_subdivide`), `chromatic_subdivide` and
+`check_intersection_preserving` (whose registries are built inside the
+pause), `bounded_protocol_complex`, `iterate_pipeline`, `import_complex`,
+`export_complex`, `ChromaticComplex.f_vector`, `is_isomorphic`,
+`schedule_oracle` and `cli.main`.  Their frozensets, tuples and `Vertex`es form no reference
 cycles, so the collector, which would otherwise rescan them by the
 hundred thousand, finds nothing to free: reference counting already frees
 all they drop, and the pause changes no result and leaks nothing.  (The
@@ -101,6 +101,10 @@ class StateRegistry:
     mask tuples, in sorted order, or the ic template's own rows when a key
     folds to all of it.  Equal complexes thus build equal vids however
     their facets were listed.
+
+    States are requested only through `emit`.  A subclass may key them
+    differently by overriding `get`: `simulator._Observations` keys each
+    view by what it observes.
 
     Rows come from `compile_rows`: a template's distinct states listed in
     first-use order, so the first request for each state, and hence each

@@ -530,6 +530,7 @@ def subcomplex_sample(c: ChromaticComplex, rng: random.Random) -> ChromaticCompl
     return c.subcomplex(rng.sample(faces, k))
 
 
+@gc_paused
 def check_intersection_preserving(
     c: ChromaticComplex, pattern: str, trials: int, seed: int = 0
 ) -> bool:

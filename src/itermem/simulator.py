@@ -51,6 +51,12 @@ reaches the whole template every further round leaves it there, and the
 fold stops.  Its budget is two checks made before any facet is emitted: a
 projection of the fold work per distinct key, before folding, then the
 exact facet count.  The edge check comes after both.
+
+`code_collision_counterexample` builds its observation rounds, in which a
+reader keeps the raw (color, code) pairs it read instead of decoding them,
+as ic rounds of `one_round` over `_Observations`: a registry that keys each
+(color, view) state the emitter requests by what that view observes.  So
+they take the emitter's facet order, facet budget and collector pause too.
 """
 
 from __future__ import annotations
@@ -81,11 +87,11 @@ from .protocols import (
     GlobalView,
     _compiled,
     _emit_round,
-    _families,
     _family_count,
     _placement,
     _run,
     _template,
+    one_round,
     protocol_complex,
 )
 
@@ -347,32 +353,32 @@ def _unpack(vec: int, k: int) -> list[int]:
 # -- single-function counterexample -------------------------------------------
 
 
-def _observation_complex(
-    c: ChromaticComplex,
-    sub: ChromaticComplex,
-    enc: Encoding,
-    registry: StateRegistry,
-) -> ChromaticComplex:
-    """States as raw observations (color, code), without decoding.
+class _Observations(StateRegistry):
+    """A registry of raw observations, without decoding: what a reader
+    holds when an encoding is too coarse to invert.
 
-    This is what a reader actually holds when an encoding is too coarse to
-    invert; equal observation sets from different executions merge.
+    A round over it (`one_round`) requests each state as (color, view),
+    like any round.  `get` finds p, the view's vertex of that color, and
+    keys the state by (p, the (color, code) pairs of the other coded
+    vertices in the view), so equal observations from different executions
+    merge into one state.  A solo view keys (p, {}), a fresh state, not p.
+    Each state still names its input vertex p, so the round is built
+    unchecked as any other (see `StateRegistry`).
     """
-    facets: list[Simplex] = []
-    for f in sorted(sub.facets, key=sorted):
-        vid_of = {sub.vertices[v].color: v for v in f}
-        for fam in _families(sub, f, IC):
-            verts = []
-            for col, view in fam:
-                p = vid_of[col]
-                obs = frozenset(
-                    (c.vertices[x].color, enc.value(x))
-                    for x in view
-                    if x != p and enc.value(x) is not None
-                )
-                verts.append(registry.get(col, (p, obs)))
-            facets.append(Simplex(verts))
-    return ChromaticComplex(registry.vertices, facets)
+
+    def __init__(self, c: ChromaticComplex, enc: Encoding):
+        super().__init__(c)
+        self._enc = enc
+
+    def get(self, color: int, view: Simplex) -> int:
+        # a view holds base vids only, each registered with its vertex
+        (p,) = (x for x in view if self.vertices[x].color == color)
+        obs = frozenset(
+            (self.vertices[x].color, code)
+            for x in view
+            if x != p and (code := self._enc.value(x)) is not None
+        )
+        return super().get(color, (p, obs))
 
 
 def code_collision_counterexample() -> tuple[ChromaticComplex, list[Encoding], dict]:
@@ -392,15 +398,13 @@ def code_collision_counterexample() -> tuple[ChromaticComplex, list[Encoding], d
     alpha = c.subcomplex([[a1, p1, p2]])
     beta = c.subcomplex([[a2, p1, p2]])
     sigma = alpha.intersect(beta)
-    reg = StateRegistry(c)
-    xa = _observation_complex(c, alpha, broken, reg)
-    xb = _observation_complex(c, beta, broken, reg)
-    xs = _observation_complex(c, sigma, broken, reg)
+    reg = _Observations(c, broken)
+    xa, xb, xs = (one_round(sub, IC, reg) for sub in (alpha, beta, sigma))
     inter = xa.intersect(xb)
     merged = sorted(set(inter.vertices) - set(xs.vertices))
 
     fi = protocol_complex(c, IC, 1)
-    broken_full = _observation_complex(c, c, broken, StateRegistry(c))
+    broken_full = one_round(c, IC, _Observations(c, broken))
     repaired_full = bounded_protocol_complex(c, [repaired])
 
     evidence = {

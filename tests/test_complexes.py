@@ -47,6 +47,7 @@ from itermem import (
     assert_subcomplex,
     bounded_protocol_complex,
     build_complex,
+    check_intersection_preserving,
     chromatic_subdivide,
     cli,
     code_collision_counterexample,
@@ -338,6 +339,9 @@ def _entry_points(tmp_path):
         "one_round": lambda: one_round(d2, "ic", StateRegistry(d2)),
         "iterate_subdivide": lambda: iterate_subdivide(d2, 2),
         "chromatic_subdivide": lambda: chromatic_subdivide(d2),
+        "check_intersection_preserving": lambda: check_intersection_preserving(
+            gen_glued(2), "ic", 2
+        ),
         "bounded_protocol_complex": lambda: bounded_protocol_complex(ic, seq),
         "iterate_pipeline": lambda: iterate_pipeline(d2, 2, 2),
         "import_complex": lambda: import_complex(data),
@@ -357,6 +361,7 @@ _BODIES = {
     "one_round": one_round,
     "iterate_subdivide": protocol_complex,
     "chromatic_subdivide": chromatic_subdivide,
+    "check_intersection_preserving": check_intersection_preserving,
     "bounded_protocol_complex": bounded_protocol_complex,
     "iterate_pipeline": iterate_pipeline,
     "import_complex": import_complex,

@@ -58,6 +58,12 @@ Core claims:
       itself, and coding one common neighbor raises, naming both apexes
     - The shared-apex counterexample: merged states break intersection
       preservation; distinct apex codes restore the isomorphism
+    - An observation round is an ic round over `_Observations`: it exports
+      the same bytes as the per-family loop it replaced (kept here as the
+      reference) on random 3- and 4-color complexes, encodings over
+      {None, 0, 1, 2}, and 1-3 sampled subcomplexes built in sequence over
+      one shared registry; over `max_facets` it raises ResourceLimit
+      before any state is requested
     - iterate_pipeline composes iterations into the r-round collect
       complex itself and counts bounded rounds; two iterations on the
       triangle take 26 / 4 / 2 rounds at b = 1 / 2 / 3, 625 facets; three
@@ -104,6 +110,7 @@ from itermem import (
     GlobalView,
     InvalidParameters,
     ResourceLimit,
+    Simplex,
     StateRegistry,
     bounded_protocol_complex,
     bounds_table,
@@ -126,7 +133,14 @@ from itermem import (
     export_complex,
     verify_cover,
 )
-from itermem.protocols import _interleavings, _programs, _run, _template, subcomplex_sample
+from itermem.protocols import (
+    _families,
+    _interleavings,
+    _programs,
+    _run,
+    _template,
+    subcomplex_sample,
+)
 from itermem import simulator
 from itermem.simulator import _fold, _pack
 
@@ -776,6 +790,53 @@ class TestFoldKey:
         assert _bounded_or_ambiguous(
             bounded_protocol_complex, c, seq + seq[::-1]
         ) == _bounded_or_ambiguous(bounded_protocol_complex, c, seq)
+
+
+def _reference_observation_round(c, sub, enc, registry):
+    """One ic round on sub whose states are raw observations: per family
+    and position, the vertex p and the (color, code) pairs of the other
+    coded vertices in its view."""
+    facets = []
+    for f in sorted(sub.facets, key=sorted):
+        vid_of = {sub.vertices[v].color: v for v in f}
+        for fam in _families(sub, f, IC):
+            verts = []
+            for col, view in fam:
+                p = vid_of[col]
+                obs = frozenset(
+                    (c.vertices[x].color, enc.value(x))
+                    for x in view
+                    if x != p and enc.value(x) is not None
+                )
+                verts.append(registry.get(col, (p, obs)))
+            facets.append(Simplex(verts))
+    return ChromaticComplex(registry.vertices, facets)
+
+
+class TestObservationRound:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(three_color_complexes | four_color_complexes, st.data())
+    def test_equals_reference(self, c, data):
+        code = st.sampled_from([None, 0, 1, 2])
+        enc = Encoding({v: data.draw(code) for v in sorted(c.vertices)})
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        reg, ref = simulator._Observations(c, enc), StateRegistry(c)
+        for _ in range(data.draw(st.integers(1, 3))):
+            sub = subcomplex_sample(c, rng)
+            got = one_round(sub, IC, reg)
+            want = _reference_observation_round(c, sub, enc, ref)
+            assert export_complex(got, "json") == export_complex(want, "json")
+
+    def test_over_the_budget_raises_before_any_state(self, monkeypatch):
+        c = gen_simplex(3)
+        reg = simulator._Observations(c, Encoding({v: 0 for v in c.vertices}))
+
+        def requested(*_args):
+            raise AssertionError("a state was requested")
+
+        monkeypatch.setattr(simulator._Observations, "get", requested)
+        with pytest.raises(ResourceLimit, match="543 facets, over 542"):
+            one_round(c, IC, reg, max_facets=542)
 
 
 class TestCounterexample:
