@@ -13,7 +13,8 @@ collect use fewer rounds.  `iterate_pipeline(gen_simplex(2), 3, 3)` takes
 Which assumption differs here is open; one candidate is the model, since
 `decode` resolves a code against the reader's whole neighborhood in the
 current complex.  The proven lower bound is the degree bound
-(`lower_bound_rounds`).
+(`lower_bound_rounds`), and `degree_growth_table` gives the exact
+max-degree that bound reads on Ch^r of a simplex, r = 1, 2, ...
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from sys import float_info
 from .complexes import ChromaticComplex
 from .encoding import lower_bound_rounds
 from .errors import InvalidParameters, ResourceLimit
+from .generators import gen_simplex
+from .protocols import iterate_subdivide
 
 
 @dataclass(frozen=True)
@@ -109,3 +112,25 @@ def bounds_table(
         degree_lower=degree_lower,
         measured_rounds=measured_rounds,
     )
+
+
+@dataclass(frozen=True)
+class GrowthRow:
+    r: int
+    max_degree: int
+    ratio: float  # max_degree divided by the previous row's (r=1 row: vs the base simplex)
+
+
+def degree_growth_table(n: int, r_max: int) -> list[GrowthRow]:
+    """Exact max-degree of Ch^r of the n-simplex for r = 1..r_max."""
+    if n < 1 or r_max < 2:
+        raise InvalidParameters("need n >= 1 and r_max >= 2")
+    cur = gen_simplex(n)
+    prev = cur.max_degree()
+    rows: list[GrowthRow] = []
+    for r in range(1, r_max + 1):
+        cur = iterate_subdivide(cur, 1)
+        deg = cur.max_degree()
+        rows.append(GrowthRow(r, deg, deg / prev))
+        prev = deg
+    return rows

@@ -36,7 +36,7 @@ from .io import (
     trace_to_dict,
 )
 from .iso import is_isomorphic
-from .protocols import ORACLE_CAP, PATTERNS, protocol_complex
+from .protocols import ORACLE_CAP, PATTERNS, iterate_subdivide, protocol_complex
 from .setcover import (
     SetCoverInstance,
     exact_min_sequence,
@@ -44,7 +44,6 @@ from .setcover import (
     set_cover_reduce,
 )
 from .simulator import bounded_protocol_complex, code_collision_counterexample
-from .subdivision import iterate_subdivide
 
 
 def _read_complex(path: str) -> ChromaticComplex:

@@ -5,6 +5,10 @@ facets (maximal simplices).  Faces are derived lazily and cached.  Every
 vertex carries a color; a facet may not repeat a color.  Instances are
 treated as immutable: all operations return new complexes.
 
+`StateRegistry` only keys process states, one vid per distinct (color,
+payload) state over a base complex.  Rounds are built from it in one
+place, `protocols._emit_round`.
+
 The public calls that allocate per facet or per state run with CPython's
 cyclic garbage collector paused (`gc_paused`): `protocol_complex` and
 `one_round` (so also `iterate_subdivide`), `chromatic_subdivide` and
@@ -28,7 +32,7 @@ import gc
 import itertools
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import (
@@ -88,37 +92,12 @@ class StateRegistry:
     payload) for set payloads.  Share one registry between calls to build
     several subcomplexes of the base into one vid space.
 
-    Fresh vids follow the order of first requests, and every builder makes
-    that order a function of content, never of a set's iteration order.
-    For round complexes the one place that defines it is the one round
-    emitter, `protocols._emit_round`, which is `emit`'s one caller.  It
-    walks the facets in sorted order, places each facet's vids by color
-    rank, and emits the rows its caller compiled for that facet.
-    `protocols.one_round` (also the chromatic subdivision) supplies each
-    facet size's view families in template order;
-    `simulator.bounded_protocol_complex` supplies each key's knowledge
-    vectors, view masks packed into an int whose order is the order of the
-    mask tuples, in sorted order, or the ic template's own rows when a key
-    folds to all of it.  Equal complexes thus build equal vids however
-    their facets were listed.
-
-    States are requested only through `emit`.  A subclass may key them
-    differently by overriding `get`: `simulator._Observations` keys each
-    view by what it observes.
-
-    Rows come from `compile_rows`: a template's distinct states listed in
-    first-use order, so the first request for each state, and hence each
-    fresh vid, comes in the order the per-family requests would make.
-
-    The emitter returns through `complex`, which checks nothing per facet,
-    because emission already guarantees all that `ChromaticComplex` would
-    check.  `get` maps distinct (color, payload) pairs to distinct vids,
-    each registered with a `Vertex` of that vid and color.  A round emits
-    each input facet's states on its positions, one color per position, so
-    no output facet repeats a color.  And no output facet lies inside another:
-    one input facet's output facets have one size, and every state's view
-    holds its own input vertex, so an output facet of input facet f inside
-    one of g would put f inside g, which the input complex rules out.
+    The registry only keys states: fresh vids follow the order of first
+    requests, and `protocols._emit_round`, the one round emitter, is the
+    one place that requests them and builds a round from them (see its
+    docstring for the order and for why the result needs no check).  A
+    subclass may key states differently by overriding `get`:
+    `simulator._Observations` keys each view by what it observes.
     """
 
     def __init__(self, base: "ChromaticComplex"):
@@ -138,60 +117,6 @@ class StateRegistry:
                 payload = tuple(sorted(payload))
             self.vertices[vid] = Vertex(vid, color, (color, payload))
         return vid
-
-    def emit(
-        self,
-        colors: list[int],
-        sets: list[Simplex],
-        compiled: "CompiledRows",
-        out: list[Simplex],
-    ) -> None:
-        """Append one facet of states per compiled row to `out`.
-
-        A state (i, m) of `compiled` is the process at position i, of color
-        colors[i], with view sets[m]; each is requested once, in first-use
-        order.
-        """
-        states, rows = compiled
-        get = self.get
-        vids = [get(colors[i], sets[m]) for i, m in states]
-        out += [Simplex(row(vids)) for row in rows]
-
-    def complex(self, facets: list[Simplex]) -> "ChromaticComplex":
-        """The complex of facets `emit` appended, over the states they use.
-
-        Unchecked: see the class docstring.  The vertex table is built as
-        `ChromaticComplex` builds it, so the result is the one the checking
-        constructor returns for the same facets.
-        """
-        facet_set = frozenset(facets)
-        used: set[int] = set().union(*facet_set)
-        table = dict(zip(used, map(self.vertices.__getitem__, used)))
-        return ChromaticComplex._unchecked(table, facet_set)
-
-
-CompiledRows = tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...]]
-
-
-def compile_rows(families: Iterable[Iterable[tuple[int, int]]]) -> CompiledRows:
-    """A round template as its distinct (position, mask) states, in first-use
-    order, and each family as an `itemgetter` of its indices into them."""
-    index: dict[tuple[int, int], int] = {}
-    rows = [[index.setdefault(state, len(index)) for state in fam] for fam in families]
-    return tuple(index), tuple(map(_row_getter, rows))
-
-
-def _row_getter(row: list[int]) -> itemgetter:
-    # itemgetter(i) returns the item itself, not a 1-tuple
-    return itemgetter(*row) if len(row) > 1 else itemgetter(slice(row[0], row[0] + 1))
-
-
-def mask_sets(at: list[int]) -> list[Simplex]:
-    """The vid set of every mask over positions at[0], at[1], ...: bit j is at[j]."""
-    sets = [Simplex()]
-    for v in at:
-        sets += [s | {v} for s in sets]
-    return sets
 
 
 _vid = attrgetter("vid")
@@ -267,7 +192,7 @@ class ChromaticComplex:
         cls, vertices: dict[int, Vertex], facets: frozenset[Simplex]
     ) -> "ChromaticComplex":
         """A complex of nonempty maximal chromatic `facets` and exactly the
-        vertices they reference, taken as given (`StateRegistry.complex`)."""
+        vertices they reference, taken as given (`protocols._emit_round`)."""
         c = cls.__new__(cls)
         c.vertices, c.facets = vertices, facets
         c._faces = c._adjacency = c._rivals = None

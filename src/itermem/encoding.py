@@ -27,7 +27,6 @@ coding map that the cover checks of `greedy` and the simulator read.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Mapping
 
 from .complexes import ChromaticComplex
@@ -132,10 +131,21 @@ def lower_bound_rounds(c: ChromaticComplex, b: int) -> int:
     neighbors of v are pairwise rivals (v is their common neighbor), so a
     sound round gives them distinct codes and holds at most 2^b - 1 of them
     per color.  One round thus codes at most n(2^b - 1) neighbors of v.
+    The ceiling is taken in integers, so it stays exact at any b.
     """
     if b < 1:
         raise InvalidParameters("need b >= 1")
     if not c.facets:
         raise InvalidParameters("need a nonempty complex")
     n = len(c.colors())
-    return math.ceil(c.max_degree() / (n * (2**b - 1)))
+    deg = c.max_degree()
+    return -(-deg // (n * _code_count(b, max(deg, 1))))
+
+
+def _code_count(b: int, need: int) -> int:
+    """min(2^b - 1, need) for need >= 1, without building 2^b.
+
+    More codes than `need` change no caller's answer, so a huge b costs
+    nothing: 2^b - 1 >= need iff need has at most b bits.
+    """
+    return need if need.bit_length() <= b else (1 << b) - 1

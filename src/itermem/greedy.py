@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import ChromaticComplex, Simplex
-from .encoding import Encoding, _clashes, rounds_coding
+from .encoding import Encoding, _clashes, _code_count, rounds_coding
 from .errors import InvalidParameters, ItermemError
 
 
@@ -191,7 +191,7 @@ def split_to_budget(
     of = c.rivals()
     # a vertex with fewer rivals than codes always finds a free code, so
     # codes past the largest rival count plus one are never handed out
-    budget = min(2**b - 1, max(map(len, of.values()), default=0) + 1)
+    budget = _code_count(b, max(map(len, of.values()), default=0) + 1)
     every_code = (1 << (budget + 1)) - 2  # bits 1..budget
     rounds: list[dict[int, int]] = []  # per round: vid -> code
     taken: list[dict[int, int]] = []  # per round: open vid -> its rivals' codes

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from operator import itemgetter
 
 from .complexes import ChromaticComplex, Simplex, Vertex, gc_paused
@@ -186,11 +186,9 @@ def _to_dot(c: ChromaticComplex) -> str:
         lines.append(
             f'  v{v.vid} [color={v.color}, label="{_canonical_label(v.label)}"];'
         )
-    edges = set()
-    for f in c.facets:
-        edges.update(tuple(sorted(e)) for e in combinations(f, 2))
-    for a, b in sorted(edges):
-        lines.append(f"  v{a} -- v{b};")
+    adj = c.adjacency()
+    for a in sorted(adj):
+        lines += [f"  v{a} -- v{b};" for b in adj[a] if a < b]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -19,7 +19,7 @@ facet as unchecked by it.
 Closed forms (views are self-inclusive subsets of one facet):
   iis: ordered set partitions; a view is the union of the blocks up to and
        including the owner's block.  This is the standard chromatic
-       subdivision, and `subdivision` builds Ch as this round.
+       subdivision (below).
   ias: families pairwise comparable under inclusion (read times are totally
        ordered).
   ic:  families whose misses digraph (edge p -> q when q is not in p's
@@ -39,8 +39,22 @@ without building its template.  It emits each facet's families from the
 template compiled once per size (`_compiled`) through `_emit_round`, the
 one round emitter, which `simulator.bounded_protocol_complex` shares.
 The emitter defines the facet order that numbers new states (facets in
-sorted order, vids by color rank; see `StateRegistry`), and requests each
-distinct (position, view) state once per facet, in first-use order.
+sorted order, vids by color rank), requests each distinct (position,
+view) state once per facet, in first-use order, from a `StateRegistry`
+that only keys them, and builds the round complex itself.
+
+One round of the standard chromatic subdivision is one immediate-snapshot
+round (Borowsky & Gafni 1993; Herlihy & Shavit's asynchronous
+computability theorem), so Ch is `chromatic_subdivide`, one iis round, and
+Ch^r is `iterate_subdivide`, r of them: the same vids, labels and export
+bytes as `protocol_complex(c, IIS, r)`.  Each facet F is subdivided by the
+ordered set partitions of its vertex set: a vertex lands in a block B_i
+and becomes the pair (its color, carrier), where the carrier is the union
+of blocks B_1..B_i.  Pairs with a singleton carrier {v} are identified
+with the original vertex v, so vertex identity (and hence per-vertex
+degree) is preserved across iterations.  Facets of neighboring base facets
+glue automatically because equal (color, carrier) pairs receive equal
+vids.
 """
 
 from __future__ import annotations
@@ -49,18 +63,16 @@ import itertools
 import random
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .complexes import (
     DEFAULT_MAX_FACETS,
     ChromaticComplex,
-    CompiledRows,
     Simplex,
     StateRegistry,
     assert_facet,
-    compile_rows,
     gc_paused,
-    mask_sets,
 )
 from .errors import InvalidParameters, ResourceLimit
 
@@ -192,6 +204,30 @@ def _template(pattern: str, n: int) -> tuple[tuple[int, ...], ...]:
             per[p] = _with_subsets(prefix, order[j + 1 :])
         found.update(itertools.product(*per))
     return tuple(sorted(found))
+
+
+CompiledRows = tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...]]
+
+
+def compile_rows(families: Iterable[Iterable[tuple[int, int]]]) -> CompiledRows:
+    """A round template as its distinct (position, mask) states, in first-use
+    order, and each family as an `itemgetter` of its indices into them."""
+    index: dict[tuple[int, int], int] = {}
+    rows = [[index.setdefault(state, len(index)) for state in fam] for fam in families]
+    return tuple(index), tuple(map(_row_getter, rows))
+
+
+def _row_getter(row: list[int]) -> itemgetter:
+    # itemgetter(i) returns the item itself, not a 1-tuple
+    return itemgetter(*row) if len(row) > 1 else itemgetter(slice(row[0], row[0] + 1))
+
+
+def mask_sets(at: list[int]) -> list[Simplex]:
+    """The vid set of every mask over positions at[0], at[1], ...: bit j is at[j]."""
+    sets = [Simplex()]
+    for v in at:
+        sets += [s | {v} for s in sets]
+    return sets
 
 
 @lru_cache(maxsize=None)
@@ -455,20 +491,47 @@ def raw_interleaving_views(
 def _emit_round(
     c: ChromaticComplex, registry: StateRegistry, rows_of: Callable[[list], list[CompiledRows]]
 ) -> ChromaticComplex:
-    """One round on every facet of c, emitted through `registry`.
+    """One round on every facet of c, its states keyed by `registry`.
 
     The one place that orders and places a round's facets: it walks them
-    in sorted order, the order that numbers fresh vids (`StateRegistry`),
-    and places each one's vids by color rank (`_placement`).  `rows_of`
-    takes these placements, (vids, colors) per facet in that order, and
-    returns each facet's compiled rows in the same order, before the first
-    state is emitted, so a caller's budget checks raise first.
+    in sorted order, the order that numbers fresh vids, and places each
+    one's vids by color rank (`_placement`).  `rows_of` takes these
+    placements, (vids, colors) per facet in that order, and returns each
+    facet's compiled rows in the same order, before the first state is
+    requested, so a caller's budget checks raise first.  A compiled state
+    (i, m) is the process at position i, with view mask m over the facet's
+    vids; each is requested once per facet, in first-use order
+    (`compile_rows`), so the first request for each state, and hence each
+    fresh vid, comes in the order per-family requests would make.
+    `one_round` (so also Ch) supplies each facet size's template rows;
+    `simulator.bounded_protocol_complex` supplies each key's knowledge
+    vectors in sorted order, or the ic template's own rows when a key
+    folds to all of it.  Equal complexes thus build equal vids however
+    their facets were listed.
+
+    The result is built unchecked (`ChromaticComplex._unchecked`), since
+    emission guarantees all that the constructor would check.  The
+    registry maps distinct (color, payload) pairs to distinct vids, each
+    registered with a `Vertex` of that vid and color.  Each input facet's
+    states go on its positions, one color per position, so no output facet
+    repeats a color.  And no output facet lies inside another: one input
+    facet's output facets have one size, and every state's view holds its
+    own input vertex, so an output facet of input facet f inside one of g
+    would put f inside g, which the input complex rules out.  The vertex
+    table is built as the constructor builds it, so the result is the one
+    it returns for the same facets.
     """
     placed = [_placement(c, f) for f in sorted(c.facets, key=sorted)]
+    get = registry.get
     facets: list[Simplex] = []
-    for (at, colors), rows in zip(placed, rows_of(placed)):
-        registry.emit(colors, mask_sets(at), rows, facets)
-    return registry.complex(facets)
+    for (at, colors), (states, rows) in zip(placed, rows_of(placed)):
+        sets = mask_sets(at)
+        vids = [get(colors[i], sets[m]) for i, m in states]
+        facets += [Simplex(row(vids)) for row in rows]
+    facet_set = frozenset(facets)
+    used: set[int] = set().union(*facet_set)
+    table = dict(zip(used, map(registry.vertices.__getitem__, used)))
+    return ChromaticComplex._unchecked(table, facet_set)
 
 
 @gc_paused
@@ -515,6 +578,27 @@ def protocol_complex(
     for _ in range(rounds):
         cur = one_round(cur, pattern, StateRegistry(cur), max_facets=max_facets)
     return cur
+
+
+@gc_paused
+def chromatic_subdivide(
+    c: ChromaticComplex, registry: StateRegistry | None = None
+) -> ChromaticComplex:
+    """One round of standard chromatic subdivision: one iis round.
+
+    Like every builder it keeps to `DEFAULT_MAX_FACETS`: a projected facet
+    count over it raises ResourceLimit before any facet is built.  Pass a
+    shared registry (built on a common base) to subdivide several
+    subcomplexes into a common vid space.
+    """
+    return one_round(c, IIS, registry or StateRegistry(c))
+
+
+def iterate_subdivide(
+    c: ChromaticComplex, r: int, max_facets: int = DEFAULT_MAX_FACETS
+) -> ChromaticComplex:
+    """r-fold chromatic subdivision, r iis rounds, with a facet-count budget."""
+    return protocol_complex(c, IIS, r, max_facets=max_facets)
 
 
 def check_no_input_edges(c: ChromaticComplex, pattern: str) -> bool:

@@ -13,7 +13,7 @@ execution per round into packed knowledge vectors over the one-round ic
 template, and checks decoding once per clashing pair.  It emits its
 states through `protocols._emit_round`, the one round emitter, which
 `one_round` uses too and which defines the facet order that numbers vids
-(see `StateRegistry`).  Under a covering sequence every facet folds to the
+(see its docstring).  Under a covering sequence every facet folds to the
 whole ic template and emits that template's own rows, so the result is
 the one-round collect complex itself, vids and labels included.
 
@@ -68,13 +68,10 @@ from operator import index, or_
 from .complexes import (
     DEFAULT_MAX_FACETS,
     ChromaticComplex,
-    CompiledRows,
     Simplex,
     StateRegistry,
     assert_facet,
-    compile_rows,
     gc_paused,
-    mask_sets,
 )
 from .encoding import Encoding, _clashes, rounds_coding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
@@ -84,6 +81,7 @@ from .io import _canonical_label, encoding_to_dict
 from .iso import is_isomorphic
 from .protocols import (
     IC,
+    CompiledRows,
     GlobalView,
     _compiled,
     _emit_round,
@@ -91,6 +89,8 @@ from .protocols import (
     _placement,
     _run,
     _template,
+    compile_rows,
+    mask_sets,
     one_round,
     protocol_complex,
 )
@@ -362,8 +362,8 @@ class _Observations(StateRegistry):
     keys the state by (p, the (color, code) pairs of the other coded
     vertices in the view), so equal observations from different executions
     merge into one state.  A solo view keys (p, {}), a fresh state, not p.
-    Each state still names its input vertex p, so the round is built
-    unchecked as any other (see `StateRegistry`).
+    Each state still names its input vertex p, so `protocols._emit_round`
+    builds the round unchecked as any other (see its docstring).
     """
 
     def __init__(self, c: ChromaticComplex, enc: Encoding):

@@ -2,7 +2,7 @@
 Reference tests for the round builders.
 
 `protocols.one_round` emits each facet's states from a compiled template
-(`StateRegistry.emit`), and `subdivision.chromatic_subdivide` is its iis
+(`protocols._emit_round`), and `protocols.chromatic_subdivide` is its iis
 round.  The references below are the per-family builders it replaced, one
 `registry.get` per (family, position), and the definition of the
 chromatic subdivision: per facet, the carriers of the ordered partitions

@@ -19,16 +19,21 @@ Core claims:
       leaves a collector the caller disabled off, and re-enables nested calls
       only at the outermost; no collection runs inside any paused entry
       point, and each leaves no cyclic garbage, so the pause loses nothing
+    - Every module of the package imports alone in a fresh interpreter
 """
 
 import gc
 import inspect
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import itermem
 from itermem import (
     AmbiguousDecode,
     ChromaticComplex,
@@ -407,3 +412,19 @@ def test_an_entry_point_leaves_no_cyclic_garbage(name, tmp_path, collector_on):
     gc.disable()
     call()
     assert gc.collect() == 0
+
+
+_PACKAGE = Path(itermem.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in _PACKAGE.glob("*.py")))
+def test_each_module_imports_alone(module):
+    # a fresh interpreter per module, so no module this session imported
+    # earlier can hide an import cycle or a missing name
+    name = "itermem" if module == "__init__" else f"itermem.{module}"
+    env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {name}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -13,8 +13,14 @@ Core claims:
       one code, by the pairwise scan; so it yields nothing iff every coded
       vertex is distinguishable
     - Degree lower bound: frozen values on the triangle, glued pair, and
-      one subdivision round; bad parameters raise
+      one subdivision round; equal to the exact rational ceiling at
+      b = 1, 2, 3, 1074, 1075, 5000 on Δ², ChΔ³ and the glued pair;
+      bad parameters raise
+    - min(2^b - 1, need), as `_code_count` computes it without 2^b
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -32,7 +38,7 @@ from itermem import (
     is_vertex_distinguishable,
     lower_bound_rounds,
 )
-from itermem.encoding import _clashes
+from itermem.encoding import _clashes, _code_count
 
 A1, P1, P2, A2 = 0, 1, 2, 3
 
@@ -183,6 +189,19 @@ class TestLowerBound:
         ch = chromatic_subdivide(gen_simplex(2))
         assert lower_bound_rounds(ch, 1) == 2  # maxdeg 6, 3 colors, budget 1
         assert lower_bound_rounds(ch, 2) == 1
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 1074, 1075, 5000])
+    def test_exact_at_any_width(self, b):
+        # in floats the quotient underflows to 0.0 from b = 1075 on
+        for c in (gen_simplex(2), chromatic_subdivide(gen_simplex(3)), _glued()):
+            n = len(c.colors())
+            want = math.ceil(Fraction(c.max_degree(), n * (2**b - 1)))
+            assert lower_bound_rounds(c, b) == want
+
+    def test_code_count(self):
+        for b in range(1, 6):
+            for need in range(1, 40):
+                assert _code_count(b, need) == min(2**b - 1, need)
 
     def test_bad_parameters(self):
         with pytest.raises(InvalidParameters):

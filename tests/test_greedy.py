@@ -23,7 +23,8 @@ Core claims:
       round per facet, greedy's reversed and repeated, the exact minimum,
       drawn ones); a sequence that does not cover, or has an unsound round,
       raises InvalidParameters
-    - Ch^3 of the triangle packs into 148 / 19 / 5 rounds at b = 1 / 2 / 3
+    - Ch^3 of the triangle packs into 148 / 19 / 5 rounds at b = 1 / 2 / 3;
+      b = 10^8 packs as b = 64 does
     - Packed round counts never fall below the degree lower bound
     - The coding map: bit r of a vid's mask is set iff round r codes it,
       and the faces whose masks AND to 0 are those no round codes whole,
@@ -385,6 +386,12 @@ class TestSplitToBudget:
         seq, _ = greedy_star(c)
         assert split_to_budget(seq, c, 64) == split_to_budget(seq, c, 8)
         assert len(split_to_budget(seq, c, 64)) == 1
+
+    def test_huge_register_width(self):
+        # the code count is capped without building 2^b - 1
+        c = iterate_subdivide(gen_simplex(2), 2)
+        seq, _ = greedy_star(c)
+        assert split_to_budget(seq, c, 10**8) == split_to_budget(seq, c, 64)
 
     def test_split_of_ch3_triangle_pinned(self):
         c = iterate_subdivide(gen_simplex(2), 3)

@@ -370,6 +370,22 @@ class TestOtherFormats:
         assert dot.count(" -- ") == 3
         assert dot.startswith("graph")
 
+    def test_dot_glued_pinned(self):
+        # the parent's facet-pair edge set gave these bytes too
+        assert export_complex(gen_glued(2), "dot").decode() == (
+            "graph complex {\n"
+            '  v0 [color=0, label="a1"];\n'
+            '  v1 [color=1, label="p1"];\n'
+            '  v2 [color=2, label="p2"];\n'
+            '  v3 [color=0, label="a2"];\n'
+            "  v0 -- v1;\n"
+            "  v0 -- v2;\n"
+            "  v1 -- v2;\n"
+            "  v1 -- v3;\n"
+            "  v2 -- v3;\n"
+            "}\n"
+        )
+
     def test_csv_fvector(self):
         ch = chromatic_subdivide(gen_simplex(2))
         assert export_complex(ch, "csv-fvector") == b"12,24,13"
@@ -600,6 +616,29 @@ class TestCli:
         # the row was n x the counting bound, which verified compiles go below
         assert "snapshot upper bound" not in out
 
+    def test_bounds_of_a_complex(self, tmp_path, capsys):
+        # --in adds the degree lower bound row and --measured its own, in
+        # stdout and in --json-out alike
+        tri = self._gen(tmp_path, "tri.json", kind="simplex")
+        summary = tmp_path / "s.json"
+        assert main(["bounds", "--n", "3", "--r", "1", "--b", "1", "--in", str(tri),
+                     "--measured", "7", "--json-out", str(summary)]) == 0
+        out = capsys.readouterr().out
+        assert "degree lower bound: 1\n" in out
+        assert "measured rounds: 7\n" in out
+        doc = json.loads(summary.read_text())
+        assert (doc["degree lower bound"], doc["measured rounds"]) == (1, 7)
+
+    def test_degree_bound_past_float_range(self, tmp_path, capsys):
+        # the float quotient underflowed to 0.0 from b = 1075 on
+        tri = self._gen(tmp_path, "tri.json", kind="simplex")
+        assert main(["bounds", "--n", "3", "--r", "1", "--b", "1100", "--in", str(tri)]) == 0
+        assert "degree lower bound: 1\n" in capsys.readouterr().out
+        summary = tmp_path / "g.json"
+        assert main(["greedy-star", "--in", str(tri), "--bits", "1100",
+                     "--json-out", str(summary)]) == 0
+        assert json.loads(summary.read_text())["degree_lower"] == 1
+
     def test_bounds_past_float_range(self, tmp_path, capsys):
         # the float formula overflowed here (exit 4); the bound is now exact
         summary = tmp_path / "s.json"
@@ -656,6 +695,25 @@ class TestCli:
         assert main(["exact-min", "--in", str(out)]) == 0
         assert "minimum rounds: 2" in capsys.readouterr().out
 
+    def test_reduce_setcover_from_a_file(self, tmp_path, capsys):
+        inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"
+        inst.write_text('{"universe": [1, 2, 3], "subsets": [[1, 2], [2, 3]]}')
+        bad.write_text('{"universe": [1, 2, 3]}')
+        out = tmp_path / "r.json"
+        assert main(["reduce-setcover", "--in", str(inst), "--out", str(out)]) == 0
+        assert main(["exact-min", "--in", str(out)]) == 0
+        assert "minimum rounds: 2" in capsys.readouterr().out
+        assert main(["reduce-setcover", "--in", str(bad)]) == 2
+        assert "malformed instance" in capsys.readouterr().err
+        assert main(["reduce-setcover"]) == 2
+        assert "need --in or both --universe and --subsets" in capsys.readouterr().err
+
+    def test_gen_path(self, tmp_path, capsys):
+        summary = tmp_path / "s.json"
+        assert main(["gen", "path", "--m", "3", "--json-out", str(summary)]) == 0
+        doc = json.loads(summary.read_text())
+        assert (doc["kind"], doc["facets"], doc["f_vector"]) == ("path", 3, [5, 7, 3])
+
     def test_counterexample(self, tmp_path):
         summary = tmp_path / "s.json"
         assert main(["counterexample", "--json-out", str(summary)]) == 0
@@ -688,6 +746,7 @@ class TestCli:
         assert main(["gen", "nonsense"]) == 2  # argparse choice
         assert main(["subdivide", "--in", str(tmp_path / "missing.json")]) == 2
         assert main(["verify", "--a", "x"]) == 2  # incomplete mode
+        assert main(["verify"]) == 2  # no mode at all
         assert main(["bounds", "--n", "1", "--r", "1", "--b", "1"]) == 2
 
     def test_options_offered_only_where_read(self, tmp_path, capsys):

@@ -32,7 +32,9 @@ Core claims:
     - Input vertices keep their vids as solo-view states in every round;
       every other state gets a vid above the input's largest
     - No facet of a 1-round complex joins two solo views (no-input-edges)
-    - Protocol complexes of subcomplexes glue: X(A) ∩ X(B) = X(A ∩ B)
+    - Protocol complexes of subcomplexes glue: X(A) ∩ X(B) = X(A ∩ B);
+      the check fails on the glued pair when its rounds key states by
+      observations under one shared apex code
     - Multi-round composition stays consistent
     - Containment monotonicity on sampled raw interleavings
     - Both oracles, run on one read-step rule, equal the two walks and the
@@ -63,6 +65,7 @@ from itermem import (
     IC,
     IIS,
     PATTERNS,
+    Encoding,
     GlobalView,
     InvalidParameters,
     ResourceLimit,
@@ -658,6 +661,20 @@ class TestStructuralChecks:
         assert check_intersection_preserving(
             gen_glued(2), pattern, trials=4, seed=1
         )
+
+    @pytest.mark.parametrize("seed", [0, 2, 4, 5, 7, 8, 9])
+    def test_intersection_check_can_fail(self, monkeypatch, seed):
+        # rounds over a registry that merges the glued pair's observations
+        # under one shared code: X(A) ∩ X(B) then exceeds X(A ∩ B)
+        from itermem.simulator import _Observations
+
+        c = gen_glued(2)
+        assert check_intersection_preserving(c, IC, trials=5, seed=seed)
+        broken = Encoding({0: 1, 3: 1, 1: 1, 2: 1})
+        monkeypatch.setattr(
+            "itermem.protocols.StateRegistry", lambda base: _Observations(base, broken)
+        )
+        assert not check_intersection_preserving(c, IC, trials=5, seed=seed)
 
     def test_structure_on_seeded_complexes(self):
         for seed in range(6):

@@ -726,7 +726,7 @@ def _product_fold(k, masks):
 
 
 class TestRegistryComplex:
-    """A round builder's complex, built unchecked by `StateRegistry.complex`,
+    """A round builder's complex, built unchecked by `protocols._emit_round`,
     is the one the checking constructor builds from it."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
