@@ -333,11 +333,22 @@ class ChromaticComplex:
         return all(ambient.has_face(f) for f in self.facets)
 
     def intersect(self, other: "ChromaticComplex") -> "ChromaticComplex":
-        """Intersection of two complexes over a shared vid space."""
+        """Intersection of two complexes over a shared vid space.
+
+        Its facets are the maximal nonempty f & g over facets f here and g
+        of other.  Other's facets are indexed by vertex, so each f meets
+        only the g that share a vertex with it: a disjoint pair gives the
+        empty simplex, which `_maximal` drops anyway.
+        """
         for vid in self.vertices.keys() & other.vertices.keys():
             if self.vertices[vid] != other.vertices[vid]:
                 raise IncompatibleVertexSpaces(f"vid {vid} has conflicting vertex data")
-        common = (f & g for f in self.facets for g in other.facets)
+        through: dict[int, list[Simplex]] = {}
+        for g in other.facets:
+            for v in g:
+                through.setdefault(v, []).append(g)
+        # a pair that shares k vertices is met k times; _maximal keeps one
+        common = (f & g for f in self.facets for v in f for g in through.get(v, ()))
         merged = dict(self.vertices)
         merged.update(other.vertices)
         return ChromaticComplex(merged, _maximal(common))

@@ -8,9 +8,13 @@ accepted and ignored.
 
 A complex's JSON is, byte for byte, what
 ``json.dumps(complex_to_dict(c), indent=2, sort_keys=True) + "\n"``
-writes, but it is built from rows by `str.join`: with any ``indent`` the
-stdlib runs its pure-Python encoder, which was most of the cost of an
-export.  Labels are escaped by the C-backed ``json.dumps(label)``.
+writes: `complex_to_dict` is the byte specification, and `_to_json` is
+the one writer.  The writer formats the document in one pass over the
+facet set and the vertex table, with no intermediate document: with any
+``indent`` the stdlib runs its pure-Python encoder, which was most of the
+cost of an export.  Labels are escaped by
+``json.encoder.encode_basestring_ascii``, the C function that
+``json.dumps(label)`` itself calls, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .complexes import ChromaticComplex, Simplex, Vertex, gc_paused
@@ -120,7 +125,7 @@ def complex_from_dict(d: dict) -> ChromaticComplex:
 def export_complex(c: ChromaticComplex, fmt: str) -> bytes:
     """Deterministic byte stream in one of json | dot | csv-fvector."""
     if fmt == "json":
-        return _json_document(complex_to_dict(c)).encode()
+        return _to_json(c).encode()
     if fmt == "dot":
         return _to_dot(c).encode()
     if fmt == "csv-fvector":
@@ -138,18 +143,23 @@ def _facet_row(size: int) -> str:
     return "    [\n      " + ",\n      ".join(["%d"] * size) + "\n    ]"
 
 
-def _json_document(doc: dict) -> str:
-    """A `complex_to_dict` document in the indent=2, sort_keys=True layout."""
-    # one %-format per facet row, in place of a str per vid and three joins
-    facets = [_facet_row(len(f)) % tuple(f) for f in doc["facets"]]
+_VERTEX_ROW = '    {\n      "color": %s,\n      "label": %s,\n      "vid": %s\n    }'
+
+
+def _to_json(c: ChromaticComplex) -> str:
+    """`complex_to_dict(c)` in the indent=2, sort_keys=True layout, written
+    straight from the facet set and the vertex table."""
+    # one %-format per row, in place of a str per entry and three joins
+    facets = [
+        _facet_row(len(f)) % f for f in sorted(map(tuple, map(sorted, c.facets)))
+    ]
     vertices = [
-        f'    {{\n      "color": {v["color"]},\n'
-        f'      "label": {json.dumps(v["label"])},\n'
-        f'      "vid": {v["vid"]}\n    }}'
-        for v in doc["vertices"]
+        _VERTEX_ROW % (v.color, encode_basestring_ascii(_canonical_label(v.label)), vid)
+        for vid, v in sorted(c.vertices.items())
     ]
     return (
-        f'{{\n  "facets": {_json_list(facets)},\n  "n": {doc["n"]},\n'
+        f'{{\n  "facets": {_json_list(facets)},\n'
+        f'  "n": {max(c.colors(), default=-1) + 1},\n'
         f'  "vertices": {_json_list(vertices)}\n}}\n'
     )
 

@@ -607,11 +607,20 @@ def check_no_input_edges(c: ChromaticComplex, pattern: str) -> bool:
     return all(len(f & c.vertices.keys()) < 2 for f in xi.facets)
 
 
-def subcomplex_sample(c: ChromaticComplex, rng: random.Random) -> ChromaticComplex:
-    """A random subcomplex generated by 1-4 faces (deterministic under the rng)."""
-    faces = sorted(c.faces(), key=lambda s: (len(s), sorted(s)))
+def _sorted_faces(c: ChromaticComplex) -> list[Simplex]:
+    """c's faces by size, then by their sorted vids: the order draws sample."""
+    return sorted(c.faces(), key=lambda s: (len(s), sorted(s)))
+
+
+def _draw(c: ChromaticComplex, faces: list[Simplex], rng: random.Random) -> ChromaticComplex:
+    """The subcomplex of c generated by 1-4 of `faces`, c's `_sorted_faces`."""
     k = rng.randint(1, min(4, len(faces)))
     return c.subcomplex(rng.sample(faces, k))
+
+
+def subcomplex_sample(c: ChromaticComplex, rng: random.Random) -> ChromaticComplex:
+    """A random subcomplex generated by 1-4 faces (deterministic under the rng)."""
+    return _draw(c, _sorted_faces(c), rng)
 
 
 @gc_paused
@@ -628,9 +637,10 @@ def check_intersection_preserving(
         return True
     rng = random.Random(seed)
     reg = StateRegistry(c)
+    faces = _sorted_faces(c)
     for _ in range(trials):
-        a = subcomplex_sample(c, rng)
-        b = subcomplex_sample(c, rng)
+        a = _draw(c, faces, rng)
+        b = _draw(c, faces, rng)
         xa, xb, xab = (one_round(s, pattern, reg) for s in (a, b, a.intersect(b)))
         if xa.intersect(xb) != xab:
             return False

@@ -9,7 +9,12 @@ Core claims:
       constructor rejects exactly the families it would reduce
     - Star and link are correct on the two-triangle complex
     - |faces(closed star)| = 2 |faces(link)| + 1 (cone duality)
-    - intersect works on a shared vid space and rejects conflicting spaces
+    - intersect works on a shared vid space and rejects conflicting spaces,
+      also two rounds whose registries give one vid two states
+    - intersect, which meets each facet only with the facets sharing one of
+      its vertices, equals the pairwise definition (every facet pair met,
+      maximal results kept) on sampled subcomplexes and their rounds over
+      one registry, disjoint and one-vertex pairs included
     - build_complex identifies vertices by (color, label)
     - Degree, adjacency, containment, equality behave on small fixtures
     - Cached rivals are the same-color vertices two hops away; a vertex
@@ -25,6 +30,7 @@ Core claims:
 import gc
 import inspect
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +65,7 @@ from itermem import (
     export_complex,
     gen_glued,
     gen_path,
+    gen_random,
     gen_simplex,
     greedy_star,
     import_complex,
@@ -69,7 +76,7 @@ from itermem import (
     split_to_budget,
 )
 from itermem.complexes import StateRegistry, _maximal, gc_paused
-from itermem.protocols import one_round, schedule_oracle
+from itermem.protocols import one_round, schedule_oracle, subcomplex_sample
 
 # vids in gen_glued(2): a1=0, p1=1, p2=2, a2=3
 A1, P1, P2, A2 = 0, 1, 2, 3
@@ -265,6 +272,17 @@ class TestSubcomplexes:
         with pytest.raises(IncompatibleVertexSpaces):
             x.intersect(y)
 
+    def test_intersect_rounds_over_two_registries_conflict(self):
+        # each registry numbers the states of its own round from vid 4 on,
+        # so vid 4 stands for two different states
+        c = _glued()
+        a, b = c.subcomplex([[A1, P1, P2]]), c.subcomplex([[A2, P1, P2]])
+        xa = one_round(a, "ic", StateRegistry(c))
+        xb = one_round(b, "ic", StateRegistry(c))
+        assert xa.vertices[4] != xb.vertices[4]
+        with pytest.raises(IncompatibleVertexSpaces, match="vid 4"):
+            xa.intersect(xb)
+
     def test_assert_facet(self):
         c = _glued()
         assert assert_facet(c, {A1, P1, P2}) == Simplex({A1, P1, P2})
@@ -278,6 +296,66 @@ class TestSubcomplexes:
         assert a == b
         assert hash(a) == hash(b)
         assert a != _triangle()
+
+
+# -- intersect through its vertex index -----------------------------------------
+
+
+def _pairwise_meet(a, b):
+    """intersect's facets by definition: every facet of a met with every
+    facet of b, maximal nonempty results kept."""
+    return _maximal(f & g for f in a.facets for g in b.facets)
+
+
+# strip 0 = {0,1,2}, 2 = {2,3,4} and 3 = {3,4,5} of gen_path(4): 0 and 2
+# share only vertex 2, and 0 and 3 share nothing
+_PATH = gen_path(4)
+_MEET_BASES = [_glued(), gen_glued(3), _PATH, gen_random(5, 3, 5), gen_random(8, 4, 3)]
+
+
+def _assert_meets_as_pairwise(a, b):
+    got = a.intersect(b)
+    assert got.facets == _pairwise_meet(a, b)
+    assert got == b.intersect(a)
+    used = set().union(*got.facets)
+    assert got.vertices == {v: a.vertices.get(v, b.vertices.get(v)) for v in used}
+    return got
+
+
+class TestIntersectIndex:
+    @given(
+        st.sampled_from(range(len(_MEET_BASES))),
+        st.sampled_from(sorted(itermem.PATTERNS)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_pairwise_definition(self, which, pattern, seed):
+        # sampled subcomplexes and their rounds, all over one registry
+        c = _MEET_BASES[which]
+        rng = random.Random(seed)
+        reg = StateRegistry(c)
+        a, b = subcomplex_sample(c, rng), subcomplex_sample(c, rng)
+        _assert_meets_as_pairwise(a, b)
+        xa, xb = one_round(a, pattern, reg), one_round(b, pattern, reg)
+        _assert_meets_as_pairwise(xa, xb)
+
+    @pytest.mark.parametrize("pattern", sorted(itermem.PATTERNS))
+    @pytest.mark.parametrize(
+        "faces, meet",
+        [
+            (([[0, 1, 2]], [[3, 4, 5]]), set()),
+            (([[0, 1, 2]], [[2, 3, 4]]), {frozenset({2})}),
+            (([[0, 1, 2], [3, 4, 5]], [[2, 3, 4]]), {frozenset({2}), frozenset({3, 4})}),
+        ],
+        ids=["disjoint", "one-vertex", "vertex-and-edge"],
+    )
+    def test_disjoint_and_one_vertex_pairs(self, pattern, faces, meet):
+        reg = StateRegistry(_PATH)
+        a, b = (_PATH.subcomplex(f) for f in faces)
+        assert _assert_meets_as_pairwise(a, b).facets == meet
+        xa, xb = one_round(a, pattern, reg), one_round(b, pattern, reg)
+        # a shared input vertex stays the vid of its solo view in both rounds
+        got = _assert_meets_as_pairwise(xa, xb)
+        assert got == one_round(a.intersect(b), pattern, reg)
 
 
 # -- the paused collector ------------------------------------------------

@@ -5,8 +5,12 @@ Core claims:
     - JSON export is byte-stable through import/export round-trips
     - JSON export is, byte for byte, json.dumps(complex_to_dict(c),
       indent=2, sort_keys=True) + "\n": on random complexes with arbitrary
-      labels, on registry-labelled Ch/IIS/IC/IAS outputs, on one-vertex and
-      empty complexes; the layout of the edge's export is pinned literally
+      labels (text of the characters JSON escapes, such as quote,
+      backslash, control characters and a lone surrogate, and non-ASCII
+      text, inside tuples and frozensets), on registry-labelled
+      Ch/Ch²/IIS/IC/IAS outputs (IC of Ch, imported Ch², Ch²Δ³ and ICΔ³
+      too), on one-vertex and empty complexes; the layout of the edge's
+      export is pinned literally
     - Registry labels (color, (vid, ...)) render by the general label rule
     - Exported documents carry n, vids, colors, string labels, facets
     - DOT export: one node per vertex with a color attribute, one edge per
@@ -90,6 +94,7 @@ from itermem import (
     greedy_star,
     import_complex,
     is_isomorphic,
+    iterate_subdivide,
     protocol_complex,
     schedule_oracle,
     split_to_budget,
@@ -126,12 +131,6 @@ def _label_reference(label) -> str:
     return str(label)
 
 
-labels = st.recursive(
-    st.none() | st.integers() | st.text(),
-    lambda inner: st.lists(inner, max_size=3).map(tuple)
-    | st.frozensets(inner, max_size=3),
-    max_leaves=6,
-)
 
 odd_labels = [
     'quote " and backslash \\',
@@ -147,6 +146,21 @@ odd_labels = [
 ]
 
 
+# text made of the characters JSON escapes (quote, backslash, control
+# characters, a lone surrogate) and of non-ASCII ones, which an ASCII
+# document writes as \u escapes
+escaped_text = st.text(
+    st.sampled_from('"\\/\x00\x08\x1f\n\r\t\x7f a\u00e9\u2028\u2203\ud800\U0001f600'),
+    max_size=8,
+)
+labels = st.recursive(
+    st.none() | st.integers() | st.text() | escaped_text,
+    lambda inner: st.lists(inner, max_size=3).map(tuple)
+    | st.frozensets(inner, max_size=3),
+    max_leaves=6,
+)
+
+
 @st.composite
 def relabelled_complexes(draw):
     c = gen_random(
@@ -156,11 +170,21 @@ def relabelled_complexes(draw):
     return ChromaticComplex(vertices, c.facets)
 
 
+def _ch2(c):
+    return iterate_subdivide(c, 2)
+
+
+def _ic(c):
+    return protocol_complex(c, "ic", 1)
+
+
 registry_builds = [
     chromatic_subdivide,
-    lambda c: protocol_complex(c, "iis", 2),
-    lambda c: protocol_complex(c, "ic", 1),
+    _ch2,
+    _ic,
     lambda c: protocol_complex(c, "ias", 1),
+    lambda c: _ic(chromatic_subdivide(c)),
+    lambda c: import_complex(export_complex(_ch2(c), "json")),
 ]
 
 
@@ -175,12 +199,18 @@ class TestJsonLayout:
         )
     )
     def test_equals_stdlib_layout(self, c):
-        assert export_complex(c, "json") == _stdlib_json(c)
+        # labels go through the C escaper json.dumps(str) itself calls
+        data = export_complex(c, "json")
+        assert data == _stdlib_json(c)
+        assert data.isascii()
+        assert export_complex(import_complex(data), "json") == data
 
     @given(
         st.builds(gen_random, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3)),
         st.sampled_from(registry_builds),
     )
+    @example(gen_simplex(3), _ch2)
+    @example(gen_simplex(3), _ic)
     def test_equals_stdlib_layout_on_registry_labels(self, base, build):
         c = build(base)
         assert export_complex(c, "json") == _stdlib_json(c)

@@ -35,6 +35,11 @@ Core claims:
     - Protocol complexes of subcomplexes glue: X(A) ∩ X(B) = X(A ∩ B);
       the check fails on the glued pair when its rounds key states by
       observations under one shared apex code
+    - The check sorts c's faces once per call: subcomplex_sample draws the
+      subcomplexes a per-call sort draws, consuming the rng alike, and
+      the check's verdicts equal those over per-call draws, failing
+      ones included (seeds 0-9 on three glued triangles and a seeded
+      3-color complex)
     - Multi-round composition stays consistent
     - Containment monotonicity on sampled raw interleavings
     - Both oracles, run on one read-step rule, equal the two walks and the
@@ -85,6 +90,7 @@ from itermem import (
     round_views,
     schedule_oracle,
 )
+from itermem import protocols
 from itermem.complexes import DEFAULT_MAX_FACETS, build_complex
 from itermem.protocols import (
     ORACLE_CAP,
@@ -92,6 +98,7 @@ from itermem.protocols import (
     _outcome_views,
     _template,
     _with_subsets,
+    subcomplex_sample,
 )
 
 TRIANGLE_COUNTS = {IIS: 13, IAS: 19, IC: 25}
@@ -650,6 +657,28 @@ class TestProtocolComplex:
             chromatic_subdivide(ch3)
 
 
+def _reference_sample(c, rng):
+    """The per-call draw: c's faces sorted afresh for every sample."""
+    faces = sorted(c.faces(), key=lambda s: (len(s), sorted(s)))
+    k = rng.randint(1, min(4, len(faces)))
+    return c.subcomplex(rng.sample(faces, k))
+
+
+def _reference_check(c, pattern, trials, seed):
+    """check_intersection_preserving over `_reference_sample` draws."""
+    rng = random.Random(seed)
+    reg = protocols.StateRegistry(c)  # looked up per call, so a patch applies
+    for _ in range(trials):
+        a, b = _reference_sample(c, rng), _reference_sample(c, rng)
+        xa, xb, xab = (one_round(s, pattern, reg) for s in (a, b, a.intersect(b)))
+        if xa.intersect(xb) != xab:
+            return False
+    return True
+
+
+_SAMPLE_BASES = [gen_glued(3), gen_random(5, 3, 5)]
+
+
 class TestStructuralChecks:
     @pytest.mark.parametrize("pattern", sorted(PATTERNS))
     def test_no_input_edges(self, pattern):
@@ -675,6 +704,33 @@ class TestStructuralChecks:
             "itermem.protocols.StateRegistry", lambda base: _Observations(base, broken)
         )
         assert not check_intersection_preserving(c, IC, trials=5, seed=seed)
+
+    @pytest.mark.parametrize("c", _SAMPLE_BASES, ids=["glued3", "random3"])
+    def test_sample_draws_as_per_call_sort(self, c):
+        for seed in range(10):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                assert subcomplex_sample(c, rng) == _reference_sample(c, ref)
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("c", _SAMPLE_BASES, ids=["glued3", "random3"])
+    def test_check_verdicts_as_per_call_sort(self, c):
+        for pattern in sorted(PATTERNS):
+            for seed in range(10):
+                got = check_intersection_preserving(c, pattern, trials=3, seed=seed)
+                assert got == _reference_check(c, pattern, 3, seed)
+
+    def test_failing_verdicts_as_per_call_sort(self, monkeypatch):
+        from itermem.simulator import _Observations
+
+        c = gen_glued(2)
+        broken = Encoding({0: 1, 3: 1, 1: 1, 2: 1})
+        monkeypatch.setattr(
+            "itermem.protocols.StateRegistry", lambda base: _Observations(base, broken)
+        )
+        got = [check_intersection_preserving(c, IC, trials=5, seed=s) for s in range(10)]
+        assert got == [_reference_check(c, IC, 5, s) for s in range(10)]
+        assert got.count(False) == 7
 
     def test_structure_on_seeded_complexes(self):
         for seed in range(6):
