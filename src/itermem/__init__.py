@@ -2,8 +2,8 @@
 
 Builds protocol complexes for the collect / atomic-snapshot / immediate-
 snapshot read patterns, the standard chromatic subdivision, greedy star
-covers with bounded-register encodings, a bounded-run simulator, and the
-set-cover embedding for minimum-length sequences.
+covers (a report) and the packing into bounded registers, a bounded-run
+simulator, and the set-cover embedding for minimum-length sequences.
 """
 
 from .bounds import BoundsReport, GrowthRow, bounds_table, degree_growth_table
@@ -38,13 +38,7 @@ from .errors import (
     VertexNotInComplex,
 )
 from .generators import gen_glued, gen_path, gen_random, gen_simplex
-from .greedy import (
-    StarCoverTrace,
-    StarRound,
-    greedy_star,
-    split_to_budget,
-    verify_cover,
-)
+from .greedy import greedy_star, split_to_budget, verify_cover
 from .io import export_complex, import_complex
 from .iso import brute_force_isomorphic, is_isomorphic
 from .protocols import (
@@ -104,8 +98,6 @@ __all__ = [
     "SetCoverInstance",
     "Simplex",
     "SimplexNotInComplex",
-    "StarCoverTrace",
-    "StarRound",
     "StateRegistry",
     "UnsupportedFormat",
     "Vertex",

@@ -29,6 +29,7 @@ from .greedy import greedy_star, split_to_budget, verify_cover
 from .io import (
     FORMATS,
     _loads,
+    _typed,
     export_complex,
     import_complex,
     sequence_from_list,
@@ -171,24 +172,22 @@ def _cmd_protocol(args) -> int:
 
 def _cmd_greedy_star(args) -> int:
     c = _read_complex(args.infile)
-    seq, trace = greedy_star(c)
-    outer = len(seq)
-    if args.bits is not None:
-        seq = split_to_budget(seq, c, args.bits)
+    star, centers = greedy_star(c)
+    seq = star if args.bits is None else split_to_budget(star, c, args.bits)
     covered = verify_cover(c, seq)
     if args.out:
         _write_json(args.out, sequence_to_list(seq))
-    if args.trace:
-        _write_json(args.trace, trace_to_dict(trace))
+    if args.trace:  # the star cover's rounds, not the packed ones
+        _write_json(args.trace, trace_to_dict(c, star, centers))
     summary = {
-        "outer_rounds": outer,
+        "outer_rounds": len(star),
         "rounds": len(seq),
         "bits": args.bits,
         "cover_verified": covered,
         "degree_lower": lower_bound_rounds(c, args.bits) if args.bits else None,
     }
     print(
-        f"star cover: {outer} outer rounds, {len(seq)} rounds after packing, "
+        f"star cover: {len(star)} outer rounds, {len(seq)} rounds after packing, "
         f"cover {'verified' if covered else 'FAILED'}"
     )
     _emit(args, summary)
@@ -259,7 +258,10 @@ def _parse_instance(args) -> SetCoverInstance:
     if args.infile:
         doc = _loads(Path(args.infile).read_bytes())
         try:
-            return SetCoverInstance(doc["universe"], doc["subsets"])
+            # the integers --universe/--subsets take, as complex documents check them
+            [universe] = _typed([doc["universe"]], int, "universe entry")
+            subsets = _typed(doc["subsets"], int, "subset entry")
+            return SetCoverInstance(universe, subsets)
         except (KeyError, TypeError) as exc:
             raise UnsupportedFormat(f"malformed instance: {exc}") from exc
     if not args.universe or not args.subsets:

@@ -1,7 +1,7 @@
 """Chromatic simplicial complexes with facet-based storage.
 
 A complex is stored as a vertex table (vid -> Vertex) plus its set of
-facets (maximal simplices).  Faces are derived lazily and cached.  Every
+facets (maximal simplices).  Faces are derived on demand.  Every
 vertex carries a color; a facet may not repeat a color.  Instances are
 treated as immutable: all operations return new complexes.
 
@@ -152,7 +152,7 @@ class ChromaticComplex:
     vertices, no facets) is allowed.
     """
 
-    __slots__ = ("vertices", "facets", "_faces", "_adjacency", "_rivals")
+    __slots__ = ("vertices", "facets", "_adjacency", "_rivals")
 
     def __init__(self, vertices: dict[int, Vertex], facets: Iterable[Simplex]):
         # every check runs in C-level loops (map, set.union); a Python loop
@@ -183,7 +183,6 @@ class ChromaticComplex:
                 raise FacetContainment(f"facet {least} is contained in another facet")
         self.vertices: dict[int, Vertex] = table
         self.facets: frozenset[Simplex] = facet_set
-        self._faces: frozenset[Simplex] | None = None
         self._adjacency: dict[int, tuple[int, ...]] | None = None
         self._rivals: dict[int, tuple[int, ...]] | None = None
 
@@ -195,7 +194,7 @@ class ChromaticComplex:
         vertices they reference, taken as given (`protocols._emit_round`)."""
         c = cls.__new__(cls)
         c.vertices, c.facets = vertices, facets
-        c._faces = c._adjacency = c._rivals = None
+        c._adjacency = c._rivals = None
         return c
 
     # -- basic queries ---------------------------------------------------
@@ -213,15 +212,13 @@ class ChromaticComplex:
         return frozenset(v.color for v in self.vertices.values())
 
     def faces(self) -> frozenset[Simplex]:
-        """All nonempty faces, computed from the facets and cached."""
-        if self._faces is None:
-            out: set[Simplex] = set()
-            for f in self.facets:
-                vids = sorted(f)
-                for k in range(1, len(vids) + 1):
-                    out.update(Simplex(c) for c in itertools.combinations(vids, k))
-            self._faces = frozenset(out)
-        return self._faces
+        """All nonempty faces, computed from the facets on each call."""
+        out: set[Simplex] = set()
+        for f in self.facets:
+            vids = sorted(f)
+            for k in range(1, len(vids) + 1):
+                out.update(Simplex(c) for c in itertools.combinations(vids, k))
+        return frozenset(out)
 
     def has_face(self, s: Iterable[int]) -> bool:
         s = Simplex(s)
@@ -277,8 +274,8 @@ class ChromaticComplex:
         The ends need no enumeration: every vertex lies in a facet, so f_0
         is the vertex count, and a face of the largest size is a facet.
         Faces of each size in between are counted as sorted vid tuples, one
-        size at a time; no face is built as a Simplex and `faces()` is not
-        cached.
+        size at a time; no face is built as a Simplex, and `faces()` is not
+        called.
         """
         if not self.facets:
             return ()

@@ -11,11 +11,14 @@ is distinguishable outright.  Two repairs over the plain greedy sweep are
 load-bearing and documented inline: candidate re-seeding (termination) and
 round-global per-color code uniqueness (distinguishability across stars).
 
-`split_to_budget` compiles a covering sequence (one `verify_cover`
-accepts) to b-bit registers by packing the facets of c first-fit into
-rounds, which is first-fit greedy coloring of the graph of facets that
-cannot share a round (Welsh & Powell, Comput. J. 1967).  Its output depends
-only on c and b; a sequence that does not cover raises InvalidParameters.
+The star cover is a report (`itermem greedy-star` and its `--trace`), not
+a compile step.  `split_to_budget` compiles to b-bit registers by packing
+the facets of c first-fit into rounds, which is first-fit greedy coloring
+of the graph of facets that cannot share a round (Welsh & Powell, Comput.
+J. 1967).  Its output depends only on c and b: the sequence it takes is
+checked to cover c (a sequence that does not raises InvalidParameters)
+and read no further, so any cover compiles alike, the one-round cover
+that codes each vertex alone included (`simulator.iterate_pipeline`).
 
 Which facets a sequence codes whole is read from one coding map,
 `encoding.rounds_coding`: per vid, the rounds that code it as bits.  A
@@ -28,7 +31,6 @@ sequences are built unchecked (`Encoding._of`); outside input goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import ChromaticComplex, Simplex
@@ -36,29 +38,12 @@ from .encoding import Encoding, _clashes, _code_count, rounds_coding
 from .errors import InvalidParameters, ItermemError
 
 
-@dataclass(frozen=True)
-class StarRound:
-    """One outer round: selected centers, the facets they cover, its encoding.
+def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], list[tuple[int, ...]]]:
+    """Cover c by vertex stars: one encoding function per round, and each
+    round's centers in ascending vid.
 
-    `covered` is the set of facets of the input that hold a center of this
-    round, not a complex: every one of them is coded whole by `encoding`.
-    """
-
-    centers: tuple[int, ...]
-    covered: frozenset[Simplex]
-    encoding: Encoding
-
-
-@dataclass(frozen=True)
-class StarCoverTrace:
-    rounds: tuple[StarRound, ...]
-
-    def __len__(self) -> int:
-        return len(self.rounds)
-
-
-def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
-    """Cover c by vertex stars, one encoding function per round.
+    The facets a round covers, those that hold one of its centers, and its
+    codes are read off c and the sequence (`io.trace_to_dict`).
 
     The guard "every vertex of the candidate star has a star disjoint from
     this round's covered part" holds iff no vertex within distance 1 of the
@@ -83,10 +68,10 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
     open_facets = set(c.facets)  # facets without a selected center
     pool = set(c.vertices)
     seq: list[Encoding] = []
-    rounds: list[StarRound] = []
+    centers: list[tuple[int, ...]] = []
     while open_facets:
         # every round retires at least one never-before-selected center
-        if len(rounds) >= len(c.vertices):  # pragma: no cover
+        if len(seq) >= len(c.vertices):  # pragma: no cover
             raise ItermemError("star cover failed to terminate")
         if not pool:
             # re-seed with vertices whose closed star is not fully covered;
@@ -116,13 +101,11 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], StarCoverTrace]:
                 codes[x] = base + k
                 rank[color[x]] = k + 1
             base += max(rank.values())
-        enc = Encoding._of(codes)
-        covered = frozenset(f for v in selected for f in through[v])
-        seq.append(enc)
-        rounds.append(StarRound(tuple(selected), covered, enc))
-        open_facets -= covered
+        seq.append(Encoding._of(codes))
+        centers.append(tuple(selected))
+        open_facets.difference_update(*map(through.__getitem__, selected))
         pool.difference_update(codes)  # codes holds this round's stars
-    return seq, StarCoverTrace(tuple(rounds))
+    return seq, centers
 
 
 # -- cover verification and packing -------------------------------------------
@@ -172,7 +155,9 @@ def split_to_budget(
     """Pack the facets of c into rounds of at most 2^b - 1 codes each.
 
     seq must cover c (`verify_cover`), or InvalidParameters is raised; it
-    is checked, not read otherwise, so the packing depends only on c and b.
+    is checked, not read otherwise, so the packing depends only on c and b,
+    and the one-round cover that codes each vertex alone compiles as any
+    other.
     Facets are taken in sorted order, and each joins the first round where
     every vertex of the facet is already coded or can take the least code
     in 1..2^b-1 that none of its coded rivals uses.  The output is a sound

@@ -4,7 +4,10 @@ Vertex labels are canonicalized to strings on export (None becomes "",
 tuples and frozensets render sorted), so byte-level round-trip stability
 is export(import_complex(export(c))) == export(c).  Encoding files hold
 one "assignment" map; a "groups" key, written by earlier versions, is
-accepted and ignored.
+accepted and ignored.  A star-cover trace is written from the complex, the
+star sequence and each round's centers, which determine the rest.  In DOT,
+each label is one quoted string: a quote and a backslash are escaped, and
+a lone surrogate, which UTF-8 cannot encode, is written as its \\u escape.
 
 A complex's JSON is, byte for byte, what
 ``json.dumps(complex_to_dict(c), indent=2, sort_keys=True) + "\n"``
@@ -28,7 +31,6 @@ from operator import itemgetter
 from .complexes import ChromaticComplex, Simplex, Vertex, gc_paused
 from .encoding import Encoding
 from .errors import UnsupportedFormat
-from .greedy import StarCoverTrace
 
 FORMATS = ("json", "dot", "csv-fvector")
 
@@ -127,7 +129,9 @@ def export_complex(c: ChromaticComplex, fmt: str) -> bytes:
     if fmt == "json":
         return _to_json(c).encode()
     if fmt == "dot":
-        return _to_dot(c).encode()
+        # a lone surrogate, which a JSON label may hold, is written as its
+        # \u escape, inside the DOT string like any escape
+        return _to_dot(c).encode("utf-8", "backslashreplace")
     if fmt == "csv-fvector":
         return ",".join(str(k) for k in c.f_vector()).encode()
     raise UnsupportedFormat(f"unknown export format {fmt!r}")
@@ -193,9 +197,8 @@ def import_complex(data: bytes | str | dict) -> ChromaticComplex:
 def _to_dot(c: ChromaticComplex) -> str:
     lines = ["graph complex {"]
     for v in sorted(c.vertices.values(), key=lambda v: v.vid):
-        lines.append(
-            f'  v{v.vid} [color={v.color}, label="{_canonical_label(v.label)}"];'
-        )
+        label = _canonical_label(v.label).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  v{v.vid} [color={v.color}, label="{label}"];')
     adj = c.adjacency()
     for a in sorted(adj):
         lines += [f"  v{a} -- v{b};" for b in adj[a] if a < b]
@@ -243,14 +246,28 @@ def sequence_from_list(doc) -> list[Encoding]:
 # -- traces ---------------------------------------------------------------------
 
 
-def trace_to_dict(trace: StarCoverTrace) -> dict:
+def trace_to_dict(
+    c: ChromaticComplex, seq: list[Encoding], centers: list[tuple[int, ...]]
+) -> dict:
+    """The star cover's trace: per round of `greedy.greedy_star`'s
+    (seq, centers), its centers, the facets of c it covers (those that hold
+    one of its centers, all coded whole by its encoding) and its assignment.
+
+    The facets are read from one vid -> facets index, so the trace takes
+    one pass over c, not one per round."""
+    through: dict[int, list[Simplex]] = {}
+    for f in c.facets:
+        for v in f:
+            through.setdefault(v, []).append(f)
     return {
         "rounds": [
             {
-                "centers": sorted(r.centers),
-                "covered_facets": sorted(sorted(f) for f in r.covered),
-                "assignment": encoding_to_dict(r.encoding)["assignment"],
+                "centers": sorted(chosen),
+                "covered_facets": sorted(
+                    sorted(f) for f in {f for v in chosen for f in through.get(v, ())}
+                ),
+                "assignment": encoding_to_dict(enc)["assignment"],
             }
-            for r in trace.rounds
+            for enc, chosen in zip(seq, centers)
         ]
     }

@@ -581,17 +581,15 @@ def protocol_complex(
 
 
 @gc_paused
-def chromatic_subdivide(
-    c: ChromaticComplex, registry: StateRegistry | None = None
-) -> ChromaticComplex:
+def chromatic_subdivide(c: ChromaticComplex) -> ChromaticComplex:
     """One round of standard chromatic subdivision: one iis round.
 
     Like every builder it keeps to `DEFAULT_MAX_FACETS`: a projected facet
-    count over it raises ResourceLimit before any facet is built.  Pass a
-    shared registry (built on a common base) to subdivide several
-    subcomplexes into a common vid space.
+    count over it raises ResourceLimit before any facet is built.  To
+    subdivide several subcomplexes into a common vid space, call
+    ``one_round(sub, IIS, registry)`` with one registry on their base.
     """
-    return one_round(c, IIS, registry or StateRegistry(c))
+    return one_round(c, IIS, StateRegistry(c))
 
 
 def iterate_subdivide(

@@ -57,6 +57,11 @@ reader keeps the raw (color, code) pairs it read instead of decoding them,
 as ic rounds of `one_round` over `_Observations`: a registry that keys each
 (color, view) state the emitter requests by what that view observes.  So
 they take the emitter's facet order, facet budget and collector pause too.
+
+`iterate_pipeline` chains r bounded iterations.  Each packs the current
+complex into b-bit rounds with `greedy.split_to_budget`, whose output reads
+only the complex and b; the cover it checks is the one-round unbounded
+cover, so no star cover is built on the way.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ from .complexes import (
 from .encoding import Encoding, _clashes, rounds_coding
 from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
 from .generators import gen_glued
-from .greedy import greedy_star, split_to_budget
+from .greedy import split_to_budget
 from .io import _canonical_label, encoding_to_dict
 from .iso import is_isomorphic
 from .protocols import (
@@ -432,18 +437,22 @@ def code_collision_counterexample() -> tuple[ChromaticComplex, list[Encoding], d
 def iterate_pipeline(c: ChromaticComplex, r: int, b: int) -> tuple[ChromaticComplex, int]:
     """r full-information iterations, each emulated by budgeted rounds.
 
-    Per iteration: build the star-cover sequence for the current complex,
-    pack its facets into b-bit rounds, and fold the bounded runs into the
-    next complex.  Returns the final complex and the total bounded round
-    count.
+    Per iteration: pack the facets of the current complex into b-bit
+    rounds (`split_to_budget`) and fold the bounded runs into the next
+    complex.  The packing reads only the complex and b, so the cover it
+    checks is the one-round unbounded cover, which codes each vertex alone
+    (code vid + 1): no two vertices share a code, and every facet is coded
+    whole.  Returns the final complex and the total bounded round count.
     """
     if r < 1 or b < 1:
         raise InvalidParameters("need r >= 1 and b >= 1")
+    if not c.facets:
+        raise InvalidParameters("need a nonempty complex")
     cur = c
     total = 0
     for _ in range(r):
-        seq, _trace = greedy_star(cur)
-        seq = split_to_budget(seq, cur, b)
+        cover = Encoding._of({v: v + 1 for v in cur.vertices})
+        seq = split_to_budget([cover], cur, b)
         total += len(seq)
         cur = bounded_protocol_complex(cur, seq)
     return cur, total

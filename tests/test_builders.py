@@ -185,7 +185,7 @@ class TestAgainstReference:
         reg, ref = StateRegistry(c), StateRegistry(c)
         base = _base_states(c)
         for s in subs:
-            got, want = chromatic_subdivide(s, reg), _reference_subdivide(s, ref)
+            got, want = one_round(s, IIS, reg), _reference_subdivide(s, ref)
             assert _facet_states(got, base) == _facet_states(want, base)
         assert set(_read(reg.vertices, base).values()) == set(_read(ref.vertices, base).values())
 
@@ -235,7 +235,7 @@ class TestCompiled:
         one_round(c, IIS, Counting(c))
         assert Counting.calls == 2 * 12
         Counting.calls = 0
-        chromatic_subdivide(gen_simplex(3), Counting(gen_simplex(3)))
+        one_round(gen_simplex(3), IIS, Counting(gen_simplex(3)))
         assert Counting.calls == 32
 
 

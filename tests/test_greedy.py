@@ -6,10 +6,13 @@ Core claims:
     - Two glued triangles: two rounds, apex stars selected in vid order
     - A 7-triangle strip terminates (candidate re-seeding) and covers
     - Same-round stars get disjoint code blocks: whole round distinguishable
-    - Round count never exceeds vertex count; trace matches the sequence
+    - Round count never exceeds vertex count; each trace round's assignment
+      is that round's encoding, and its covered facets are the facets that
+      hold one of its centers
     - The frontier guard selects what the per-vertex guard selects: equal
       codes, centers and covered facet sets on random 2-4-color complexes
-      and their subdivisions; Ch^2 of the 3-simplex takes 96 outer rounds
+      and their subdivisions, and equal trace documents; Ch^2 of the
+      3-simplex takes 96 outer rounds
     - verify_cover accepts greedy output on seeded random complexes, and
       agrees with "every round is sound and the subcomplexes the rounds
       code whole cover the complex" on random complexes, random encodings
@@ -62,7 +65,7 @@ from itermem import (
 )
 from itermem.encoding import rounds_coding
 from itermem.greedy import _unkept
-from itermem.io import trace_to_dict
+from itermem.io import encoding_from_dict, encoding_to_dict, trace_to_dict
 from itermem.setcover import exact_min_sequence
 
 random_complexes = st.builds(
@@ -188,10 +191,9 @@ class TestGreedyStar:
 
     def test_glued_two_rounds(self):
         c = gen_glued(2)
-        seq, trace = greedy_star(c)
+        seq, centers = greedy_star(c)
         assert len(seq) == 2
-        assert trace.rounds[0].centers == (0,)
-        assert trace.rounds[1].centers == (3,)
+        assert centers == [(0,), (3,)]
         assert verify_cover(c, seq)
 
     def test_strip_terminates_and_covers(self):
@@ -216,16 +218,17 @@ class TestGreedyStar:
             _assert_round_distinguishable(c, seq)
 
     def test_trace_encodings_match_sequence(self):
+        # each trace round's assignment is that round's encoding
         c = gen_path(5)
-        seq, trace = greedy_star(c)
-        assert [r.encoding for r in trace.rounds] == seq
+        seq, centers = greedy_star(c)
+        doc = trace_to_dict(c, seq, centers)
+        assert [encoding_from_dict(r) for r in doc["rounds"]] == seq
 
     def test_covered_facets_contain_a_center(self):
         c = gen_path(6)
-        _, trace = greedy_star(c)
-        for r in trace.rounds:
-            for f in r.covered:
-                assert any(v in r.centers for v in f)
+        for r in trace_to_dict(c, *greedy_star(c))["rounds"]:
+            for f in r["covered_facets"]:
+                assert any(v in r["centers"] for v in f)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 4), st.integers(1, 8), st.booleans())
@@ -233,12 +236,22 @@ class TestGreedyStar:
         c = gen_random(seed, n, facets)
         if subdivide:
             c = iterate_subdivide(c, 1)
-        seq, trace = greedy_star(c)
+        seq, centers = greedy_star(c)
         want = _reference_star_cover(c)
         assert [dict(e.items()) for e in seq] == [codes for codes, _, _ in want]
-        assert [(r.centers, r.covered) for r in trace.rounds] == [
-            (centers, covered) for _, centers, covered in want
-        ]
+        assert centers == [selected for _, selected, _ in want]
+        # the trace derives each round's covered facets from c and its
+        # centers; the reference sweep collects them as it selects
+        assert trace_to_dict(c, seq, centers) == {
+            "rounds": [
+                {
+                    "centers": sorted(selected),
+                    "covered_facets": sorted(sorted(f) for f in covered),
+                    "assignment": encoding_to_dict(Encoding(codes))["assignment"],
+                }
+                for codes, selected, covered in want
+            ]
+        }
 
     def test_ch2_of_3_simplex_rounds_pinned(self):
         # a tie-break pin: greedy takes centres in vid order, and Ch^r is
@@ -247,7 +260,7 @@ class TestGreedyStar:
 
     def test_trace_covers_every_facet(self):
         c = gen_path(6)
-        doc = trace_to_dict(greedy_star(c)[1])
+        doc = trace_to_dict(c, *greedy_star(c))
         assert {frozenset(f) for r in doc["rounds"] for f in r["covered_facets"]} == c.facets
 
     def test_verify_cover_seeded(self):
@@ -444,9 +457,9 @@ class TestOutputsAsChecked:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(random_complexes, st.integers(1, 3))
     def test_outputs_equal_checked_encodings(self, c, b):
-        seq, trace = greedy_star(c)
+        seq, _centers = greedy_star(c)
         split = split_to_budget(seq, c, b)
-        for e in [*seq, *(r.encoding for r in trace.rounds), *split, *exact_min_sequence(c)[1]]:
+        for e in [*seq, *split, *exact_min_sequence(c)[1]]:
             assert e == Encoding(dict(e.items()))
 
 

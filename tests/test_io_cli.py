@@ -14,7 +14,10 @@ Core claims:
     - Registry labels (color, (vid, ...)) render by the general label rule
     - Exported documents carry n, vids, colors, string labels, facets
     - DOT export: one node per vertex with a color attribute, one edge per
-      1-skeleton edge; csv-fvector matches the frozen subdivision value
+      1-skeleton edge; a label stays one DOT string (quote and backslash
+      escaped, a lone surrogate written as its \\u escape) on the random
+      labels above and through the CLI; csv-fvector matches the frozen
+      subdivision value
     - Unknown formats and malformed documents are rejected, including
       encoding keys that are not the digits str(vid) writes, a vid listed
       by two vertex rows and a facet row that repeats a vid
@@ -34,7 +37,8 @@ Core claims:
       protocol rounds (ic, ias, iis) and greedy + 1-bit packing + bounded
       simulation
     - Exit codes: 0 success, 1 failed verification, 2 usage (including
-      non-integer set-cover items, input files that are not UTF-8 for
+      non-integer set-cover items, on the command line or in an instance
+      file, where strings, bools and floats are named; input files that are not UTF-8 for
       export, simulate, verify and reduce-setcover, and options a
       subcommand does not read: --seed outside gen, --max-facets outside
       gen/subdivide/protocol/simulate, repeated vids in a complex
@@ -68,6 +72,7 @@ Core claims:
 """
 
 import json
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -416,6 +421,37 @@ class TestOtherFormats:
             "}\n"
         )
 
+    @given(relabelled_complexes())
+    def test_dot_labels_stay_one_string(self, c):
+        # a quote or backslash is escaped, a lone surrogate written as its
+        # \u escape; unescaping gives the canonical label back
+        dot = export_complex(c, "dot").decode()
+        found = re.findall(r'label=("(?:[^"\\]|\\.)*")\];\n', dot)
+        assert len(found) == len(c.vertices)
+        assert re.fullmatch(
+            r'graph complex \{\n(  v\d+ \[color=\d+, label="(?:[^"\\]|\\.)*"\];\n)*'
+            r"(  v\d+ -- v\d+;\n)*\}\n",
+            dot,
+        )
+        for (vid, v), text in zip(sorted(c.vertices.items()), found):
+            want = _canonical_label(v.label).encode("utf-8", "backslashreplace").decode()
+            assert re.sub(r'\\(["\\])', r"\1", text[1:-1]) == want, vid
+
+    def test_dot_odd_labels_exit_0(self, tmp_path, capsys):
+        # JSON import accepts these labels; DOT export writes each as one string
+        path = tmp_path / "odd.json"
+        path.write_text(
+            '{"n": 3, "facets": [[0, 1, 2]], "vertices": ['
+            '{"vid": 0, "color": 0, "label": "a\\"b"}, '
+            '{"vid": 1, "color": 1, "label": "c\\\\d"}, '
+            '{"vid": 2, "color": 2, "label": "a\\ud800"}]}'
+        )
+        assert main(["export", "--in", str(path), "--format", "dot"]) == 0
+        out = capsys.readouterr().out
+        assert 'label="a\\"b"' in out
+        assert 'label="c\\\\d"' in out
+        assert 'label="a\\ud800"' in out
+
     def test_csv_fvector(self):
         ch = chromatic_subdivide(gen_simplex(2))
         assert export_complex(ch, "csv-fvector") == b"12,24,13"
@@ -755,11 +791,11 @@ class TestCli:
         # _write_json lays out containers itself, to leave no reference
         # cycle, with the bytes of the stdlib's indenting encoder
         c = gen_glued(2)
-        seq, trace = greedy_star(c)
+        seq, centers = greedy_star(c)
         docs = {
             "summary": code_collision_counterexample()[2],
             "sequence": sequence_to_list(split_to_budget(seq, c, 1)),
-            "trace": trace_to_dict(trace),
+            "trace": trace_to_dict(c, seq, centers),
             "scalars": {"t": (1, 2.5, None, True, "é\n"), "e": {}, "l": [], "o": {3: {1, 2}}},
         }
         for name, doc in docs.items():
@@ -869,6 +905,25 @@ class TestCli:
         assert main(["reduce-setcover", "--universe", "a,b", "--subsets", "1"]) == 2
         assert main(["reduce-setcover", "--universe", "1", "--subsets", "x"]) == 2
         assert "need integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, bad",
+        [
+            ('{"universe": [1, "a"], "subsets": [[1], ["a"]]}', "universe entry must be an integer, got 'a'"),
+            ('{"universe": "ab", "subsets": [["a"]]}', "universe entry must be an integer, got 'a'"),
+            ('{"universe": [true, 2], "subsets": [[2]]}', "universe entry must be an integer, got True"),
+            ('{"universe": [1.5, 2], "subsets": [[2]]}', "universe entry must be an integer, got 1.5"),
+            ('{"universe": [1, 2], "subsets": [[1], [2, false]]}', "subset entry must be an integer, got False"),
+        ],
+        ids=["string", "string-universe", "bool", "float", "bool-subset"],
+    )
+    def test_non_integer_instance_file_exits_2(self, tmp_path, capsys, doc, bad):
+        # an instance file takes the integers --universe/--subsets take; a
+        # valid file still reduces (test_reduce_setcover_from_a_file)
+        path = tmp_path / "inst.json"
+        path.write_text(doc)
+        assert main(["reduce-setcover", "--in", str(path)]) == 2
+        assert bad in capsys.readouterr().err
 
     def test_crash_exits_4_not_a_verdict(self, tmp_path, monkeypatch, capsys):
         src = self._gen(tmp_path)

@@ -65,7 +65,11 @@ Core claims:
       one shared registry; over `max_facets` it raises ResourceLimit
       before any state is requested
     - iterate_pipeline composes iterations into the r-round collect
-      complex itself and counts bounded rounds; two iterations on the
+      complex itself and counts bounded rounds; packing from the one-round
+      cover, it gives what the star-cover route (greedy_star, then
+      split_to_budget, then bounded_protocol_complex) gives, on random
+      3-color complexes at r <= 2 and b = 1..3, and the empty complex
+      still raises InvalidParameters; two iterations on the
       triangle take 26 / 4 / 2 rounds at b = 1 / 2 / 3, 625 facets; three
       at b = 3 take 10 rounds, 15,625 facets, fewer than the paper's
       counting bound of 36
@@ -926,3 +930,25 @@ class TestIteratePipeline:
             iterate_pipeline(gen_simplex(1), 0, 1)
         with pytest.raises(InvalidParameters):
             iterate_pipeline(gen_simplex(1), 1, 0)
+
+    def test_empty_complex_rejected(self):
+        with pytest.raises(InvalidParameters, match="need a nonempty complex"):
+            iterate_pipeline(ChromaticComplex({}, []), 1, 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 10**6), st.integers(1, 5), st.integers(1, 2), st.integers(1, 3)
+    )
+    def test_equals_star_cover_route(self, seed, facets, r, b):
+        # the route iterate_pipeline took before it packed from the
+        # one-round cover, kept here as the reference
+        c = gen_random(seed, 3, facets)
+        cur, total = c, 0
+        for _ in range(r):
+            seq = split_to_budget(greedy_star(cur)[0], cur, b)
+            total += len(seq)
+            cur = bounded_protocol_complex(cur, seq)
+        out, got = iterate_pipeline(c, r, b)
+        assert got == total
+        assert out == cur
+        assert export_complex(out, "json") == export_complex(cur, "json")

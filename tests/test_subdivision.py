@@ -16,6 +16,7 @@ Core claims:
 import pytest
 
 from itermem import (
+    IIS,
     InvalidParameters,
     ResourceLimit,
     StateRegistry,
@@ -24,6 +25,7 @@ from itermem import (
     gen_glued,
     gen_simplex,
     iterate_subdivide,
+    one_round,
     ordered_bell,
     ordered_set_partitions,
 )
@@ -140,9 +142,9 @@ class TestIntersectionPreserving:
         a = c.subcomplex([[0, 1, 2]])
         b = c.subcomplex([[3, 1, 2]])
         reg = StateRegistry(c)
-        ch_a = chromatic_subdivide(a, reg)
-        ch_b = chromatic_subdivide(b, reg)
-        ch_ab = chromatic_subdivide(a.intersect(b), reg)
+        ch_a = one_round(a, IIS, reg)
+        ch_b = one_round(b, IIS, reg)
+        ch_ab = one_round(a.intersect(b), IIS, reg)
         assert ch_a.intersect(ch_b) == ch_ab
 
 
