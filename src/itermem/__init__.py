@@ -46,7 +46,6 @@ from .protocols import (
     IC,
     IIS,
     PATTERNS,
-    GlobalView,
     check_intersection_preserving,
     check_no_input_edges,
     chromatic_subdivide,
@@ -83,7 +82,6 @@ __all__ = [
     "DuplicateColorInFacet",
     "Encoding",
     "FacetContainment",
-    "GlobalView",
     "GrowthRow",
     "IAS",
     "IC",

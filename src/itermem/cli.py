@@ -228,6 +228,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if (args.a or args.b) and (args.infile or args.encodings):
+        raise InvalidParameters(
+            "give one mode: isomorphism (--a/--b) or cover (--in/--encodings)"
+        )
     if args.a or args.b:
         if not (args.a and args.b):
             raise InvalidParameters("--a and --b go together")
@@ -333,6 +337,17 @@ def _cmd_counterexample(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _facet_budget(text: str) -> int:
+    """A --max-facets value: a facet count, so a negative one is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return n
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser for every subcommand, built once per process.
@@ -346,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument(
         "--max-facets",
-        type=int,
+        type=_facet_budget,
         default=DEFAULT_MAX_FACETS,
         help="facet budget for enumerations",
     )

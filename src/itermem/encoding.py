@@ -100,8 +100,11 @@ def rounds_coding(seq: Iterable[Encoding]) -> dict[int, int]:
 def _clashes(c: ChromaticComplex, enc: Encoding) -> Iterator[tuple[int, int]]:
     """Each pair (v, x), v < x, of rivals in c that enc codes alike.
 
-    A vertex v of c is distinguishable under enc iff v is uncoded or in no
-    yielded pair; vids outside c are ignored.
+    A vertex of c that enc codes is distinguishable under enc iff it is in
+    no yielded pair; vids outside c are ignored.  The pairs say nothing of
+    an uncoded vertex, which `is_vertex_distinguishable` calls
+    distinguishable iff no rival is uncoded too (bottoms count as equal
+    codes); neither soundness rule asks about uncoded vertices.
     """
     of = c.rivals()
     by_code: dict[int, set[int]] = {}

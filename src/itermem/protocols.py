@@ -6,12 +6,16 @@ as a single combined step ("iis").  Each discipline has a closed-form
 characterization of its reachable view configurations (`round_views`) plus
 two brute-force interleaving enumerators (`schedule_oracle`,
 `raw_interleaving_views`); agreement of the routes is a test gate for
-everything downstream.  The oracles use no closed form and share one event
-rule: each process writes its register, then reads in steps until no
-register is left, and a read sees the written registers its step covers.
-The patterns differ only in what one step covers (`_steps`): one register
-for ic, all of them for ias and iis.  iis keeps the immediate outcomes,
-where whoever saw q saw everything q saw (Borowsky & Gafni, PODC 1993).
+everything downstream.  A view configuration is a frozenset of (color,
+view) pairs, one per process of the facet, where a view is the frozenset
+of vids the process saw; the routes return sets of them, compared by
+``==``, and ``dict(config)`` maps each color to its view.  The oracles use
+no closed form and share one event rule: each process writes its
+register, then reads in steps until no register is left, and a read sees
+the written registers its step covers.  The patterns differ only in what
+one step covers (`_steps`): one register for ic, all of them for ias and
+iis.  iis keeps the immediate outcomes, where whoever saw q saw everything
+q saw (Borowsky & Gafni, PODC 1993).
 `ORACLE_CAP` holds the most processes `schedule_oracle` walks per pattern,
 3 for ic and 5 for the snapshots; the CLI notes a protocol round on a larger
 facet as unchecked by it.
@@ -89,39 +93,6 @@ def _check_pattern(p: str) -> str:
     if p not in PATTERNS:
         raise InvalidParameters(f"unknown pattern {p!r}; expected one of {PATTERNS}")
     return p
-
-
-class GlobalView:
-    """One reachable per-process view assignment: color -> set of observed vids."""
-
-    __slots__ = ("views", "_key")
-
-    def __init__(self, views: dict[int, frozenset[int]]):
-        self.views = {c: frozenset(v) for c, v in views.items()}
-        self._key = frozenset(self.views.items())
-
-    @classmethod
-    def _of(cls, pairs) -> "GlobalView":
-        """From (color, frozenset view) pairs with distinct colors, as given."""
-        gv = cls.__new__(cls)
-        gv.views = dict(pairs)
-        gv._key = frozenset(pairs)
-        return gv
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GlobalView):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{c}:{sorted(v)}" for c, v in sorted(self.views.items()))
-        return f"GlobalView({parts})"
-
-    def to_dict(self) -> dict:
-        return {"views": {str(c): sorted(v) for c, v in sorted(self.views.items())}}
 
 
 def ordered_set_partitions(items: list) -> Iterator[list[list]]:
@@ -299,11 +270,16 @@ def _families(
     ]
 
 
-def round_views(c: ChromaticComplex, input_facet, pattern: str) -> frozenset[GlobalView]:
-    """Closed-form reachable view configurations for one round on a facet."""
+def round_views(c: ChromaticComplex, input_facet, pattern: str) -> frozenset[frozenset]:
+    """Closed-form reachable view configurations for one round on a facet.
+
+    Each configuration is a frozenset of (color, view) pairs, one per
+    vertex of the facet, where a view is the frozenset of vids that color's
+    process saw, its own included; ``dict(config)`` maps color to view.
+    """
     _check_pattern(pattern)
     facet = assert_facet(c, input_facet)
-    return frozenset(GlobalView._of(fam) for fam in _families(c, facet, pattern))
+    return frozenset(map(frozenset, _families(c, facet, pattern)))
 
 
 # -- brute-force oracle -----------------------------------------------------
@@ -318,10 +294,12 @@ def _immediate(masks: tuple[int, ...]) -> bool:
 
 def _outcome_views(
     c: ChromaticComplex, vids: list[int], pattern: str, outcomes
-) -> frozenset[GlobalView]:
-    """Per-position seen masks over sorted `vids` as GlobalViews.
+) -> frozenset[frozenset]:
+    """Per-position seen masks over sorted `vids` as view configurations.
 
     Adds each position's own bit; for iis keeps only the `_immediate` ones.
+    Each outcome becomes a frozenset of (color, view) pairs, as
+    `round_views` returns them.
     """
     colors = [c.vertices[v].color for v in vids]
     sets = mask_sets(vids)
@@ -329,7 +307,7 @@ def _outcome_views(
     for seen in outcomes:
         masks = tuple(m | 1 << i for i, m in enumerate(seen))
         if pattern != IIS or _immediate(masks):
-            out.add(GlobalView._of([(colors[i], sets[m]) for i, m in enumerate(masks)]))
+            out.add(frozenset([(colors[i], sets[m]) for i, m in enumerate(masks)]))
     return frozenset(out)
 
 
@@ -344,12 +322,12 @@ def _steps(pattern: str, left: int) -> list[int]:
 
 
 @gc_paused
-def schedule_oracle(
-    c: ChromaticComplex, input_facet, pattern: str
-) -> frozenset[GlobalView]:
+def schedule_oracle(c: ChromaticComplex, input_facet, pattern: str) -> frozenset[frozenset]:
     """Enumerate every event interleaving respecting program order.
 
-    Independent of round_views.  Each process writes its register, then
+    Returns the view configurations the interleavings reach, each a
+    frozenset of (color, view) pairs as `round_views` gives them, but
+    computed independently of it.  Each process writes its register, then
     reads in steps (`_steps`) until no register is left; a read sees
     `written & step`.  States that agree on (registers written, registers
     left per process, values seen) share all continuations, which keeps
@@ -443,16 +421,17 @@ def _run(programs, order) -> tuple[int, ...]:
 
 def raw_interleaving_views(
     c: ChromaticComplex, input_facet, pattern: str, sample: int | None = None, seed: int = 0
-) -> frozenset[GlobalView]:
+) -> frozenset[frozenset]:
     """Evaluate explicit event sequences one by one (no state sharing).
 
     A second, slower cross-check of `schedule_oracle`, with the same
-    read-step rule (`_steps`) and the same iis filter.  A process's program
-    is an order of its read steps.  Enumerates every program choice and
-    interleaving, which is capped at 2 processes for ic and 4 for
-    snapshots (ResourceLimit); with `sample` set, draws that many random
-    programs and interleavings instead, with no cap.  A sample below 1
-    raises InvalidParameters: it would draw nothing, and the empty result
+    read-step rule (`_steps`), the same iis filter and the same value: the
+    view configurations reached, each a frozenset of (color, view) pairs.
+    A process's program is an order of its read steps.  Enumerates every
+    program choice and interleaving, which is capped at 2 processes for ic
+    and 4 for snapshots (ResourceLimit); with `sample` set, draws that many
+    random programs and interleavings instead, with no cap.  A sample below
+    1 raises InvalidParameters: it would draw nothing, and the empty result
     lies within every closed form.
     """
     _check_pattern(pattern)
@@ -629,8 +608,13 @@ def check_intersection_preserving(
 
     Samples `trials` random subcomplex pairs A, B of c and compares
     X(A) ∩ X(B) with X(A ∩ B), all built over one registry on c, each
-    within `DEFAULT_MAX_FACETS` (`one_round`).
+    within `DEFAULT_MAX_FACETS` (`one_round`).  An unknown pattern or
+    `trials` below 1 raises InvalidParameters, even on the empty complex:
+    no pair would be compared, so True would be a verdict never checked.
     """
+    _check_pattern(pattern)
+    if trials < 1:
+        raise InvalidParameters(f"need trials >= 1, got {trials}")
     if not c.facets:
         return True
     rng = random.Random(seed)

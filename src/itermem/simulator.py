@@ -79,7 +79,13 @@ from .complexes import (
     gc_paused,
 )
 from .encoding import Encoding, _clashes, rounds_coding
-from .errors import AmbiguousDecode, InvalidParameters, ItermemError, ResourceLimit
+from .errors import (
+    AmbiguousDecode,
+    InvalidParameters,
+    ItermemError,
+    ResourceLimit,
+    VertexNotInComplex,
+)
 from .generators import gen_glued
 from .greedy import split_to_budget
 from .io import _canonical_label, encoding_to_dict
@@ -87,7 +93,6 @@ from .iso import is_isomorphic
 from .protocols import (
     IC,
     CompiledRows,
-    GlobalView,
     _compiled,
     _emit_round,
     _family_count,
@@ -112,8 +117,11 @@ def decode(
 
     Bottom carries no information.  Two matching candidates mean the
     encoding failed to keep same-color two-hop states apart; that is always
-    raised, never resolved by choice.
+    raised, never resolved by choice.  A reader outside c raises
+    VertexNotInComplex, whatever the value.
     """
+    if reader not in c.vertices:
+        raise VertexNotInComplex(f"vid {reader}")
     if value is None:
         return None
     cands = [
@@ -157,8 +165,12 @@ def _decode_reads(c: ChromaticComplex, enc: Encoding, at, colors, read) -> int:
     return decoded
 
 
-def run_bounded(c: ChromaticComplex, facet, seq: list[Encoding], runs) -> GlobalView:
+def run_bounded(c: ChromaticComplex, facet, seq: list[Encoding], runs) -> frozenset:
     """Execute one run per round, each over a fresh memory layer.
+
+    Returns the final view configuration: a frozenset of (color, view)
+    pairs, one per vertex of the facet, where a view is the frozenset of
+    vids that color's process knows, as `protocols.round_views` gives them.
 
     Positions are the facet's vids by color rank (`_placement`).  A run is
     (programs, order) as `protocols._run` takes them: programs[i] is a
@@ -177,7 +189,7 @@ def run_bounded(c: ChromaticComplex, facet, seq: list[Encoding], runs) -> Global
     vec = _pack([1 << i for i in range(k)], k)  # a knowledge vector, as in the fold
     for enc, run in zip(seq, runs):
         vec |= _decode_reads(c, enc, at, colors, _run(*_checked(run, k)))
-    return GlobalView._of([(colors[i], sets[m]) for i, m in enumerate(_unpack(vec, k))])
+    return frozenset([(colors[i], sets[m]) for i, m in enumerate(_unpack(vec, k))])
 
 
 def _checked(run, k: int) -> tuple:

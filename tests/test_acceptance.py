@@ -48,7 +48,6 @@ from itermem import (
     IC,
     IIS,
     PATTERNS,
-    GlobalView,
     SetCoverInstance,
     StateRegistry,
     bounded_protocol_complex,
@@ -128,7 +127,7 @@ def test_criterion_01_subdivision_equals_executions(n):
         return frozenset(ch.vertices[v].label[1])
 
     facets = frozenset(
-        GlobalView({ch.vertices[v].color: view(v) for v in f}) for f in ch.facets
+        frozenset((ch.vertices[v].color, view(v)) for v in f) for f in ch.facets
     )
     executions = schedule_oracle(base, next(iter(base.facets)), IIS)
     ok = facets == executions and len(executions) == _ONE_ROUND_FACETS[n]

@@ -11,7 +11,9 @@ Core claims:
     - The one clash relation (`_clashes`) yields, once each as (v, x) with
       v < x, exactly the pairs of coded two-hop same-color vertices with
       one code, by the pairwise scan; so it yields nothing iff every coded
-      vertex is distinguishable
+      vertex is distinguishable.  It says nothing of uncoded vertices: with
+      only p1 of the glued pair coded it yields nothing, yet apex a1,
+      uncoded like its rival a2, is not distinguishable
     - Degree lower bound: frozen values on the triangle, glued pair, and
       one subdivision round; equal to the exact rational ceiling at
       b = 1, 2, 3, 1074, 1075, 5000 on Δ², ChΔ³ and the glued pair;
@@ -168,6 +170,14 @@ class TestClashes:
         assert list(_clashes(c, Encoding({A1: 1, A2: 2, P1: 1, P2: 1}))) == []
         # an uncoded vertex clashes with nothing, and vids outside c are ignored
         assert list(_clashes(c, Encoding({A1: 1, 99: 1}))) == []
+
+    def test_uncoded_vertices_left_to_the_bottom_rule(self):
+        # bottom equals bottom: a1 and its rival a2 are both uncoded
+        c = _glued()
+        e = Encoding({P1: 1})
+        assert list(_clashes(c, e)) == []
+        assert not is_vertex_distinguishable(c, A1, e)
+        assert is_vertex_distinguishable(c, P1, e)
 
     @given(st.data(), random_complexes)
     def test_yields_the_same_code_rival_pairs(self, data, c):

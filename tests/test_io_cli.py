@@ -42,7 +42,8 @@ Core claims:
       export, simulate, verify and reduce-setcover, and options a
       subcommand does not read: --seed outside gen, --max-facets outside
       gen/subdivide/protocol/simulate, repeated vids in a complex
-      document, a negative bounds --measured), 3 resources (also an
+      document, a negative bounds --measured or --max-facets, verify given
+      both its isomorphism and its cover arguments), 3 resources (also an
       isomorphism search past its node budget), 4 any other exception
     - protocol notes a facet past the schedule oracle's cap for its
       pattern, and only then: not ic on 4-color triangles, but iis on Δ⁵
@@ -814,6 +815,34 @@ class TestCli:
         assert main(["verify", "--a", "x"]) == 2  # incomplete mode
         assert main(["verify"]) == 2  # no mode at all
         assert main(["bounds", "--n", "1", "--r", "1", "--b", "1"]) == 2
+
+    def test_verify_modes_exclude_each_other(self, tmp_path, capsys):
+        # Δ² with one vertex coded is no cover; given the isomorphism
+        # arguments as well, verify answered only those and exited 0
+        tri, bad = tmp_path / "t.json", tmp_path / "bad.json"
+        assert main(["gen", "simplex", "--n", "2", "--out", str(tri)]) == 0
+        bad.write_text('[{"assignment": {"0": 1}}]')
+        iso = ["--a", str(tri), "--b", str(tri)]
+        cover = ["--in", str(tri), "--encodings", str(bad)]
+        capsys.readouterr()
+        assert main(["verify", *iso]) == 0
+        assert "isomorphic: True" in capsys.readouterr().out
+        assert main(["verify", *cover]) == 1
+        assert "cover verified: False" in capsys.readouterr().out
+        for mixed in ([*iso, *cover], [*cover, *iso], [*iso, "--in", str(tri)]):
+            assert main(["verify", *mixed]) == 2
+            err = capsys.readouterr().err
+            assert "isomorphism (--a/--b)" in err and "cover (--in/--encodings)" in err
+
+    def test_negative_max_facets_exit_2(self, capsys):
+        for cmd in (["gen", "simplex", "--n", "2"], ["protocol", "--in", "x.json",
+                                                     "--pattern", "ic"]):
+            assert main([*cmd, "--max-facets", "-1"]) == 2
+            assert "--max-facets: need an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert main(["gen", "simplex", "--n", "2", "--max-facets", "x"]) == 2
+        # a budget of 0 is a budget: one facet exceeds it
+        assert main(["gen", "simplex", "--n", "2", "--max-facets", "0"]) == 3
+        assert "1 facets exceed --max-facets" in capsys.readouterr().err
 
     def test_options_offered_only_where_read(self, tmp_path, capsys):
         src = self._gen(tmp_path)

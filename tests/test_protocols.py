@@ -46,6 +46,14 @@ Core claims:
       string-tagged event interpreter they replaced on every facet of the
       oracle corpus (sampled collect from the same seeds); the schedule
       oracle also on the 4-simplex for the snapshot patterns
+    - Every route to a view configuration (round_views, schedule_oracle
+      within ORACLE_CAP, sampled raw interleavings, run_bounded) gives a
+      frozenset of (color, view) pairs, one per vertex of the facet, each
+      view a frozenset of the facet's vids holding its own color's vertex
+      (hypothesis, random 3- and 4-color complexes, every pattern)
+    - check_intersection_preserving raises InvalidParameters for trials
+      below 1 and for an unknown pattern, on the empty complex too, and
+      agrees with the per-call reference at one trial
     - Oracle resource caps raise ResourceLimit: the schedule oracle above 3
       processes for ic and 5 for snapshots, unsampled raw interleavings
       above 2 for ic and 4 for snapshots within 1 s; a raw sample below 1
@@ -64,14 +72,16 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itermem import (
     IAS,
     IC,
     IIS,
     PATTERNS,
+    ChromaticComplex,
     Encoding,
-    GlobalView,
     InvalidParameters,
     ResourceLimit,
     StateRegistry,
@@ -88,6 +98,7 @@ from itermem import (
     protocol_complex,
     raw_interleaving_views,
     round_views,
+    run_bounded,
     schedule_oracle,
 )
 from itermem import protocols
@@ -109,7 +120,7 @@ def _facet(c):
     return next(iter(c.facets))
 
 
-def _reference_block_replay(c, facet) -> frozenset[GlobalView]:
+def _reference_block_replay(c, facet) -> frozenset[frozenset]:
     """iis by blocks: per ordered partition, each block writes, then snapshots."""
     vids = sorted(facet)
     color_of = {v: c.vertices[v].color for v in vids}
@@ -122,11 +133,11 @@ def _reference_block_replay(c, facet) -> frozenset[GlobalView]:
             snap = frozenset(written)
             for v in block:
                 views[color_of[v]] = snap
-        out.add(GlobalView(views))
+        out.add(frozenset(views.items()))
     return frozenset(out)
 
 
-def _reference_schedule_oracle(c, facet, pattern) -> frozenset[GlobalView]:
+def _reference_schedule_oracle(c, facet, pattern) -> frozenset[frozenset]:
     """The two memoised walks the one read-step walk replaced."""
     vids = sorted(facet)
     n = len(vids)
@@ -170,7 +181,7 @@ def _reference_schedule_oracle(c, facet, pattern) -> frozenset[GlobalView]:
     return _outcome_views(c, vids, pattern, walk_ic(0, ((1 << n) - 1,) * n, (0,) * n))
 
 
-def _reference_raw(c, facet, pattern, sample=None, seed=0) -> frozenset[GlobalView]:
+def _reference_raw(c, facet, pattern, sample=None, seed=0) -> frozenset[frozenset]:
     """The string-tagged event interpreter the int-mask one replaced."""
     vids = sorted(facet)
     n = len(vids)
@@ -285,7 +296,7 @@ def _product_filter(c, facet, pattern):
                 if owner[q] in views[p]
             )
         if ok:
-            out.add(GlobalView(views))
+            out.add(frozenset(views.items()))
     return frozenset(out)
 
 
@@ -305,25 +316,21 @@ class TestViewFamilies:
         f = _facet(c)
         color_of = {c.vertices[v].color: v for v in f}
         for pat in PATTERNS:
-            for gv in round_views(c, f, pat):
-                for col, view in gv.views.items():
+            for config in round_views(c, f, pat):
+                for col, view in config:
                     assert color_of[col] in view
 
     def test_full_view_always_present(self):
         c = gen_simplex(2)
         f = _facet(c)
-        everyone = GlobalView(
-            {c.vertices[v].color: frozenset(f) for v in f}
-        )
+        everyone = frozenset((c.vertices[v].color, frozenset(f)) for v in f)
         for pat in PATTERNS:
             assert everyone in round_views(c, f, pat)
 
     def test_all_solo_excluded(self):
         c = gen_simplex(2)
         f = _facet(c)
-        solo = GlobalView(
-            {c.vertices[v].color: frozenset({v}) for v in f}
-        )
+        solo = frozenset((c.vertices[v].color, frozenset({v})) for v in f)
         for pat in PATTERNS:
             assert solo not in round_views(c, f, pat)
 
@@ -336,6 +343,35 @@ class TestViewFamilies:
         c = gen_simplex(1)
         with pytest.raises(InvalidParameters):
             round_views(c, _facet(c), "snapshotty")
+
+
+class TestViewConfigurations:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([3, 4]), st.integers(1, 5))
+    def test_every_route_gives_color_view_pairs(self, seed, n_colors, n_facets):
+        c = gen_random(seed, n_colors, n_facets)
+        rng = random.Random(seed)
+        f = rng.choice(sorted(c.facets, key=sorted))
+        owner = {c.vertices[v].color: v for v in f}
+        # one round coding every vertex alone, run as a random collect
+        seq = [Encoding({v: i for i, v in enumerate(sorted(c.vertices), 1)})]
+        programs = [tuple(rng.sample([1 << q for q in range(len(f))], len(f))) for _ in f]
+        order = [i for i, steps in enumerate(programs) for _ in range(1 + len(steps))]
+        rng.shuffle(order)
+        routes = [frozenset({run_bounded(c, f, seq, [(programs, order)])})]
+        for pattern in PATTERNS:
+            routes.append(round_views(c, f, pattern))
+            routes.append(raw_interleaving_views(c, f, pattern, sample=8, seed=seed))
+            if len(f) <= ORACLE_CAP[pattern]:
+                routes.append(schedule_oracle(c, f, pattern))
+        for configs in routes:
+            assert type(configs) is frozenset and configs
+            for config in configs:
+                assert type(config) is frozenset
+                assert sorted(col for col, _ in config) == sorted(owner)
+                for col, view in config:
+                    assert type(view) is frozenset
+                    assert owner[col] in view and view <= f
 
 
 class TestTemplates:
@@ -510,8 +546,8 @@ class TestOracleEquivalence:
         owner = {c.vertices[v].color: v for v in f}
         dropped = schedule_oracle(c, f, IAS) - schedule_oracle(c, f, IIS)
         assert len(dropped) == 6
-        for gv in dropped:
-            views = gv.views
+        for config in dropped:
+            views = dict(config)
             assert any(
                 owner[q] in views[p] and not views[q] <= views[p]
                 for p in views
@@ -530,8 +566,8 @@ class TestOracleEquivalence:
         # self-inclusion, and adding a write never removes knowledge
         c = gen_simplex(2)
         f = _facet(c)
-        for gv in raw_interleaving_views(c, f, IC, sample=500, seed=9):
-            for col, view in gv.views.items():
+        for config in raw_interleaving_views(c, f, IC, sample=500, seed=9):
+            for col, view in config:
                 assert view <= f
 
 
@@ -582,10 +618,10 @@ class TestProtocolComplex:
             x = protocol_complex(c, pat, 1)
             for v, vert in c.vertices.items():
                 solo = sum(
-                    gv.views[vert.color] == {v}
+                    dict(config)[vert.color] == {v}
                     for f in c.facets
                     if v in f
-                    for gv in round_views(c, f, pat)
+                    for config in round_views(c, f, pat)
                 )
                 assert sum(v in f for f in x.facets) == solo > 0
 
@@ -732,26 +768,27 @@ class TestStructuralChecks:
         assert got == [_reference_check(c, IC, 5, s) for s in range(10)]
         assert got.count(False) == 7
 
+    def test_unchecked_verdicts_refused(self):
+        # no trial, or no known pattern, leaves True a verdict never checked
+        for trials in (0, -3):
+            with pytest.raises(InvalidParameters, match="trials >= 1"):
+                check_intersection_preserving(gen_glued(3), IC, trials)
+        with pytest.raises(InvalidParameters, match="unknown pattern 'bogus'"):
+            check_intersection_preserving(ChromaticComplex({}, []), "bogus", 2)
+        with pytest.raises(InvalidParameters, match="trials >= 1"):
+            check_intersection_preserving(ChromaticComplex({}, []), IC, 0)
+        assert check_intersection_preserving(ChromaticComplex({}, []), IC, 1)
+
+    @pytest.mark.parametrize("c", _SAMPLE_BASES, ids=["glued3", "random3"])
+    def test_one_trial_as_per_call_sort(self, c):
+        for pattern in sorted(PATTERNS):
+            for seed in range(10):
+                got = check_intersection_preserving(c, pattern, trials=1, seed=seed)
+                assert got == _reference_check(c, pattern, 1, seed)
+
     def test_structure_on_seeded_complexes(self):
         for seed in range(6):
             c = gen_random(seed, 3, 5)
             for pat in PATTERNS:
                 assert check_no_input_edges(c, pat)
                 assert check_intersection_preserving(c, pat, trials=2, seed=seed)
-
-
-class TestGlobalView:
-    def test_dict_shape(self):
-        c = gen_simplex(1)
-        gv = sorted(
-            round_views(c, _facet(c), IC), key=lambda g: sorted(g.views.items())
-        )[0]
-        d = gv.to_dict()
-        assert set(d) == {"views"}
-        assert all(isinstance(k, str) for k in d["views"])
-
-    def test_equality_and_hash(self):
-        a = GlobalView({0: frozenset({0}), 1: frozenset({0, 1})})
-        b = GlobalView({1: frozenset({1, 0}), 0: frozenset({0})})
-        assert a == b
-        assert hash(a) == hash(b)

@@ -3,7 +3,8 @@ Unit tests for the bounded-register simulator.
 
 Core claims:
     - decode: bottom -> None; unique neighbor -> its vid; shared apex
-      codes -> AmbiguousDecode (never silently resolved)
+      codes -> AmbiguousDecode (never silently resolved); a reader outside
+      the complex -> VertexNotInComplex, also for bottom
     - run_bounded executes (programs, order) runs on the read-step model
       of protocols: sequential runs give the first process only itself and
       the last everyone; a concurrent run gives everyone everyone
@@ -111,7 +112,6 @@ from itermem import (
     AmbiguousDecode,
     ChromaticComplex,
     Encoding,
-    GlobalView,
     InvalidParameters,
     ResourceLimit,
     Simplex,
@@ -137,6 +137,7 @@ from itermem import (
     export_complex,
     verify_cover,
 )
+from itermem.errors import VertexNotInComplex
 from itermem.protocols import (
     _families,
     _interleavings,
@@ -167,6 +168,12 @@ class TestDecode:
         e = Encoding({A1: 1, A2: 1})
         with pytest.raises(AmbiguousDecode):
             decode(P1, 0, 1, e, c)
+
+    def test_reader_outside_the_complex(self):
+        c = gen_glued(3)
+        for value in (1, None):
+            with pytest.raises(VertexNotInComplex, match="vid 99"):
+                decode(99, 0, value, Encoding({0: 1}), c)
 
     def test_locality(self):
         # decoding only ever returns a neighbor of the reader
@@ -213,7 +220,7 @@ def _reference_run_bounded(c, facet, seq, schedules):
         for p in vid_of:
             if enc.value(vid_of[p]) is not None:
                 views[p] |= buf[p]
-    return GlobalView(views)
+    return frozenset((p, frozenset(view)) for p, view in views.items())
 
 
 def _sequential_events(colors):
@@ -235,16 +242,16 @@ class TestRunBounded:
         c = gen_simplex(2)
         seq, _ = greedy_star(c)
         f = next(iter(c.facets))
-        gv = run_bounded(c, f, seq, [_sequential([0, 1, 2], 3)] * len(seq))
-        assert gv.views[0] == frozenset({0})
-        assert gv.views[2] == frozenset({0, 1, 2})
+        views = dict(run_bounded(c, f, seq, [_sequential([0, 1, 2], 3)] * len(seq)))
+        assert views[0] == frozenset({0})
+        assert views[2] == frozenset({0, 1, 2})
 
     def test_concurrent_full_knowledge(self):
         c = gen_simplex(1)
         seq, _ = greedy_star(c)
         f = next(iter(c.facets))
-        gv = run_bounded(c, f, seq, [_concurrent(2)] * len(seq))
-        assert gv.views[0] == gv.views[1] == frozenset({0, 1})
+        views = dict(run_bounded(c, f, seq, [_concurrent(2)] * len(seq)))
+        assert views[0] == views[1] == frozenset({0, 1})
 
     def test_uncoded_round_preserves_state(self):
         # code only the apex star in round one: p1/p2 read a1's code but
@@ -252,8 +259,8 @@ class TestRunBounded:
         c = gen_glued(2)
         seq = [Encoding({A1: 1}), Encoding({A2: 1, P1: 1, P2: 1})]
         f = frozenset({A2, P1, P2})
-        gv = run_bounded(c, f, seq, [_concurrent(3), _concurrent(3)])
-        assert gv.views[1] == frozenset({P1, A2, P2})  # nothing from round 1
+        views = dict(run_bounded(c, f, seq, [_concurrent(3), _concurrent(3)]))
+        assert views[1] == frozenset({P1, A2, P2})  # nothing from round 1
 
     def test_uncoded_reader_decodes_nothing(self):
         # p1 and p2 read the apexes' shared code, which is ambiguous near
@@ -262,7 +269,7 @@ class TestRunBounded:
         c = gen_glued(2)
         seq = [Encoding({A1: 1, A2: 1})]
         for f in c.facets:
-            solo = GlobalView({c.vertices[v].color: {v} for v in f})
+            solo = frozenset((c.vertices[v].color, frozenset({v})) for v in f)
             assert run_bounded(c, f, seq, [_concurrent(3)]) == solo
             with pytest.raises(AmbiguousDecode):
                 _reference_run_bounded(c, f, seq, [_concurrent_events([0, 1, 2])])
@@ -338,14 +345,14 @@ def _reference_bounded(c, seq):
         for enc in seq:
             new_vecs = set()
             for vec in vecs:
-                for gv in fams:
+                for config in fams:
                     nxt = []
                     for i, p in enumerate(participants):
                         if enc.value(p) is None:
                             nxt.append(vec[i])
                             continue
                         know = set(vec[i])
-                        for q in gv.views[color_of[p]]:
+                        for q in dict(config)[color_of[p]]:
                             if q != p and enc.value(q) is not None:
                                 know.add(decode(p, color_of[q], enc.value(q), enc, c))
                         nxt.append(frozenset(know))
@@ -512,7 +519,7 @@ def _executed_by_facet(c, seq):
     """Per input facet, the final states of every combination of witness runs."""
     return {
         frozenset(f): {
-            frozenset(run_bounded(c, f, seq, runs).views.items())
+            run_bounded(c, f, seq, runs)
             for runs in product(_witness_runs(len(f)), repeat=len(seq))
         }
         for f in c.facets
