@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .generators import gen_glued, gen_path, gen_random, gen_simplex
-from .greedy import greedy_star, split_to_budget, verify_cover
+from .greedy import _cover_witness, greedy_star, split_to_budget, verify_cover
 from .io import (
     FORMATS,
     _loads,
@@ -243,10 +243,18 @@ def _cmd_verify(args) -> int:
         raise InvalidParameters("need --a/--b or --in/--encodings")
     c = _read_complex(args.infile)
     seq = _read_sequence(args.encodings)
-    ok = verify_cover(c, seq)
-    print(f"cover verified: {ok}")
-    _emit(args, {"cover_verified": ok})
-    return 0 if ok else 1
+    w = _cover_witness(c, seq)
+    print(f"cover verified: {w is None}")
+    summary = {"cover_verified": w is None}
+    if w is not None:
+        summary["witness"] = w
+        print("witness: " + (
+            f"no round codes facet {w['facet']} whole" if "facet" in w else
+            f"in round {w['round']}, value {w['code']} from color {w['color']} "
+            f"matches vids {w['vids']} near vid {w['reader']}"
+        ))
+    _emit(args, summary)
+    return 0 if w is None else 1
 
 
 def _cmd_bounds(args) -> int:

@@ -13,13 +13,16 @@ color adjacent to a neighbor of v.  They depend on the complex alone, so
 here reads that cache; v is distinguishable iff no rival has v's code.
 This is the same predicate as the two-hop scan, not an approximation.
 
-One clash relation serves both soundness rules: `_clashes` yields each
-pair of coded rivals that a round codes alike.  `greedy.verify_cover`
-calls a round sound iff it yields no pair (every reader decodes).  The
-simulator raises AmbiguousDecode iff a yielded pair has a coded common
-neighbor, since only a coded reader decodes what it reads.  So the two
-rules differ by that coded-reader filter alone, and a sequence
-`verify_cover` accepts always simulates.
+One rule decides whether a round decodes: `_ambiguous` yields each
+(reader p, v, x) where the round codes the rivals v < x alike and codes
+p, a common neighbor of theirs, which reads both and cannot tell them
+apart.  A process whose own vertex is uncoded keeps its state and
+decodes nothing, so rivals coded alike with only uncoded common
+neighbors are harmless.  `greedy.verify_cover` accepts a round iff it
+yields nothing, and the simulator raises AmbiguousDecode on the first
+triple, so the two accept the same rounds.  The packer and the exact
+search keep the stricter rival rule (no two rivals coded alike), which
+implies this one.
 
 `rounds_coding` turns a sequence into per-vertex round masks, the one
 coding map that the cover checks of `greedy` and the simulator read.
@@ -36,13 +39,19 @@ BOTTOM = None
 
 
 class Encoding:
-    """Immutable vid -> code map; missing/None entries are bottom."""
+    """Immutable vid -> code map; missing/None entries are bottom.
+
+    The constructor checks its input: every vid an int (not a bool), every
+    code None or an int >= 0.
+    """
 
     __slots__ = ("_codes",)
 
     def __init__(self, codes: Mapping[int, int | None]):
         clean: dict[int, int] = {}
         for vid, code in codes.items():
+            if type(vid) is not int:  # a bool would alias vid 0 or 1
+                raise InvalidParameters(f"vid {vid!r} must be an int")
             if code is None:
                 continue
             if type(code) is not int or code < 0:
@@ -97,24 +106,25 @@ def rounds_coding(seq: Iterable[Encoding]) -> dict[int, int]:
     return coding
 
 
-def _clashes(c: ChromaticComplex, enc: Encoding) -> Iterator[tuple[int, int]]:
-    """Each pair (v, x), v < x, of rivals in c that enc codes alike.
+def _ambiguous(c: ChromaticComplex, enc: Encoding) -> Iterator[tuple[int, int, int]]:
+    """Each (p, v, x): rivals v < x in c that enc codes alike, and a common
+    neighbor p of theirs that enc codes too, in ascending p per pair.
 
-    A vertex of c that enc codes is distinguishable under enc iff it is in
-    no yielded pair; vids outside c are ignored.  The pairs say nothing of
-    an uncoded vertex, which `is_vertex_distinguishable` calls
-    distinguishable iff no rival is uncoded too (bottoms count as equal
-    codes); neither soundness rule asks about uncoded vertices.
+    The rival pairs come first, from the rival cache, so a round that
+    codes no two rivals alike (every round the packer emits) never looks
+    at a neighborhood; vids outside c are ignored.
     """
-    of = c.rivals()
+    of, adj, codes = c.rivals(), c.adjacency(), enc._codes
     by_code: dict[int, set[int]] = {}
-    for v, k in enc._codes.items():
+    for v, k in codes.items():
         by_code.setdefault(k, set()).add(v)
-    for v, k in enc._codes.items():
+    for v, k in codes.items():
         if v in of and not by_code[k].isdisjoint(of[v]):
             for x in sorted(by_code[k].intersection(of[v])):
                 if v < x:
-                    yield v, x
+                    for p in sorted(set(adj[v]).intersection(adj[x])):
+                        if p in codes:
+                            yield p, v, x
 
 
 def is_vertex_distinguishable(c: ChromaticComplex, v: int, enc: Encoding) -> bool:
@@ -130,11 +140,12 @@ def lower_bound_rounds(c: ChromaticComplex, b: int) -> int:
 
     A true lower bound on every sequence `verify_cover` accepts.  Each
     neighbor u of a vertex v shares a facet with v, and some round codes
-    that facet whole, so u is coded in some round.  Coded same-color
-    neighbors of v are pairwise rivals (v is their common neighbor), so a
-    sound round gives them distinct codes and holds at most 2^b - 1 of them
-    per color.  One round thus codes at most n(2^b - 1) neighbors of v.
-    The ceiling is taken in integers, so it stays exact at any b.
+    that facet whole, so u is coded in a round that codes v too.  In that
+    round v is a coded reader of its coded neighbors, so its coded
+    same-color neighbors need distinct codes (`_ambiguous` yields
+    nothing): at most 2^b - 1 of them per color.  One round that codes v
+    thus codes at most n(2^b - 1) neighbors of v.  The ceiling is taken in
+    integers, so it stays exact at any b.
     """
     if b < 1:
         raise InvalidParameters("need b >= 1")

@@ -24,7 +24,10 @@ Which facets a sequence codes whole is read from one coding map,
 `encoding.rounds_coding`: per vid, the rounds that code it as bits.  A
 facet is coded whole by some round iff its vertices' masks AND to nonzero
 (`_unkept` returns the others).  `verify_cover`, which `split_to_budget`
-calls, and the simulator's plan both read that map.  The library's own
+calls, and the simulator's plan both read that map, and both decide
+whether a round decodes by the one rule of `encoding._ambiguous`.  The
+packer and the star cover meet the stricter rival rule (no two rivals
+coded alike in a round), so what they emit passes it.  The library's own
 sequences are built unchecked (`Encoding._of`); outside input goes through
 `Encoding`.
 """
@@ -34,7 +37,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .complexes import ChromaticComplex, Simplex
-from .encoding import Encoding, _clashes, _code_count, rounds_coding
+from .encoding import Encoding, _ambiguous, _code_count, rounds_coding
 from .errors import InvalidParameters, ItermemError
 
 
@@ -126,27 +129,38 @@ def _unkept(faces: Iterable[Simplex], coding: dict[int, int]) -> set[Simplex]:
 
 
 def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:
-    """True iff every round is sound and some round codes each facet of c whole.
+    """True iff every round decodes and some round codes each facet of c whole.
 
-    A round is sound when it codes no two rivals alike (`encoding._clashes`
-    yields nothing), that is, when every vertex it codes is
-    distinguishable.  The simulator's decode check reads the same pairs
-    but raises only for a pair with a coded common neighbor, the one reader
-    that decodes both; so every sound round decodes, while a round whose
-    clashing pairs have only uncoded common neighbors simulates yet is
-    rejected here.  A facet counts only in a round that codes all its
-    vertices: an uncoded process discards what it reads, so a facet with an
-    uncoded vertex gains nothing in that round, however distinguishable the
-    vertex is.  On such a sequence the bounded simulation is the
-    full-information collect complex up to isomorphism: the round that
-    codes a facet whole reaches each collect view, and the other rounds
-    only add unions with collect views, which are collect views again.
+    A round decodes when no coded reader sees two coded neighbors of one
+    color with one code (`encoding._ambiguous` yields nothing), the rule
+    by which `bounded_protocol_complex` raises AmbiguousDecode, so the
+    simulator decodes a sequence iff its rounds pass here.  A facet
+    counts only in a round that codes all its vertices: an uncoded process
+    discards what it reads, so a facet with an uncoded vertex gains
+    nothing in that round.  On such a sequence the bounded simulation is
+    the full-information collect complex: the round that codes a facet
+    whole reaches each collect view, and the other rounds only add unions
+    with collect views, which are collect views again.
 
-    After the soundness check, one pass builds each vid's round mask
-    (`rounds_coding`), and a facet is coded whole iff its vertices' masks
-    AND to nonzero.
+    A facet is coded whole iff its vertices' round masks (`rounds_coding`)
+    AND to nonzero.  `_cover_witness` names the first failure.
     """
-    return not any(any(_clashes(c, e)) for e in seq) and not _unkept(c.facets, rounds_coding(seq))
+    return _cover_witness(c, seq) is None
+
+
+def _cover_witness(c: ChromaticComplex, seq: list[Encoding]) -> dict | None:
+    """Why `verify_cover` rejects seq, or None when it accepts.
+
+    The first ambiguous read, as its round, reader, source color, code and
+    the two vids it cannot tell apart; failing that, the least sorted facet
+    that no round codes whole.
+    """
+    for r, enc in enumerate(seq):
+        for p, v, x in _ambiguous(c, enc):
+            color, code = c.vertices[v].color, enc.value(v)
+            return {"round": r, "reader": p, "color": color, "code": code, "vids": [v, x]}
+    unkept = _unkept(c.facets, rounds_coding(seq))
+    return {"facet": min(map(sorted, unkept))} if unkept else None
 
 
 def split_to_budget(
@@ -160,8 +174,9 @@ def split_to_budget(
     other.
     Facets are taken in sorted order, and each joins the first round where
     every vertex of the facet is already coded or can take the least code
-    in 1..2^b-1 that none of its coded rivals uses.  The output is a sound
-    sequence that codes every facet whole, so it covers c too.
+    in 1..2^b-1 that none of its coded rivals uses.  So no round codes two
+    rivals alike (the rival rule, stricter than `verify_cover`'s), and
+    every facet is coded whole: the output covers c too.
 
     Per vertex, a bitmask holds the rounds in which its coded rivals use
     every code; OR-ing the masks of a facet's vertices gives its first

@@ -7,6 +7,14 @@ pair between two facets forbids sharing a round.  Gluing every pair whose
 elements never co-occur in a subset makes minimum rounds equal minimum
 cover size, which `exact_min_sequence` then recovers by exact coloring of
 the facet-conflict graph over the two-valued (bottom / 1) code family.
+
+That minimum is over bottom/1 sequences whose coded vertices are all
+distinguishable (the rival rule: no round codes two rivals alike).
+`verify_cover` asks less, only that no coded reader sees two coded
+neighbors of one color and one code, so on some complexes it accepts
+shorter bottom/1 sequences (IC²Δ², for one).  On a reduction the two
+agree: the glue vertex lies in both glued facets, so a round that codes
+both codes it too, and it reads the two fillers alike.
 """
 
 from __future__ import annotations
@@ -166,13 +174,16 @@ def explain_reduction(inst: SetCoverInstance) -> str:
 
 
 def exact_min_sequence(c: ChromaticComplex) -> tuple[int, list[Encoding]]:
-    """Shortest sequence of bottom/1 functions making every face of c
-    distinguishable: the chromatic number of the facet-conflict graph.
+    """Shortest sequence of bottom/1 functions that codes every facet of c
+    whole and every coded vertex distinguishable (the rival rule, stricter
+    than `verify_cover`'s; see the module docstring): the chromatic number
+    of the facet-conflict graph.
 
     Facets conflict when a vertex of one has a rival in the other.  A
     facet's own vertices differ in color, so are never rivals: facets coded
-    1 in one round are sound iff no two conflict, and coding more than
-    whole facets only adds clashes.  Each color class is one round.
+    1 in one round meet the rival rule iff no two conflict, and coding
+    more than whole facets only adds rivals coded alike.  Each color class
+    is one round.
 
     Placing facets most-conflicted first (DSATUR's rule, Brélaz 1979, made
     static) opens with a greedy clique of q facets, colored 0..q-1.  For

@@ -10,7 +10,7 @@ the set of facet vids it has seen.  `run_bounded` executes one run per
 round on the read-step model of `protocols` (`_run`) and decodes what each
 reader saw (`_decode_reads`); `bounded_protocol_complex` folds every
 execution per round into packed knowledge vectors over the one-round ic
-template, and checks decoding once per clashing pair.  It emits its
+template, and checks decoding once per round.  It emits its
 states through `protocols._emit_round`, the one round emitter, which
 `one_round` uses too and which defines the facet order that numbers vids
 (see its docstring).  Under a covering sequence every facet folds to the
@@ -29,15 +29,9 @@ execution ran, nor at which facet holds p and q.  q itself is always a
 candidate (a neighbor of p with q's color and code), so the answer is q,
 or AmbiguousDecode when another neighbor of p has q's color and code.
 Every coded pair of a facet is read in some family (everyone sees everyone
-in one), so some execution raises iff a round codes a vertex p and two of
-p's neighbors with one color and one code.  Two such neighbors are rivals
-coded alike, so `_check_decodes` reads the one clash relation that
-`verify_cover` reads (`encoding._clashes`) and raises iff a yielded pair
-has a coded common neighbor, without visiting a facet.  That reader is
-the whole difference between the two rules: `verify_cover` rejects every
-clashing pair, as if uncoded processes decoded too, so every sequence it
-accepts simulates, and a round whose clashing pairs have only uncoded
-common neighbors simulates although `verify_cover` rejects it.
+in one), so some execution raises iff the round yields a triple of
+`encoding._ambiguous`, the one rule `verify_cover` reads too; the check
+reads it without visiting a facet.
 
 So a facet's fold is a function of its key: its size k and the set of
 coded-position masks of the rounds that code two or more of its vertices.
@@ -50,7 +44,7 @@ is also up-closed (a larger view only drops misses edges), so once a fold
 reaches the whole template every further round leaves it there, and the
 fold stops.  Its budget is two checks made before any facet is emitted: a
 projection of the fold work per distinct key, before folding, then the
-exact facet count.  The edge check comes after both.
+exact facet count.  The decode check comes after both.
 
 `code_collision_counterexample` builds its observation rounds, in which a
 reader keeps the raw (color, code) pairs it read instead of decoding them,
@@ -78,7 +72,7 @@ from .complexes import (
     assert_facet,
     gc_paused,
 )
-from .encoding import Encoding, _clashes, rounds_coding
+from .encoding import Encoding, _ambiguous, rounds_coding
 from .errors import (
     AmbiguousDecode,
     InvalidParameters,
@@ -244,10 +238,10 @@ def bounded_protocol_complex(
     Before any fold, the fold work: at most min(2^(k(k-1)),
     ``_family_count(IC, k)``^|masks|) vectors per distinct key, since each
     position always sees itself.  After folding, the exact facet count.
-    Only then is decoding checked, once per clashing pair of each round
-    rather than per facet (`_check_decodes`; see the module docstring),
-    so an ambiguous code raises AmbiguousDecode before any facet is
-    emitted.
+    Only then is decoding checked, once per round rather than per facet:
+    `decode` raises AmbiguousDecode on the first triple that
+    `encoding._ambiguous` yields (see the module docstring), before any
+    facet is emitted.
 
     States are emitted by `protocols._emit_round`, the round emitter of
     `protocols.one_round`, from the sorted vectors compiled once per key.
@@ -295,7 +289,9 @@ def _bounded_rows(c: ChromaticComplex, seq: list[Encoding], max_facets: int, pla
     if total > max_facets:
         raise ResourceLimit(f"bounded protocol makes {total} facets, over {max_facets}")
     compiled = {key: _key_rows(key[0], vecs) for key, vecs in folded.items()}
-    _check_decodes(c, seq)
+    for enc in seq:
+        for p, v, _x in _ambiguous(c, enc):  # raises, naming the candidates
+            decode(p, c.vertices[v].color, enc.value(v), enc, c)
     return [compiled[key] for key in plan]
 
 
@@ -306,18 +302,6 @@ def _key_rows(k: int, vecs: frozenset[int]) -> CompiledRows:
     if len(vecs) == _family_count(IC, k) and vecs == _packed_ic(k):
         return _compiled(IC, k)
     return compile_rows(enumerate(_unpack(v, k)) for v in sorted(vecs))
-
-
-def _check_decodes(c: ChromaticComplex, seq: list[Encoding]) -> None:
-    """Raise AmbiguousDecode if some round codes two rivals alike
-    (`encoding._clashes`) and a common neighbor of theirs, which reads both
-    (see the module docstring)."""
-    adj = c.adjacency()
-    for enc in seq:
-        for v, x in _clashes(c, enc):
-            for p in sorted(set(adj[v]).intersection(adj[x])):
-                if enc.value(p) is not None:  # raises, naming the candidates
-                    decode(p, c.vertices[v].color, enc.value(v), enc, c)
 
 
 def _fold(k: int, coded: frozenset[int]) -> frozenset[int]:

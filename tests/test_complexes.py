@@ -36,7 +36,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import itermem
@@ -323,6 +323,9 @@ def _assert_meets_as_pairwise(a, b):
 
 
 class TestIntersectIndex:
+    # builds rounds: this example took 352 ms on a 2-core machine
+    @settings(deadline=None)
+    @example(which=4, pattern="ic", seed=693)
     @given(
         st.sampled_from(range(len(_MEET_BASES))),
         st.sampled_from(sorted(itermem.PATTERNS)),

@@ -8,12 +8,16 @@ Core claims:
       predicate matches the pairwise two-hop scan kept here as reference
     - The two-triangle complex with both apexes coded 1 is the canonical
       failure; distinct apex codes repair it
-    - The one clash relation (`_clashes`) yields, once each as (v, x) with
-      v < x, exactly the pairs of coded two-hop same-color vertices with
-      one code, by the pairwise scan; so it yields nothing iff every coded
-      vertex is distinguishable.  It says nothing of uncoded vertices: with
-      only p1 of the glued pair coded it yields nothing, yet apex a1,
-      uncoded like its rival a2, is not distinguishable
+    - Encoding rejects a vid that is not an int, bools included
+    - The one decode rule (`_ambiguous`) yields, once each as (p, v, x)
+      with v < x, exactly the coded readers p with two coded neighbors v, x
+      of one color and one code, by the per-reader scan; each (v, x) is a
+      pair of rivals coded alike, so a round whose coded vertices are all
+      distinguishable yields nothing.  On the glued pair, apexes coded
+      alike yield a triple only through a coded common neighbor.  It says
+      nothing of uncoded vertices: with only p1 of the glued pair coded it
+      yields nothing, yet apex a1, uncoded like its rival a2, is not
+      distinguishable
     - Degree lower bound: frozen values on the triangle, glued pair, and
       one subdivision round; equal to the exact rational ceiling at
       b = 1, 2, 3, 1074, 1075, 5000 on Δ², ChΔ³ and the glued pair;
@@ -22,7 +26,9 @@ Core claims:
 """
 
 import math
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -40,7 +46,7 @@ from itermem import (
     is_vertex_distinguishable,
     lower_bound_rounds,
 )
-from itermem.encoding import _clashes, _code_count
+from itermem.encoding import _ambiguous, _code_count
 
 A1, P1, P2, A2 = 0, 1, 2, 3
 
@@ -91,6 +97,14 @@ class TestEncoding:
             Encoding({0: "x"})
         with pytest.raises(InvalidParameters):
             Encoding({0: True})  # would be written back as `true`
+
+    @pytest.mark.parametrize("vid", ["1", True, False, 1.0, None, (1,)])
+    def test_vid_validation(self, vid):
+        # a string vid was dropped silently, and True aliased vid 1
+        with pytest.raises(InvalidParameters, match=re.escape(f"vid {vid!r} ")):
+            Encoding({vid: 2})
+        with pytest.raises(InvalidParameters):
+            Encoding({5: 1, vid: None})  # checked even where the code is bottom
 
     def test_equality(self):
         assert Encoding({0: 1, 1: None}) == Encoding({0: 1})
@@ -145,51 +159,57 @@ class TestVertexDistinguishability:
         assert not all(is_vertex_distinguishable(c, v, shared) for v in alpha.vertices)
 
 
-def reference_clashes(c, enc):
-    """Every {v, x} of coded same-color vertices two hops apart with one
-    code, by the pairwise scan (no rival cache)."""
+def reference_ambiguous(c, enc):
+    """Every (p, v, x), v < x, of a coded reader p and two coded neighbors
+    of p with one color and one code, by a per-reader scan (no rival cache)."""
     adj = c.adjacency()
     out = set()
-    for u in adj:
-        for v in adj[u]:
-            for x in adj[u]:
-                if (
-                    v != x
-                    and c.vertices[v].color == c.vertices[x].color
-                    and enc.value(v) is not None
-                    and enc.value(v) == enc.value(x)
-                ):
-                    out.add(frozenset({v, x}))
+    for p in adj:
+        if enc.value(p) is None:
+            continue
+        for v, x in combinations(sorted(adj[p]), 2):
+            if (
+                c.vertices[v].color == c.vertices[x].color
+                and enc.value(v) is not None
+                and enc.value(v) == enc.value(x)
+            ):
+                out.add((p, v, x))
     return out
 
 
 class TestClashes:
     def test_glued_apexes(self):
         c = _glued()
-        assert list(_clashes(c, Encoding({A1: 1, A2: 1}))) == [(A1, A2)]
-        assert list(_clashes(c, Encoding({A1: 1, A2: 2, P1: 1, P2: 1}))) == []
-        # an uncoded vertex clashes with nothing, and vids outside c are ignored
-        assert list(_clashes(c, Encoding({A1: 1, 99: 1}))) == []
+        # the apexes' common neighbors p1 and p2 are uncoded: nobody reads both
+        assert list(_ambiguous(c, Encoding({A1: 1, A2: 1}))) == []
+        assert list(_ambiguous(c, Encoding({A1: 1, A2: 1, P1: 2}))) == [(P1, A1, A2)]
+        assert list(_ambiguous(c, Encoding({v: 1 for v in c.vertices}))) == [
+            (P1, A1, A2),
+            (P2, A1, A2),
+        ]
+        assert list(_ambiguous(c, Encoding({A1: 1, A2: 2, P1: 1, P2: 1}))) == []
+        # vids outside c are ignored
+        assert list(_ambiguous(c, Encoding({A1: 1, 99: 1, P1: 1}))) == []
 
     def test_uncoded_vertices_left_to_the_bottom_rule(self):
         # bottom equals bottom: a1 and its rival a2 are both uncoded
         c = _glued()
         e = Encoding({P1: 1})
-        assert list(_clashes(c, e)) == []
+        assert list(_ambiguous(c, e)) == []
         assert not is_vertex_distinguishable(c, A1, e)
         assert is_vertex_distinguishable(c, P1, e)
 
     @given(st.data(), random_complexes)
     def test_yields_the_same_code_rival_pairs(self, data, c):
         enc = data.draw(encodings(c))
-        pairs = list(_clashes(c, enc))
-        assert all(v < x for v, x in pairs)
-        assert len(set(pairs)) == len(pairs)
-        assert set(map(frozenset, pairs)) == reference_clashes(c, enc)
-        coded_distinguishable = all(
-            is_vertex_distinguishable(c, v, enc) for v in enc.coded_vids()
-        )
-        assert (not pairs) == coded_distinguishable
+        triples = list(_ambiguous(c, enc))
+        assert all(v < x for _, v, x in triples)
+        assert len(set(triples)) == len(triples)
+        assert set(triples) == reference_ambiguous(c, enc)
+        rivals = c.rivals()
+        assert all(x in rivals[v] and enc.value(v) == enc.value(x) for _, v, x in triples)
+        if all(is_vertex_distinguishable(c, v, enc) for v in enc.coded_vids()):
+            assert not triples
 
 
 class TestLowerBound:

@@ -14,12 +14,13 @@ Core claims:
       and their subdivisions, and equal trace documents; Ch^2 of the
       3-simplex takes 96 outer rounds
     - verify_cover accepts greedy output on seeded random complexes, and
-      agrees with "every round is sound and the subcomplexes the rounds
-      code whole cover the complex" on random complexes, random encodings
-      and greedy prefixes; a verified sequence simulates to full-information
-      collect, and the glued pair coded by greedy's first round alone is
-      rejected (its uncoded apex discards what it reads), as is any
-      sequence with a round whose codes clash
+      agrees with "no coded reader sees two coded neighbors with one color
+      and code, and the subcomplexes the rounds code whole cover the
+      complex" on random complexes, random encodings and greedy prefixes;
+      a verified sequence simulates to full-information collect, and the
+      glued pair coded by greedy's first round alone is rejected (its
+      uncoded apex discards what it reads), as is any sequence with a
+      round in which a coded reader cannot decode
     - split_to_budget packs a covering sequence: codes stay within 2^b - 1,
       every coded vertex is distinguishable in its round, the packing
       covers, and it is the same whichever cover is given (greedy's, one
@@ -67,6 +68,7 @@ from itermem.encoding import rounds_coding
 from itermem.greedy import _unkept
 from itermem.io import encoding_from_dict, encoding_to_dict, trace_to_dict
 from itermem.setcover import exact_min_sequence
+from test_simulator import _reference_decode_scan
 
 random_complexes = st.builds(
     gen_random,
@@ -124,10 +126,10 @@ def _kept_faces(c, seq):
 
 
 def _covers_by_subcomplex(c, seq):
-    """Every round sound, and the subcomplexes they code whole cover c."""
-    sound = _sound_rounds(c, seq)
-    coded = [c.subcomplex(f & s for f in c.facets) for s in sound]
-    return len(sound) == len(seq) and all(
+    """No round has a coded reader that sees two coded neighbors with one
+    color and code, and the subcomplexes the rounds code whole cover c."""
+    coded = [c.subcomplex(f & e.coded_vids() for f in c.facets) for e in seq]
+    return not _reference_decode_scan(c, seq) and all(
         any(f in sub.facets for sub in coded) for f in c.facets
     )
 

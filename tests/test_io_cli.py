@@ -51,10 +51,13 @@ Core claims:
       decides Ch^2 of the 3-simplex ~= a vid-shuffled IIS^2 (1,124
       vertices a side)
     - simulate on a non-distinguishing encoding (AmbiguousDecode) exits 1
-    - One clash relation, two rules: on the glued pair, apexes coded alike
-      with their common neighbors uncoded fail verify (exit 1) yet
-      simulate to IC(c) (exit 0); a coded common neighbor makes simulate
-      exit 1
+    - One decode rule: on the glued pair, apexes coded alike with their
+      common neighbors uncoded pass verify and simulate to IC(c) (both
+      exit 0); a coded common neighbor makes both exit 1
+    - verify in cover mode prints its first witness and mirrors it to
+      --json-out: the round, reader, source color, code and two vids of
+      the first ambiguous read, or else the least sorted facet no round
+      codes whole
     - A repeated key in a complex, encoding or set-cover file exits 2
     - simulate --verify-against compares with == first and searches for an
       isomorphism only when the complexes differ
@@ -567,21 +570,52 @@ class TestCli:
         assert main(["simulate", "--in", str(src), "--encodings", str(enc)]) == 1
         assert "verification failed" in capsys.readouterr().err
 
-    def test_verify_and_simulate_differ_by_the_coded_reader(self, tmp_path, capsys):
+    def test_verify_and_simulate_agree_on_the_coded_reader(self, tmp_path, capsys):
         # apexes 0 and 3 coded alike: only their common neighbors 1 and 2
         # read both, and they are uncoded in that round
         src = self._gen(tmp_path)
         enc = tmp_path / "e.json"
         rounds = [{"0": 1, "3": 1}, {"0": 1, "1": 2, "2": 3}, {"3": 1, "1": 2, "2": 3}]
         enc.write_text(json.dumps([{"assignment": r} for r in rounds]))
-        assert main(["verify", "--in", str(src), "--encodings", str(enc)]) == 1
+        assert main(["verify", "--in", str(src), "--encodings", str(enc)]) == 0
         assert main(["simulate", "--in", str(src), "--encodings", str(enc),
                      "--verify-against", "ic"]) == 0
         rounds[0]["1"] = 2
         enc.write_text(json.dumps([{"assignment": r} for r in rounds]))
+        assert main(["verify", "--in", str(src), "--encodings", str(enc)]) == 1
         capsys.readouterr()
         assert main(["simulate", "--in", str(src), "--encodings", str(enc)]) == 1
         assert "matches vids [0, 3]" in capsys.readouterr().err
+
+    def test_verify_names_its_witness(self, tmp_path, capsys):
+        src = self._gen(tmp_path)  # the glued pair: triangles 0,1,2 and 1,2,3
+        enc, summary = tmp_path / "e.json", tmp_path / "s.json"
+        cases = [
+            # vid 1 is coded and reads apexes 0 and 3 coded alike, in round 1
+            ([{"0": 1, "1": 2, "2": 3}, {"0": 1, "1": 2, "3": 1}],
+             {"round": 1, "reader": 1, "color": 0, "code": 1, "vids": [0, 3]},
+             "in round 1, value 1 from color 0 matches vids [0, 3] near vid 1"),
+            # that read comes before the triangle no round codes whole
+            ([{"0": 1, "1": 2, "3": 1}],
+             {"round": 0, "reader": 1, "color": 0, "code": 1, "vids": [0, 3]},
+             "in round 0, value 1 from color 0 matches vids [0, 3] near vid 1"),
+            ([{"3": 1, "1": 2}, {"0": 1, "1": 2, "2": 3}],
+             {"facet": [1, 2, 3]}, "no round codes facet [1, 2, 3] whole"),
+            ([], {"facet": [0, 1, 2]}, "no round codes facet [0, 1, 2] whole"),
+        ]
+        for rounds, witness, line in cases:
+            enc.write_text(json.dumps([{"assignment": r} for r in rounds]))
+            capsys.readouterr()
+            assert main(["verify", "--in", str(src), "--encodings", str(enc),
+                         "--json-out", str(summary)]) == 1
+            assert f"witness: {line}\n" in capsys.readouterr().out
+            assert json.loads(summary.read_text()) == {
+                "cover_verified": False, "witness": witness}
+        enc.write_text(json.dumps([{"assignment": {"0": 1, "1": 2, "2": 3, "3": 2}}]))
+        assert main(["verify", "--in", str(src), "--encodings", str(enc),
+                     "--json-out", str(summary)]) == 0
+        assert json.loads(summary.read_text()) == {"cover_verified": True}
+        assert "witness" not in capsys.readouterr().out
 
     def test_repeated_keys_exit_2(self, tmp_path, capsys):
         src = self._gen(tmp_path)

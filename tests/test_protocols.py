@@ -72,7 +72,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itermem import (
@@ -347,6 +347,7 @@ class TestViewFamilies:
 
 class TestViewConfigurations:
     @settings(max_examples=40, deadline=None)
+    @example(seed=1154, n_colors=4, n_facets=1)
     @given(st.integers(0, 10**6), st.sampled_from([3, 4]), st.integers(1, 5))
     def test_every_route_gives_color_view_pairs(self, seed, n_colors, n_facets):
         c = gen_random(seed, n_colors, n_facets)
@@ -361,7 +362,9 @@ class TestViewConfigurations:
         routes = [frozenset({run_bounded(c, f, seq, [(programs, order)])})]
         for pattern in PATTERNS:
             routes.append(round_views(c, f, pattern))
-            routes.append(raw_interleaving_views(c, f, pattern, sample=8, seed=seed))
+            # iis keeps only immediate outcomes: on 4 processes all of 8
+            # sampled interleavings missed them at seed 1154, so 64 are drawn
+            routes.append(raw_interleaving_views(c, f, pattern, sample=64, seed=seed))
             if len(f) <= ORACLE_CAP[pattern]:
                 routes.append(schedule_oracle(c, f, pattern))
         for configs in routes:

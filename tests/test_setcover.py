@@ -21,13 +21,16 @@ Core claims:
     - It equals the subset-enumeration reference search (kept here) on
       the |U| <= 3 sweep and on seeded random complexes of <= 12 facets
     - Full sweep |U| <= 3: reduction + exact search equals the optimum on
-      every feasible instance
+      every feasible instance, and there and on the tie-break instance no
+      partition of the facets into fewer rounds, each part coded 1 whole,
+      passes verify_cover: the exact search's rival rule and verify_cover's
+      decode rule agree on reductions
     - Greedy length >= exact length on seeded complexes and on every
       reduced instance of the sweep, whose exact sequences verify
 """
 
 import re
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -44,6 +47,7 @@ from itermem import (
     gen_random,
     gen_simplex,
     greedy_star,
+    is_vertex_distinguishable,
     iterate_subdivide,
     lower_bound_rounds,
     protocol_complex,
@@ -52,7 +56,6 @@ from itermem import (
     split_to_budget,
     verify_cover,
 )
-from itermem.encoding import _clashes
 
 
 def _inst(universe, subsets):
@@ -63,8 +66,9 @@ def _reference_min(c):
     """Minimum bottom/1 sequence length by subset enumeration (<= 12 facets).
 
     The search `exact_min_sequence` replaced: every facet subset whose
-    vertex union is sound, only the maximal ones, then a breadth-first
-    minimum cover over facet masks.
+    vertex union, coded 1, leaves every vertex distinguishable (the rival
+    rule), only the maximal ones, then a breadth-first minimum cover over
+    facet masks.
     """
     facets = sorted(c.facets, key=sorted)
     m = len(facets)
@@ -72,7 +76,8 @@ def _reference_min(c):
     feasible = []
     for mask in range(1, 1 << m):
         vids = frozenset().union(*(facets[i] for i in range(m) if mask & (1 << i)))
-        if not any(_clashes(c, Encoding(dict.fromkeys(vids, 1)))):
+        enc = Encoding(dict.fromkeys(vids, 1))
+        if all(is_vertex_distinguishable(c, v, enc) for v in vids):
             feasible.append(mask)
     feasible.sort(key=lambda t: -bin(t).count("1"))
     maximal = []
@@ -84,6 +89,17 @@ def _reference_min(c):
         frontier = {covered | mask for covered in frontier for mask in maximal}
         length += 1
     return length
+
+
+def _assert_no_shorter_cover(c, length):
+    """No partition of the facets into fewer than `length` rounds, each
+    part coded 1 whole, passes verify_cover: on a reduction the rival rule
+    of the exact search and verify_cover's decode rule agree."""
+    facets = sorted(c.facets, key=sorted)
+    for parts in product(range(length - 1), repeat=len(facets)):
+        rounds = [[f for f, i in zip(facets, parts) if i == k] for k in set(parts)]
+        seq = [Encoding(dict.fromkeys(chain(*r), 1)) for r in rounds]
+        assert not verify_cover(c, seq), [list(map(sorted, r)) for r in rounds]
 
 
 def _check_exact(c):
@@ -247,6 +263,7 @@ class TestReductionRecoversOptimum:
                 length = _check_exact(c)
                 assert length == opt, (universe, sorted(map(sorted, fam)))
                 assert length == _reference_min(c)
+                _assert_no_shorter_cover(c, length)
                 # the packed 1-bit sequence is one the exact search considers
                 assert len(split_to_budget(greedy_star(c)[0], c, 1)) >= length
                 tested += 1
@@ -265,5 +282,7 @@ class TestReductionRecoversOptimum:
         # pairwise co-resident, no common triple: optimum 2, not 1
         inst = _inst({1, 2, 3}, [{1, 2}, {2, 3}, {1, 3}])
         assert set_cover_optimum(inst) == 2
-        length, _ = exact_min_sequence(set_cover_reduce(inst))
+        c = set_cover_reduce(inst)
+        length, _ = exact_min_sequence(c)
         assert length == 2
+        _assert_no_shorter_cover(c, length)

@@ -36,7 +36,7 @@ Core claims:
     - Any encoding that decodes keeps every input vertex, vid and Vertex,
       as the state of a process that saw only itself
     - Soundness: bounded runs only produce full-information collect views
-    - The fold, with decoding checked once per clashing pair, gives the same
+    - The fold, with decoding checked once per round, gives the same
       facets, as sets of (color, view) states, as the per-vector decode
       loop it replaced (kept here as the reference), on greedy + split
       encodings over random 3- and 4-color complexes, and on random
@@ -49,14 +49,17 @@ Core claims:
       bytes included, on random 3-color and mixed-facet-size complexes
     - A non-distinguishing encoding (the counterexample's shared apex
       code) still raises AmbiguousDecode
-    - One clash relation: bounded_protocol_complex raises AmbiguousDecode
+    - One decode rule: bounded_protocol_complex raises AmbiguousDecode
       iff the per-coded-reader scan it replaced (kept here as the
       reference) finds two coded neighbors with one color and code, on
       random 3- and 4-color and mixed-size complexes and encodings with
-      bottoms; the rules of verify_cover and the simulator differ by the
-      coded reader alone: on the glued pair, apexes coded alike with both
-      common neighbors uncoded fail verify_cover yet simulate to IC(c)
-      itself, and coding one common neighbor raises, naming both apexes
+      bottoms; verify_cover holds iff every facet is coded whole by some
+      round and that scan finds nothing, and then the sequence simulates
+      to IC(c) itself, on random 2-4-color complexes under facet-whole
+      rounds and rounds over drawn colors (codes bottom, 1, 2); on the
+      glued pair, apexes coded alike with both common neighbors uncoded
+      pass verify_cover and simulate to IC(c) itself, and coding one
+      common neighbor raises, naming both apexes
     - The shared-apex counterexample: merged states break intersection
       preservation; distinct apex codes restore the isomorphism
     - An observation round is an ic round over `_Observations`: it exports
@@ -463,6 +466,25 @@ def _reference_decode_scan(c, seq):
 _GLUED_ROUNDS = [{A1: 1, A2: 1}, {A1: 1, P1: 2, P2: 3}, {A2: 1, P1: 2, P2: 3}]
 
 
+@st.composite
+def _facet_whole_sequences(draw, c):
+    """Rounds that code facets of c whole, each facet in one of them or in
+    none, then one or two rounds over a drawn set of colors.  Codes are 1
+    or 2, or bottom in the colored rounds, so rivals coded alike are
+    common, and in a round over one color no reader sees two of them."""
+    code = st.sampled_from([1, 2])
+    rounds = [{} for _ in range(draw(st.integers(1, len(c.facets))))]
+    for f in sorted(c.facets, key=sorted):
+        if (i := draw(st.integers(-1, len(rounds) - 1))) >= 0:
+            rounds[i].update((v, draw(code)) for v in sorted(f))
+    for _ in range(draw(st.integers(1, 2))):
+        shown = draw(st.sets(st.sampled_from(sorted(c.colors())), min_size=1))
+        rounds.append(
+            {v: draw(st.none() | code) for v, x in sorted(c.vertices.items()) if x.color in shown}
+        )
+    return [Encoding(r) for r in rounds]
+
+
 class TestOneClashRelation:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(three_color_complexes | four_color_complexes | mixed_complexes, st.data())
@@ -475,10 +497,21 @@ class TestOneClashRelation:
         raised = _bounded_or_ambiguous(bounded_protocol_complex, c, seq) is AmbiguousDecode
         assert raised == _reference_decode_scan(c, seq)
 
-    def test_uncoded_common_neighbors_split_the_two_rules(self):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data(), st.builds(gen_random, st.integers(0, 10**6), st.integers(2, 4), st.integers(1, 6)))
+    def test_verify_cover_accepts_what_decodes(self, data, c):
+        seq = data.draw(_facet_whole_sequences(c))
+        whole = all(any(f <= e.coded_vids() for e in seq) for f in c.facets)
+        ok = verify_cover(c, seq)
+        assert ok == (whole and not _reference_decode_scan(c, seq))
+        if ok:
+            assert bounded_protocol_complex(c, seq) == protocol_complex(c, IC, 1)
+
+    def test_uncoded_common_neighbors_decode_nothing(self):
+        # the apexes are rivals coded alike, but no coded process reads both
         c = gen_glued(2)
         seq = [Encoding(r) for r in _GLUED_ROUNDS]
-        assert not verify_cover(c, seq)
+        assert verify_cover(c, seq)
         assert bounded_protocol_complex(c, seq) == protocol_complex(c, IC, 1)
 
     def test_a_coded_common_neighbor_raises_naming_both_apexes(self):
