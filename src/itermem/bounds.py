@@ -3,8 +3,8 @@
 For n processes, 2^n - 1 distinct process states per color per iteration
 must flow through b-bit registers; the paper's counting bound
 (n!)^(r-1) * 2^(n-b) multiplies across iterations.  Two processes are
-special: one bit distinguishes the two states a neighbor can hold, so the
-per-iteration cost is constant.
+special: the rounds per iteration are a constant, 1 or 3, read from the
+register model of `encoding` (`bounds_table` gives the proof).
 
 The counting bound is reported as "paper counting bound", not as a lower
 bound: compiles this library verifies isomorphic to full-information
@@ -25,7 +25,7 @@ from math import factorial, lgamma, log, log10
 from sys import float_info
 
 from .complexes import ChromaticComplex
-from .encoding import lower_bound_rounds
+from .encoding import _code_count, lower_bound_rounds
 from .errors import InvalidParameters, ResourceLimit
 from .generators import gen_simplex
 from .protocols import iterate_subdivide
@@ -39,7 +39,6 @@ class BoundsReport:
     r: int
     b: int
     lower_formula: float | int | Fraction
-    two_process: bool
     degree_lower: int | None = None
     measured_rounds: int | None = None
 
@@ -50,8 +49,9 @@ class BoundsReport:
             ("bits", self.b),
             ("paper counting bound", _shown(self.lower_formula)),
         ]
-        if self.two_process:
-            out.append(("two-process round complexity", 1))
+        if self.n == 2:
+            one_round = self.r == 1 or _code_count(self.b, 2) >= 2
+            out.append(("two-process round complexity", 1 if one_round else 3))
         if self.degree_lower is not None:
             out.append(("degree lower bound", self.degree_lower))
         if self.measured_rounds is not None:
@@ -78,9 +78,20 @@ def bounds_table(
 ) -> BoundsReport:
     """Counting bound for (n, r, b); the degree lower bound when c is supplied.
 
-    n = 2 short-circuits: each iteration costs one round regardless of b,
-    so the formula bound is reported as the iteration count itself.
-    Otherwise the bound is computed exactly (ResourceLimit over 2^22 bits)
+    n = 2 short-circuits: the formula bound is the iteration count itself,
+    and `rows` adds the rounds per iteration, exact under `verify_cover`
+    and the register model of `encoding` (`_code_count(b, 2)` codes).
+    Iteration k > 1 compiles IC^(k-1) of an edge, a path of 3^(k-1) >= 3
+    edges e_0, e_1, ... whose vertices alternate colors.  With one code, a
+    coded path vertex whose two neighbors are coded reads two rivals
+    coded alike, so one round codes only edges whose indices differ by at
+    least 3: e_0, e_1, e_2 need three rounds, and the three rounds of the
+    edges e_i with i = j (mod 3) pass `verify_cover`.  Two codes cover a
+    path in one round as 1, 1, 2, 2, 1, 1, ...  The first iteration codes
+    the one input edge in one round.  So the row is 1 when r = 1 or a
+    register holds two codes, and 3 otherwise.
+
+    For n > 2 the bound is computed exactly (ResourceLimit over 2^22 bits)
     and reported as the float nearest to it when that is a normal float.
     Past the normal floats (far above them, or below them when b is far
     above n) it stays exact, a Fraction when b > n, and `rows` shows it in
@@ -108,7 +119,6 @@ def bounds_table(
         r=r,
         b=b,
         lower_formula=lower,
-        two_process=(n == 2),
         degree_lower=degree_lower,
         measured_rounds=measured_rounds,
     )

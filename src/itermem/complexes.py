@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from .errors import (
     DanglingVertexReference,
@@ -200,10 +200,6 @@ class ChromaticComplex:
     # -- basic queries ---------------------------------------------------
 
     @property
-    def n_colors(self) -> int:
-        return len({v.color for v in self.vertices.values()})
-
-    @property
     def dimension(self) -> int:
         """Dimension of the largest facet; -1 for the empty complex."""
         return max(map(len, self.facets), default=0) - 1
@@ -359,12 +355,6 @@ class ChromaticComplex:
 
     def __hash__(self) -> int:
         return hash((self.facets, frozenset(self.vertices.items())))
-
-    def __contains__(self, s: Iterable[int]) -> bool:
-        return self.has_face(s)
-
-    def __iter__(self) -> Iterator[Simplex]:
-        return iter(self.facets)
 
     def __repr__(self) -> str:
         return (

@@ -24,6 +24,10 @@ triple, so the two accept the same rounds.  The packer and the exact
 search keep the stricter rival rule (no two rivals coded alike), which
 implies this one.
 
+The register model: b bits hold bottom or one of the codes 1..2^b - 1.
+`_code_count` is the one place that turns b into a number of codes; the
+packer, `lower_bound_rounds` and the two-process row of `bounds` read it.
+
 `rounds_coding` turns a sequence into per-vertex round masks, the one
 coding map that the cover checks of `greedy` and the simulator read.
 """

@@ -429,10 +429,12 @@ def raw_interleaving_views(
     view configurations reached, each a frozenset of (color, view) pairs.
     A process's program is an order of its read steps.  Enumerates every
     program choice and interleaving, which is capped at 2 processes for ic
-    and 4 for snapshots (ResourceLimit); with `sample` set, draws that many
-    random programs and interleavings instead, with no cap.  A sample below
-    1 raises InvalidParameters: it would draw nothing, and the empty result
-    lies within every closed form.
+    and 4 for snapshots (ResourceLimit); with `sample` set, draws random
+    programs and interleavings instead, with no cap, until `sample` draws
+    pass the pattern's filter (for iis, the immediate ones; every draw
+    passes for ic and ias), so a sampled result is never empty.  A sample
+    below 1 raises InvalidParameters: it would keep nothing, and the empty
+    result lies within every closed form.
     """
     _check_pattern(pattern)
     if sample is not None and sample < 1:
@@ -452,7 +454,8 @@ def raw_interleaving_views(
                 outcomes.add(_run(chosen, order))
     else:
         rng = random.Random(seed)
-        for _ in range(sample):
+        kept = 0
+        while kept < sample:
             chosen = [rng.choice(programs) for _ in range(n)]
             pending = [1 + len(p) for p in chosen]
             order = []
@@ -460,7 +463,10 @@ def raw_interleaving_views(
                 i = rng.choice([k for k in range(n) if pending[k]])
                 pending[i] -= 1
                 order.append(i)
-            outcomes.add(_run(chosen, order))
+            seen = _run(chosen, order)
+            if pattern != IIS or _immediate(tuple(m | 1 << q for q, m in enumerate(seen))):
+                outcomes.add(seen)
+                kept += 1
     return _outcome_views(c, vids, pattern, outcomes)
 
 

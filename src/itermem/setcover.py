@@ -63,11 +63,11 @@ def set_cover_optimum(inst: SetCoverInstance) -> int | None:
     """
     if inst.uncovered():
         return None
-    for k in range(1, len(inst.subsets) + 1):
+    for k in range(1, len(inst.subsets)):
         for combo in combinations(inst.subsets, k):
             if frozenset().union(*combo) >= inst.universe:
                 return k
-    return None
+    return len(inst.subsets)  # nothing is uncovered, so the whole family covers
 
 
 # -- reduction -----------------------------------------------------------------
@@ -108,7 +108,9 @@ def set_cover_reduce(inst: SetCoverInstance) -> ChromaticComplex:
     elems = sorted(inst.universe)
     if len(elems) > 3:
         raise InvalidParameters("reduction supports at most 3 universe elements")
-    slots = len(elems) + 1  # facet dimension |U|
+    # facet dimension |U|; an element lies in at most |U| - 1 glued pairs,
+    # each taking 2 of its slots, and 2(|U| - 1) <= |U| + 1 when |U| <= 3
+    slots = len(elems) + 1
     glued, _ = _glued_pairs(inst)
 
     vertices: dict[int, Vertex] = {}
@@ -132,8 +134,6 @@ def set_cover_reduce(inst: SetCoverInstance) -> ChromaticComplex:
         facet_vids[u].append(add(filler_color, f"y({u},{v})@{u}"))
         facet_vids[v].append(add(filler_color, f"y({u},{v})@{v}"))
     for u in elems:
-        if len(facet_vids[u]) > slots:
-            raise InvalidParameters(f"element {u} over-glued beyond dimension")
         while len(facet_vids[u]) < slots:
             facet_vids[u].append(add(next_color, f"f{u}.{len(facet_vids[u])}"))
             next_color += 1

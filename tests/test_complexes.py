@@ -47,6 +47,7 @@ from itermem import (
     DuplicateColorInFacet,
     FacetContainment,
     IncompatibleVertexSpaces,
+    InvalidParameters,
     NotAFacet,
     NotASubcomplex,
     ResourceLimit,
@@ -144,6 +145,25 @@ class TestConstruction:
         with pytest.raises(DanglingVertexReference):
             ChromaticComplex({0: Vertex(0, 0)}, [Simplex({0, 7})])
 
+    def test_vertex_table_key_must_be_its_vid(self):
+        vs = {0: Vertex(0, 0), 1: Vertex(5, 1)}
+        with pytest.raises(DanglingVertexReference, match="vertex table key 1 != vid 5"):
+            ChromaticComplex(vs, [Simplex({0, 1})])
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: gen_simplex(-1), "dimension must be >= 0"),
+            (lambda: gen_glued(0), "need at least one triangle"),
+            (lambda: gen_path(0), "need at least one triangle"),
+            (lambda: gen_random(0, 0, 1), "need n_colors >= 1 and n_facets >= 1"),
+        ],
+        ids=["simplex", "glued", "path", "random"],
+    )
+    def test_generators_refuse_empty_sizes(self, make, message):
+        with pytest.raises(InvalidParameters, match=message):
+            make()
+
     def test_unreferenced_vertices_trimmed(self):
         vs = {0: Vertex(0, 0), 1: Vertex(1, 1), 9: Vertex(9, 2)}
         c = ChromaticComplex(vs, [Simplex({0, 1})])
@@ -205,7 +225,6 @@ class TestQueries:
 
     def test_colors(self):
         assert _glued().colors() == frozenset({0, 1, 2})
-        assert _glued().n_colors == 3
 
 
 class TestStarLink:
@@ -231,6 +250,10 @@ class TestStarLink:
     def test_link_of_apex_is_edge(self):
         lk = _glued().link(A1)
         assert lk.facets == frozenset({Simplex({P1, P2})})
+
+    def test_link_of_unknown_vid(self):
+        with pytest.raises(VertexNotInComplex, match="vid 99"):
+            _glued().link(99)
 
     def test_cone_duality(self):
         # closed star = vertex * link, so faces split as: link faces,

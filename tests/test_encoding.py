@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 
 from itermem import (
     BOTTOM,
+    ChromaticComplex,
     Encoding,
     InvalidParameters,
     VertexNotInComplex,
@@ -236,3 +237,5 @@ class TestLowerBound:
     def test_bad_parameters(self):
         with pytest.raises(InvalidParameters):
             lower_bound_rounds(gen_simplex(2), 0)
+        with pytest.raises(InvalidParameters, match="need a nonempty complex"):
+            lower_bound_rounds(ChromaticComplex({}, []), 1)

@@ -555,6 +555,19 @@ class TestCli:
                      "--verify-against", "ic"]) == 0
         assert main(["verify", "--in", str(src), "--encodings", str(enc)]) == 0
 
+    def test_simulate_without_a_reference(self, tmp_path, capsys):
+        src = self._gen(tmp_path)
+        enc = tmp_path / "e.json"
+        assert main(["greedy-star", "--in", str(src), "--bits", "1", "--out", str(enc)]) == 0
+        capsys.readouterr()
+        rounds = len(json.loads(enc.read_text()))
+        # a covering sequence simulates to 1-round ic of the glued pair
+        ref = protocol_complex(gen_glued(2), "ic", 1)
+        assert main(["simulate", "--in", str(src), "--encodings", str(enc)]) == 0
+        assert capsys.readouterr().out == (
+            f"simulated {rounds} rounds: {len(ref.vertices)} vertices, {len(ref.facets)} facets\n"
+        )
+
     def test_simulate_flags_broken_sequence(self, tmp_path, capsys):
         src = self._gen(tmp_path)
         enc = tmp_path / "broken.json"
@@ -777,6 +790,10 @@ class TestCli:
         assert lower == float(factorial(3) ** 34 * 2 ** 2) == 1.1460471998322817e27
         assert isinstance(lower, float)
 
+    def test_bounds_refuse_zero_iterations(self):
+        with pytest.raises(InvalidParameters, match="need r >= 1 and b >= 1"):
+            bounds_table(3, 0, 1)
+
     def test_bounds_refuse_negative_measured_rounds(self, capsys):
         with pytest.raises(InvalidParameters):
             bounds_table(3, 1, 1, measured_rounds=-5)
@@ -785,8 +802,11 @@ class TestCli:
         assert "measured rounds" not in capsys.readouterr().out
 
     def test_bounds_two_process_row(self, capsys):
-        assert main(["bounds", "--n", "2", "--r", "5", "--b", "1"]) == 0
-        assert "two-process round complexity: 1" in capsys.readouterr().out
+        # one code per register needs 3 rounds on the paths of iterations
+        # 2, 3, ...; two codes need 1; the first iteration's edge needs 1
+        for r, b, rounds in [(5, 1, 3), (5, 2, 1), (5, 3, 1), (1, 1, 1)]:
+            assert main(["bounds", "--n", "2", "--r", str(r), "--b", str(b)]) == 0
+            assert f"two-process round complexity: {rounds}\n" in capsys.readouterr().out
 
     def test_reduce_and_exact_min(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -821,6 +841,13 @@ class TestCli:
         doc = json.loads(summary.read_text())
         assert doc["intersection_preserved"] is False
         assert doc["repaired_isomorphic_to_full_information"] is True
+
+    def test_counterexample_encodings_out(self, tmp_path):
+        out, enc = tmp_path / "c.json", tmp_path / "e.json"
+        assert main(["counterexample", "--out", str(out), "--encodings-out", str(enc)]) == 0
+        c, seq, _ = code_collision_counterexample()
+        assert sequence_from_list(json.loads(enc.read_text())) == seq
+        assert import_complex(out.read_bytes()) == c
 
     def test_json_documents_match_the_stdlib_encoder(self, tmp_path):
         # _write_json lays out containers itself, to leave no reference

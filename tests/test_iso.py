@@ -218,6 +218,13 @@ class TestBruteForceAgreement:
         assert brute_force_isomorphic(a, b)[0] is False
         assert is_isomorphic(a, b)[0] is False
 
+    def test_per_color_counts_differ(self):
+        # three vertices on colors {0, 1} both, split 2 + 1 against 1 + 2
+        a = build_complex([[(0, "x"), (1, "y")], [(0, "z"), (1, "y")]])
+        b = build_complex([[(1, "x"), (0, "y")], [(1, "z"), (0, "y")]])
+        assert brute_force_isomorphic(a, b) == (False, None)
+        assert is_isomorphic(a, b)[0] is False
+
     def test_size_cap(self):
         big = gen_path(7)  # 9 vertices
         with pytest.raises(InvalidParameters):

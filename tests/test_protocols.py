@@ -362,8 +362,8 @@ class TestViewConfigurations:
         routes = [frozenset({run_bounded(c, f, seq, [(programs, order)])})]
         for pattern in PATTERNS:
             routes.append(round_views(c, f, pattern))
-            # iis keeps only immediate outcomes: on 4 processes all of 8
-            # sampled interleavings missed them at seed 1154, so 64 are drawn
+            # iis keeps only immediate outcomes; at seed 1154 on 4 processes
+            # 8 draws once kept none, before dropped draws stopped counting
             routes.append(raw_interleaving_views(c, f, pattern, sample=64, seed=seed))
             if len(f) <= ORACLE_CAP[pattern]:
                 routes.append(schedule_oracle(c, f, pattern))
@@ -514,6 +514,19 @@ class TestOracleEquivalence:
         c = gen_simplex(2)
         with pytest.raises(InvalidParameters):
             raw_interleaving_views(c, _facet(c), IC, sample=sample)
+
+    def test_sampled_iis_keeps_sample_draws(self):
+        # iis drops non-immediate draws; 8 draws at seed 1154 on 4 processes
+        # were all dropped, so the result was the empty set
+        c = gen_random(1154, 4, 1)
+        f = _facet(c)
+        assert raw_interleaving_views(c, f, IIS, sample=8, seed=1154)
+        for n_colors in (4, 5):
+            for seed in range(25):
+                c = gen_random(seed, n_colors, 1)
+                f = _facet(c)
+                got = raw_interleaving_views(c, f, IIS, sample=1, seed=seed)
+                assert len(got) == 1 and got <= round_views(c, f, IIS), (n_colors, seed)
 
     def test_raw_interleavings_edge(self):
         c = gen_simplex(1)

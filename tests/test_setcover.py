@@ -36,6 +36,7 @@ import pytest
 
 from itermem import (
     IC,
+    ChromaticComplex,
     Encoding,
     InvalidParameters,
     ResourceLimit,
@@ -192,6 +193,10 @@ class TestExactMin:
         length, seq = exact_min_sequence(gen_simplex(2))
         assert length == 1
         assert verify_cover(gen_simplex(2), seq)
+
+    def test_empty_complex_refused(self):
+        with pytest.raises(InvalidParameters, match="cannot cover an empty complex"):
+            exact_min_sequence(ChromaticComplex({}, []))
 
     def test_glued_two_rounds(self):
         c = gen_glued(2)

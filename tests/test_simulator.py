@@ -97,6 +97,11 @@ Core claims:
       before an ambiguous code raises AmbiguousDecode
     - The n = 4, r = 2 rung: IC(Δ³) under greedy + split at b = 3
       simulates to IC²(Δ³) itself, 294,849 facets, at the default budget
+    - The two-process row of `bounds` is exact on the paths IC^k(edge),
+      k = 1, 2, 3: at b = 1 the three rounds of the edges = j (mod 3) pass
+      verify_cover and simulate to IC, and no split into two rounds passes
+      (3 and 9 edges, exhaustive); at b = 2 the one round 1, 1, 2, 2, ...
+      passes and simulates to IC
 """
 
 import random
@@ -140,7 +145,7 @@ from itermem import (
     export_complex,
     verify_cover,
 )
-from itermem.errors import VertexNotInComplex
+from itermem.errors import ItermemError, VertexNotInComplex
 from itermem.protocols import (
     _families,
     _interleavings,
@@ -171,6 +176,12 @@ class TestDecode:
         e = Encoding({A1: 1, A2: 1})
         with pytest.raises(AmbiguousDecode):
             decode(P1, 0, 1, e, c)
+
+    def test_value_no_neighbor_holds(self):
+        c = gen_glued(2)
+        e = Encoding({A1: 1, A2: 2})
+        with pytest.raises(ItermemError, match="no candidate for value 5 from color 0"):
+            decode(P1, 0, 5, e, c)
 
     def test_reader_outside_the_complex(self):
         c = gen_glued(3)
@@ -881,6 +892,72 @@ class TestObservationRound:
         monkeypatch.setattr(simulator._Observations, "get", requested)
         with pytest.raises(ResourceLimit, match="543 facets, over 542"):
             one_round(c, IC, reg, max_facets=542)
+
+
+def _path_edges(c):
+    """The edges of a path complex in path order, from its least endpoint."""
+    adj = c.adjacency()
+    path = [min(v for v in c.vertices if len(adj[v]) == 1)]
+    while len(path) < len(c.vertices):
+        path.append(next(u for u in adj[path[-1]] if u not in path[-2:]))
+    return list(zip(path, path[1:]))
+
+
+class TestTwoProcessRow:
+    """`bounds`' two-process row is exact under `verify_cover` on the paths
+    IC^k(edge), k = 1, 2, 3 (3, 9 and 27 edges): 3 rounds at b = 1, 1 at b = 2."""
+
+    @staticmethod
+    def _row(r, b):
+        return dict(bounds_table(2, r, b).rows())["two-process round complexity"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_mod_three_rounds_at_one_bit(self, k):
+        c = protocol_complex(gen_simplex(1), IC, k)
+        edges = _path_edges(c)
+        assert len(edges) == 3**k
+        seq = [
+            Encoding({v: 1 for i, e in enumerate(edges) if i % 3 == j for v in e})
+            for j in range(3)
+        ]
+        assert verify_cover(c, seq)
+        assert bounded_protocol_complex(c, seq) == protocol_complex(c, IC, 1)
+        assert self._row(k + 1, 1) == len(seq)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_no_two_rounds_at_one_bit(self, k):
+        # every split of the edges into two rounds, each coding its edges
+        # whole with code 1 (coding more vertices only adds conflicts)
+        c = protocol_complex(gen_simplex(1), IC, k)
+        edges = _path_edges(c)
+        for mask in range(1 << len(edges)):
+            seq = [
+                Encoding({v: 1 for i, e in enumerate(edges) if (mask >> i & 1) == part for v in e})
+                for part in (0, 1)
+            ]
+            assert not verify_cover(c, seq), mask
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_round_at_two_bits(self, k):
+        c = protocol_complex(gen_simplex(1), IC, k)
+        edges = _path_edges(c)
+        path = [edges[0][0], *(v for _, v in edges)]
+        seq = [Encoding({v: 1 + i // 2 % 2 for i, v in enumerate(path)})]  # 1, 1, 2, 2, ...
+        assert verify_cover(c, seq)
+        assert bounded_protocol_complex(c, seq) == protocol_complex(c, IC, 1)
+        for b in (2, 3, 64):
+            assert self._row(k + 1, b) == 1
+
+    def test_first_iteration_one_round(self):
+        c = gen_simplex(1)
+        seq = [Encoding({v: 1 for v in c.vertices})]
+        assert verify_cover(c, seq)
+        assert bounded_protocol_complex(c, seq) == protocol_complex(c, IC, 1)
+        assert [self._row(1, b) for b in (1, 2, 3)] == [1, 1, 1]
+
+    def test_counting_bound_stays_the_iteration_count(self):
+        assert [bounds_table(2, r, 1).lower_formula for r in (1, 2, 5)] == [1.0, 2.0, 5.0]
+        assert all(label != "two-process round complexity" for label, _ in bounds_table(3, 2, 1).rows())
 
 
 class TestCounterexample:
