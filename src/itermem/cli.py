@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bounds import bounds_table
 from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, gc_paused
-from .encoding import lower_bound_rounds
+from .encoding import _width_witness, lower_bound_rounds
 from .errors import (
     AmbiguousDecode,
     InvalidParameters,
@@ -97,6 +97,24 @@ def _emit(args, summary: dict) -> None:
 def _save_complex(args, c: ChromaticComplex) -> None:
     if getattr(args, "out", None):
         _write(args.out, export_complex(c, "json"))
+
+
+def _too_wide(args, seq: list, summary: dict) -> bool:
+    """Under --bits, whether some code of seq does not fit the register; the
+    first such code is printed and emitted with the summary."""
+    if args.bits is None:
+        return False
+    w = _width_witness(seq, args.bits)
+    summary["fits_bits"] = w is None
+    if w is not None:
+        summary["witness"] = w
+        print(f"codes fit a {args.bits}-bit register: False")
+        print(
+            f"witness: round {w['round']} codes vid {w['vid']} as {w['code']}, "
+            f"outside 1..2^{args.bits} - 1"
+        )
+        _emit(args, summary)
+    return w is not None
 
 
 # -- subcommand bodies ----------------------------------------------------------
@@ -197,13 +215,13 @@ def _cmd_greedy_star(args) -> int:
 def _cmd_simulate(args) -> int:
     c = _read_complex(args.infile)
     seq = _read_sequence(args.encodings)
+    summary: dict = {"rounds": len(seq)}
+    if _too_wide(args, seq, summary):
+        return 1
     out = bounded_protocol_complex(c, seq, max_facets=args.max_facets)
     _save_complex(args, out)
-    summary = {
-        "rounds": len(seq),
-        "vertices": len(out.vertices),
-        "facets": len(out.facets),
-    }
+    summary["vertices"] = len(out.vertices)
+    summary["facets"] = len(out.facets)
     code = 0
     if args.verify_against:
         ref = protocol_complex(c, args.verify_against, 1, max_facets=args.max_facets)
@@ -235,6 +253,8 @@ def _cmd_verify(args) -> int:
     if args.a or args.b:
         if not (args.a and args.b):
             raise InvalidParameters("--a and --b go together")
+        if args.bits is not None:
+            raise InvalidParameters("--bits checks encodings, in cover mode only")
         ok, _ = is_isomorphic(_read_complex(args.a), _read_complex(args.b))
         print(f"isomorphic: {ok}")
         _emit(args, {"isomorphic": ok})
@@ -243,9 +263,12 @@ def _cmd_verify(args) -> int:
         raise InvalidParameters("need --a/--b or --in/--encodings")
     c = _read_complex(args.infile)
     seq = _read_sequence(args.encodings)
+    summary: dict = {}
+    if _too_wide(args, seq, summary):
+        return 1
     w = _cover_witness(c, seq)
     print(f"cover verified: {w is None}")
-    summary = {"cover_verified": w is None}
+    summary["cover_verified"] = w is None
     if w is not None:
         summary["witness"] = w
         print("witness: " + (
@@ -345,15 +368,19 @@ def _cmd_counterexample(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _facet_budget(text: str) -> int:
-    """A --max-facets value: a facet count, so a negative one is a usage error."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
-    return n
+def _int_from(low: int):
+    """An option type: an integer >= low, so anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {text!r}")
+        return n
+
+    return parse
 
 
 @cache
@@ -369,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument(
         "--max-facets",
-        type=_facet_budget,
+        type=_int_from(0),
         default=DEFAULT_MAX_FACETS,
         help="facet budget for enumerations",
     )
@@ -421,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--encodings", required=True)
     si.add_argument("--out")
     si.add_argument("--verify-against", choices=("ic",))
+    si.add_argument("--bits", type=_int_from(1), help="refuse codes outside 1..2^bits - 1")
     si.set_defaults(func=_cmd_simulate)
 
     v = sub.add_parser("verify", parents=[common], help="isomorphism or cover check")
@@ -428,6 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--b", help="second complex (isomorphism mode)")
     v.add_argument("--in", dest="infile", help="complex (cover mode)")
     v.add_argument("--encodings", help="sequence (cover mode)")
+    v.add_argument(
+        "--bits", type=_int_from(1), help="refuse codes outside 1..2^bits - 1 (cover mode)"
+    )
     v.set_defaults(func=_cmd_verify)
 
     b = sub.add_parser("bounds", parents=[common], help="round-complexity table")

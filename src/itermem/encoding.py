@@ -26,7 +26,8 @@ implies this one.
 
 The register model: b bits hold bottom or one of the codes 1..2^b - 1.
 `_code_count` is the one place that turns b into a number of codes; the
-packer, `lower_bound_rounds` and the two-process row of `bounds` read it.
+packer, `lower_bound_rounds`, the two-process row of `bounds` and the
+width check `_width_witness` read it.
 
 `rounds_coding` turns a sequence into per-vertex round masks, the one
 coding map that the cover checks of `greedy` and the simulator read.
@@ -167,3 +168,16 @@ def _code_count(b: int, need: int) -> int:
     nothing: 2^b - 1 >= need iff need has at most b bits.
     """
     return need if need.bit_length() <= b else (1 << b) - 1
+
+
+def _width_witness(seq: Iterable[Encoding], b: int) -> dict | None:
+    """The first code a b-bit register cannot hold, or None when all fit.
+
+    Rounds are read in order and vids in ascending order; code k fits iff
+    k >= 1 and `_code_count(b, k)` is k, so 0 never fits.
+    """
+    for r, enc in enumerate(seq):
+        for v, k in sorted(enc._codes.items()):
+            if k < 1 or _code_count(b, k) != k:
+                return {"round": r, "vid": v, "code": k}
+    return None

@@ -153,10 +153,9 @@ _VERTEX_ROW = '    {\n      "color": %s,\n      "label": %s,\n      "vid": %s\n 
 def _to_json(c: ChromaticComplex) -> str:
     """`complex_to_dict(c)` in the indent=2, sort_keys=True layout, written
     straight from the facet set and the vertex table."""
-    # one %-format per row, in place of a str per entry and three joins
-    facets = [
-        _facet_row(len(f)) % f for f in sorted(map(tuple, map(sorted, c.facets)))
-    ]
+    # one %-format per row, in place of a str per entry and three joins; the
+    # rows sort as lists, which keep less memory than tuples made to sort
+    facets = [_facet_row(len(f)) % tuple(f) for f in sorted(map(sorted, c.facets))]
     vertices = [
         _VERTEX_ROW % (v.color, encode_basestring_ascii(_canonical_label(v.label)), vid)
         for vid, v in sorted(c.vertices.items())

@@ -18,16 +18,22 @@ not 0..k-1 but lie below the 2n vertices of the pair.  The search starts
 from the (color, degree) classes.  On a pure complex they are what a
 first pass from the process colors gives, and in general they lie between
 the two, so they refine to the same stable coloring.  Refinement stops
-when the coloring is stable or holds n classes.  An isomorphism keeps refined colors, so if the two
-sides' color counts differ the coloring admits none; with equal counts, n
-classes hold one vertex per side each, and the bijection is forced.
-While some class holds several vertices per side, the search
-individualizes: it gives one ``a``-vertex of the smallest such class and
-each same-class ``b``-vertex in turn the fresh shared color 2n, and
-refines again, keeping the branches on an explicit stack.  A forced
-bijection is decided by one facet-image check, which also stands in for
-the pass that would confirm the coloring stable.  A search that refines
-more than ``_NODE_BUDGET`` colorings raises ResourceLimit.
+when the coloring is stable or holds n classes.  An isomorphism keeps
+refined colors, so if the two sides' color counts differ the coloring
+admits none; with equal counts each class holds as many ``a``- as
+``b``-vertices, and n classes hold one vertex per side each.
+Every search node ends in one leaf check: the bijection that pairs each
+class's ``a``-vertices with its ``b``-vertices in index order (the first
+leaf of McKay and Piperno's search tree) is returned when its facet image
+is ``b``'s facet set.  With n classes it is the forced map, so the check
+also stands in for the pass that would confirm the coloring stable; on
+two sides that list their vertices alike, or whose open classes are
+symmetric, it decides at the first node.  When it misses and some class
+holds several vertices per side, the search individualizes: it gives one
+``a``-vertex of the smallest such class and each same-class ``b``-vertex
+in turn the fresh shared color 2n, and refines again, keeping the
+branches on an explicit stack.  A search that refines more than
+``_NODE_BUDGET`` colorings raises ResourceLimit.
 ``brute_force_isomorphic`` tries every color-respecting bijection and is
 usable as an oracle on small inputs.
 """
@@ -145,13 +151,20 @@ def is_isomorphic(
         cells: dict[int, list[int]] = {}
         for v, k in enumerate(color):
             cells.setdefault(k, []).append(v)
-        # with equal counts every cell holds as many a- as b-vertices, a first
+        # with equal counts every cell holds as many a- as b-vertices, a
+        # first; the leaf pairs them in index order, and its image decides
+        mapping: dict[int, int] = {}
+        of_vid = vids.__getitem__
+        for cell in cells.values():
+            half = len(cell) // 2
+            mapping.update(zip(map(of_vid, cell[:half]), map(of_vid, cell[half:])))
+        # a bijection sends a's facets to as many distinct sets, so they are
+        # b's facets iff each is one; the first that is not ends the check
+        image = map(Simplex, map(map, repeat(mapping.__getitem__), a.facets))
+        if all(map(b.facets.__contains__, image)):
+            return True, mapping
         open_cells = [cell for cell in cells.values() if len(cell) > 2]
-        if not open_cells:  # the map is forced; checking its image certifies it
-            mapping = {vids[v]: vids[w] for v, w in cells.values()}
-            image = frozenset(map(Simplex, map(map, repeat(mapping.__getitem__), a.facets)))
-            if image == b.facets:
-                return True, mapping
+        if not open_cells:  # the leaf was the forced map
             continue
         cell = min(open_cells, key=len)
         fresh = 2 * n  # seeded and refined ids are first positions, below 2n

@@ -23,6 +23,8 @@ Core claims:
       b = 1, 2, 3, 1074, 1075, 5000 on Δ², ChΔ³ and the glued pair;
       bad parameters raise
     - min(2^b - 1, need), as `_code_count` computes it without 2^b
+    - The width check names the first (round, ascending vid) whose code is
+      outside 1..2^b - 1, and only a sequence with such a code has one
 """
 
 import math
@@ -47,7 +49,7 @@ from itermem import (
     is_vertex_distinguishable,
     lower_bound_rounds,
 )
-from itermem.encoding import _ambiguous, _code_count
+from itermem.encoding import _ambiguous, _code_count, _width_witness
 
 A1, P1, P2, A2 = 0, 1, 2, 3
 
@@ -239,3 +241,25 @@ class TestLowerBound:
             lower_bound_rounds(gen_simplex(2), 0)
         with pytest.raises(InvalidParameters, match="need a nonempty complex"):
             lower_bound_rounds(ChromaticComplex({}, []), 1)
+
+
+_rounds = st.lists(st.dictionaries(st.integers(0, 9), st.integers(0, 20), max_size=6), max_size=4)
+
+
+@given(rounds=_rounds, b=st.integers(1, 5))
+def test_width_witness_is_the_first_code_outside_the_register(rounds, b):
+    outside = [
+        {"round": r, "vid": v, "code": k}
+        for r, codes in enumerate(rounds)
+        for v, k in sorted(codes.items())
+        if not 1 <= k <= 2**b - 1
+    ]
+    got = _width_witness([Encoding(codes) for codes in rounds], b)
+    assert got == (outside[0] if outside else None)
+
+
+def test_width_witness_at_huge_width():
+    # no 2^b is built: any positive code fits 5,000 bits, and 0 never fits
+    assert _width_witness([Encoding({0: 3, 1: 2**4000})], 5000) is None
+    assert _width_witness([Encoding({0: 3}), Encoding({2: 0})], 5000) == {
+        "round": 1, "vid": 2, "code": 0}

@@ -43,8 +43,14 @@ Core claims:
       subcommand does not read: --seed outside gen, --max-facets outside
       gen/subdivide/protocol/simulate, repeated vids in a complex
       document, a negative bounds --measured or --max-facets, verify given
-      both its isomorphism and its cover arguments), 3 resources (also an
-      isomorphism search past its node budget), 4 any other exception
+      both its isomorphism and its cover arguments, --bits in isomorphism
+      mode or below 1), 3 resources (also an isomorphism search past its
+      node budget, while a file against itself is decided at the first
+      node), 4 any other exception
+    - verify --in/--encodings and simulate with --bits B exit 1 on the
+      first (round, ascending vid) whose code is outside 1..2^B - 1, print
+      it and write it to --json-out: a 2-bit packing of glued(4) fits 2
+      bits (and 1,100) but not 1; code 0 never fits
     - protocol notes a facet past the schedule oracle's cap for its
       pattern, and only then: not ic on 4-color triangles, but iis on Δ⁵
     - subdivide and protocol --pattern iis write the same bytes; verify
@@ -630,6 +636,49 @@ class TestCli:
         assert json.loads(summary.read_text()) == {"cover_verified": True}
         assert "witness" not in capsys.readouterr().out
 
+    def test_bits_refuses_codes_outside_the_register(self, tmp_path, capsys):
+        glued4, enc, summary = tmp_path / "g4.json", tmp_path / "e.json", tmp_path / "s.json"
+        assert main(["gen", "glued", "--k", "4", "--out", str(glued4)]) == 0
+        assert main(["greedy-star", "--in", str(glued4), "--bits", "2", "--out", str(enc)]) == 0
+        cover = ["--in", str(glued4), "--encodings", str(enc), "--json-out", str(summary)]
+        for bits in ("2", "1100"):
+            assert main(["verify", *cover, "--bits", bits]) == 0
+            assert json.loads(summary.read_text()) == {"cover_verified": True, "fits_bits": True}
+            assert main(["simulate", *cover, "--bits", bits, "--verify-against", "ic"]) == 0
+        # the first (round, ascending vid) whose code needs a second bit
+        rounds = [{int(v): k for v, k in r["assignment"].items()}
+                  for r in json.loads(enc.read_text())]
+        r, v, k = next((r, v, k) for r, codes in enumerate(rounds)
+                       for v, k in sorted(codes.items()) if k >= 2)
+        witness = {"round": r, "vid": v, "code": k}
+        capsys.readouterr()
+        for cmd, rest in (("verify", {}), ("simulate", {"rounds": len(rounds)})):
+            assert main([cmd, *cover, "--bits", "1"]) == 1
+            out = capsys.readouterr().out
+            assert out == ("codes fit a 1-bit register: False\n"
+                           f"witness: round {r} codes vid {v} as {k}, outside 1..2^1 - 1\n")
+            assert json.loads(summary.read_text()) == {
+                **rest, "fits_bits": False, "witness": witness}
+        # code 0 is an ordinary code without --bits, and no register holds it
+        enc.write_text(json.dumps([{"assignment": {"0": 2, "1": 0, "2": 3, "3": 1}}]))
+        cover[1] = str(self._gen(tmp_path))  # the glued pair
+        assert main(["verify", *cover]) == 0
+        assert main(["verify", *cover, "--bits", "2"]) == 1
+        assert json.loads(summary.read_text())["witness"] == {"round": 0, "vid": 1, "code": 0}
+        assert main(["simulate", *cover, "--bits", "2"]) == 1
+
+    def test_bits_usage_errors_exit_2(self, tmp_path, capsys):
+        src = self._gen(tmp_path)
+        enc = tmp_path / "e.json"
+        enc.write_text("[]")
+        assert main(["verify", "--a", str(src), "--b", str(src), "--bits", "1"]) == 2
+        assert "cover mode only" in capsys.readouterr().err
+        for cmd in ("verify", "simulate"):
+            for bits in ("0", "-1", "x"):
+                assert main([cmd, "--in", str(src), "--encodings", str(enc),
+                             "--bits", bits]) == 2
+                assert "need an integer >= 1" in capsys.readouterr().err
+
     def test_repeated_keys_exit_2(self, tmp_path, capsys):
         src = self._gen(tmp_path)
         bad = tmp_path / "bad.json"
@@ -1047,10 +1096,16 @@ class TestCli:
         assert main([*args[:-2], "--max-facets", "294848"]) == 3
 
     def test_iso_search_budget_exit_3(self, tmp_path, monkeypatch):
-        # glued(2) swaps its two apexes, so the search needs a second node
-        src = self._gen(tmp_path)
+        # IC(glued(3)) against a vid-shuffled copy needs a second node
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        ic = protocol_complex(gen_glued(3), "ic", 1)
+        a.write_bytes(export_complex(ic, "json"))
+        b.write_bytes(export_complex(_permuted(ic, 5), "json"))
         monkeypatch.setattr("itermem.iso._NODE_BUDGET", 1)
-        assert main(["verify", "--a", str(src), "--b", str(src)]) == 3
+        assert main(["verify", "--a", str(a), "--b", str(b)]) == 3
+        # a file against itself is decided at the first node
+        src = self._gen(tmp_path)
+        assert main(["verify", "--a", str(src), "--b", str(src)]) == 0
 
     def test_gen_budget_checked_before_generating(self, monkeypatch):
         def generated(*args):

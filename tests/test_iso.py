@@ -13,7 +13,12 @@ Core claims:
     - Random vid permutations of seeded complexes stay isomorphic
     - Ch^2 == IIS^2 of a seeded random complex, with equal export bytes,
       and a vid-shuffled Ch^2 ~= IIS^2 is decided quickly
-    - Running past the search-node budget raises ResourceLimit
+    - Every search node ends in one leaf check, the index-order pairing of
+      each class: IC(glued(4)) against its bounded simulations and glued(3)
+      against itself or a shuffled copy take one node; IC(glued(3))
+      against a shuffled copy still branches and takes three, so a node
+      budget of one raises ResourceLimit there, while glued(3) against a
+      shuffled copy is decided within it
     - Refinement over column groups gives the same vertex partition as the
       per-facet, per-vertex passes it replaced (kept here as the reference),
       on random complexes and after one pair is individualized; so does
@@ -78,6 +83,22 @@ def _check_map(a, b, mapping):
     assert {Simplex(mapping[v] for v in f) for f in a.facets} == set(b.facets)
     for v, w in mapping.items():
         assert a.vertices[v].color == b.vertices[w].color
+
+
+def _nodes(monkeypatch, a, b):
+    """is_isomorphic(a, b) and the number of colorings it refined."""
+    calls = []
+
+    def counted(color, layout, stop):
+        calls.append(stop)
+        return _refine(color, layout, stop)
+
+    with monkeypatch.context() as m:
+        m.setattr("itermem.iso._refine", counted)
+        ok, mapping = is_isomorphic(a, b)
+    if ok:
+        _check_map(a, b, mapping)
+    return ok, len(calls)
 
 
 def _cycles(*lengths: int) -> ChromaticComplex:
@@ -175,13 +196,12 @@ class TestIsomorphic:
             assert ok
             _check_map(c, d, m)
 
-    def test_symmetric_glued_pair(self):
-        # glued(3) has three same-colored interchangeable apexes
+    def test_symmetric_glued_pair(self, monkeypatch):
+        # glued(3)'s three same-colored apexes stay one class, and any
+        # pairing of them is a map, so the first node's leaf decides
         c = gen_glued(3)
-        d = _permuted(c, 11)
-        ok, m = is_isomorphic(c, d)
-        assert ok
-        _check_map(c, d, m)
+        for d in (c, _permuted(c, 11)):
+            assert _nodes(monkeypatch, c, d) == (True, 1)
 
     def test_forced_map_checked_against_facets(self):
         # the (color, degree) seed pairs each a-vertex with one b-vertex, so
@@ -451,8 +471,26 @@ def test_ch2_of_random_complex_matches_iis2():
 
 
 def test_search_budget_raises_resource_limit(monkeypatch):
-    # glued(3) permutes its three apexes, so refinement alone cannot decide
-    c = gen_glued(3)
+    # the first node's index-order leaf misses on this pair, and the search
+    # branches: three nodes decide it
+    c = protocol_complex(gen_glued(3), IC, 1)
+    d = _permuted(c, 5)
+    assert _nodes(monkeypatch, c, d) == (True, 3)
     monkeypatch.setattr("itermem.iso._NODE_BUDGET", 1)
     with pytest.raises(ResourceLimit):
-        is_isomorphic(c, _permuted(c, 5))
+        is_isomorphic(c, d)
+    # glued(3)'s three apexes are symmetric, so the first leaf decides it
+    g = gen_glued(3)
+    assert is_isomorphic(g, _permuted(g, 5))[0]
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_first_leaf_decides_a_simulation(monkeypatch, bits):
+    # the simulation is the IC round itself, so both sides list their
+    # vertices alike and the first node's index-order leaf is a map
+    base = gen_glued(4)
+    seq, _ = greedy_star(base)
+    sim = bounded_protocol_complex(base, split_to_budget(seq, base, bits))
+    ic = protocol_complex(base, IC, 1)
+    assert _nodes(monkeypatch, ic, sim) == (True, 1)
+
