@@ -13,14 +13,13 @@ from .complexes import (
     StateRegistry,
     Vertex,
     assert_facet,
-    assert_subcomplex,
     build_complex,
 )
 from .encoding import (
-    BOTTOM,
     Encoding,
     is_vertex_distinguishable,
     lower_bound_rounds,
+    verify_cover,
 )
 from .errors import (
     AmbiguousDecode,
@@ -31,14 +30,13 @@ from .errors import (
     InvalidParameters,
     ItermemError,
     NotAFacet,
-    NotASubcomplex,
     ResourceLimit,
     SimplexNotInComplex,
     UnsupportedFormat,
     VertexNotInComplex,
 )
 from .generators import gen_glued, gen_path, gen_random, gen_simplex
-from .greedy import greedy_star, split_to_budget, verify_cover
+from .greedy import greedy_star, split_to_budget
 from .io import export_complex, import_complex
 from .iso import brute_force_isomorphic, is_isomorphic
 from .protocols import (
@@ -48,7 +46,6 @@ from .protocols import (
     PATTERNS,
     check_intersection_preserving,
     check_no_input_edges,
-    chromatic_subdivide,
     iterate_subdivide,
     one_round,
     ordered_bell,
@@ -75,7 +72,6 @@ from .simulator import (
 
 __all__ = [
     "AmbiguousDecode",
-    "BOTTOM",
     "BoundsReport",
     "ChromaticComplex",
     "DanglingVertexReference",
@@ -90,7 +86,6 @@ __all__ = [
     "InvalidParameters",
     "ItermemError",
     "NotAFacet",
-    "NotASubcomplex",
     "PATTERNS",
     "ResourceLimit",
     "SetCoverInstance",
@@ -101,14 +96,12 @@ __all__ = [
     "Vertex",
     "VertexNotInComplex",
     "assert_facet",
-    "assert_subcomplex",
     "bounded_protocol_complex",
     "bounds_table",
     "brute_force_isomorphic",
     "build_complex",
     "check_intersection_preserving",
     "check_no_input_edges",
-    "chromatic_subdivide",
     "decode",
     "degree_growth_table",
     "exact_min_sequence",

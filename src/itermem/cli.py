@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bounds import bounds_table
 from .complexes import DEFAULT_MAX_FACETS, ChromaticComplex, gc_paused
-from .encoding import _width_witness, lower_bound_rounds
+from .encoding import _cover_witness, _width_witness, lower_bound_rounds, verify_cover
 from .errors import (
     AmbiguousDecode,
     InvalidParameters,
@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .generators import gen_glued, gen_path, gen_random, gen_simplex
-from .greedy import _cover_witness, greedy_star, split_to_budget, verify_cover
+from .greedy import greedy_star, split_to_budget
 from .io import (
     FORMATS,
     _loads,

@@ -10,10 +10,9 @@ payload) state over a base complex.  Rounds are built from it in one
 place, `protocols._emit_round`.
 
 The public calls that allocate per facet or per state run with CPython's
-cyclic garbage collector paused (`gc_paused`): `protocol_complex` and
-`one_round` (so also `iterate_subdivide`), `chromatic_subdivide` and
-`check_intersection_preserving` (whose registries are built inside the
-pause), `bounded_protocol_complex`, `iterate_pipeline`, `import_complex`,
+cyclic garbage collector paused (`gc_paused`): `protocol_complex`,
+`one_round` (so also `iterate_subdivide`), `check_intersection_preserving`
+(whose registries are built inside the pause), `bounded_protocol_complex`, `iterate_pipeline`, `import_complex`,
 `export_complex`, `ChromaticComplex.f_vector`, `is_isomorphic`,
 `schedule_oracle` and `cli.main`.  Their frozensets, tuples and `Vertex`es form no reference
 cycles, so the collector, which would otherwise rescan them by the
@@ -41,7 +40,6 @@ from .errors import (
     FacetContainment,
     IncompatibleVertexSpaces,
     NotAFacet,
-    NotASubcomplex,
     SimplexNotInComplex,
     VertexNotInComplex,
 )
@@ -394,8 +392,3 @@ def assert_facet(c: ChromaticComplex, s: Iterable[int]) -> Simplex:
     if c.has_face(s):
         raise NotAFacet(f"simplex {sorted(s)} is a proper face")
     raise SimplexNotInComplex(f"simplex {sorted(s)}")
-
-
-def assert_subcomplex(sub: ChromaticComplex, ambient: ChromaticComplex) -> None:
-    if not sub.is_subcomplex_of(ambient):
-        raise NotASubcomplex("complex is not a subcomplex of the ambient complex")

@@ -1,4 +1,4 @@
-"""Encoding functions and distinguishability.
+"""Encoding functions, distinguishability, and the verdict on a sequence.
 
 An encoding function maps every vertex to an integer code or to bottom
 (None, "unwritten").  A vertex v is distinguishable when no other vertex
@@ -13,34 +13,36 @@ color adjacent to a neighbor of v.  They depend on the complex alone, so
 here reads that cache; v is distinguishable iff no rival has v's code.
 This is the same predicate as the two-hop scan, not an approximation.
 
-One rule decides whether a round decodes: `_ambiguous` yields each
-(reader p, v, x) where the round codes the rivals v < x alike and codes
-p, a common neighbor of theirs, which reads both and cannot tell them
-apart.  A process whose own vertex is uncoded keeps its state and
-decodes nothing, so rivals coded alike with only uncoded common
-neighbors are harmless.  `greedy.verify_cover` accepts a round iff it
-yields nothing, and the simulator raises AmbiguousDecode on the first
-triple, so the two accept the same rounds.  The packer and the exact
-search keep the stricter rival rule (no two rivals coded alike), which
-implies this one.
+This module alone decides whether a b-bit sequence is accepted, from
+three checks:
 
-The register model: b bits hold bottom or one of the codes 1..2^b - 1.
-`_code_count` is the one place that turns b into a number of codes; the
-packer, `lower_bound_rounds`, the two-process row of `bounds` and the
-width check `_width_witness` read it.
+- Decoding.  `_ambiguous` yields each (reader p, v, x) where the round
+  codes the rivals v < x alike and codes p, a common neighbor of theirs,
+  which reads both and cannot tell them apart.  A process whose own
+  vertex is uncoded keeps its state and decodes nothing, so rivals coded
+  alike with only uncoded common neighbors are harmless.  The simulator
+  raises AmbiguousDecode on the first triple, so it decodes exactly the
+  rounds `verify_cover` accepts.  The packer and the exact search keep
+  the stricter rival rule (no two rivals coded alike), which implies it.
+- Coverage.  `rounds_coding` turns a sequence into per-vertex round
+  masks, the one coding map that `verify_cover` and the simulator read: a
+  facet is coded whole by some round iff its vertices' masks AND to
+  nonzero (`_unkept` returns the others).
+- Width.  b bits hold bottom or one of the codes 1..2^b - 1.
+  `_code_count` is the one place that turns b into a number of codes; the
+  packer, `lower_bound_rounds`, the two-process row of `bounds` and the
+  width check `_width_witness` read it.
 
-`rounds_coding` turns a sequence into per-vertex round masks, the one
-coding map that the cover checks of `greedy` and the simulator read.
+`verify_cover` is decoding and coverage; `_cover_witness` and
+`_width_witness` name the first failure of each, for `itermem verify`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .complexes import ChromaticComplex
+from .complexes import ChromaticComplex, Simplex
 from .errors import InvalidParameters, VertexNotInComplex
-
-BOTTOM = None
 
 
 class Encoding:
@@ -130,6 +132,55 @@ def _ambiguous(c: ChromaticComplex, enc: Encoding) -> Iterator[tuple[int, int, i
                     for p in sorted(set(adj[v]).intersection(adj[x])):
                         if p in codes:
                             yield p, v, x
+
+
+def _unkept(faces: Iterable[Simplex], coding: dict[int, int]) -> set[Simplex]:
+    """The faces no round codes whole: their vertices' round masks
+    (`rounds_coding`) AND to 0."""
+    get = coding.get
+    out: set[Simplex] = set()
+    for f in faces:
+        rounds = -1
+        for v in f:
+            rounds &= get(v, 0)
+        if not rounds:
+            out.add(f)
+    return out
+
+
+def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:
+    """True iff every round decodes and some round codes each facet of c whole.
+
+    A round decodes when no coded reader sees two coded neighbors of one
+    color with one code (`_ambiguous` yields nothing), the rule
+    by which `bounded_protocol_complex` raises AmbiguousDecode, so the
+    simulator decodes a sequence iff its rounds pass here.  A facet
+    counts only in a round that codes all its vertices: an uncoded process
+    discards what it reads, so a facet with an uncoded vertex gains
+    nothing in that round.  On such a sequence the bounded simulation is
+    the full-information collect complex: the round that codes a facet
+    whole reaches each collect view, and the other rounds only add unions
+    with collect views, which are collect views again.
+
+    A facet is coded whole iff its vertices' round masks (`rounds_coding`)
+    AND to nonzero.  `_cover_witness` names the first failure.
+    """
+    return _cover_witness(c, seq) is None
+
+
+def _cover_witness(c: ChromaticComplex, seq: list[Encoding]) -> dict | None:
+    """Why `verify_cover` rejects seq, or None when it accepts.
+
+    The first ambiguous read, as its round, reader, source color, code and
+    the two vids it cannot tell apart; failing that, the least sorted facet
+    that no round codes whole.
+    """
+    for r, enc in enumerate(seq):
+        for p, v, x in _ambiguous(c, enc):
+            color, code = c.vertices[v].color, enc.value(v)
+            return {"round": r, "reader": p, "color": color, "code": code, "vids": [v, x]}
+    unkept = _unkept(c.facets, rounds_coding(seq))
+    return {"facet": min(map(sorted, unkept))} if unkept else None
 
 
 def is_vertex_distinguishable(c: ChromaticComplex, v: int, enc: Encoding) -> bool:

@@ -33,10 +33,6 @@ class NotAFacet(ItermemError):
     """A simplex argument is a face but not a maximal one."""
 
 
-class NotASubcomplex(ItermemError):
-    """A complex argument is not a subcomplex of the ambient complex."""
-
-
 class ResourceLimit(ItermemError):
     """A construction exceeded the configured facet or size budget."""
 

@@ -1,4 +1,5 @@
-"""Greedy star cover, first-fit packing into b-bit rounds, cover verification.
+"""The producers of encoding sequences: a greedy star cover, and first-fit
+packing into b-bit rounds.
 
 Each outer round of the star cover scans candidate vertices in ascending
 vid and selects the closed star of every vertex whose star keeps a two-hop
@@ -12,32 +13,25 @@ load-bearing and documented inline: candidate re-seeding (termination) and
 round-global per-color code uniqueness (distinguishability across stars).
 
 The star cover is a report (`itermem greedy-star` and its `--trace`), not
-a compile step.  `split_to_budget` compiles to b-bit registers by packing
-the facets of c first-fit into rounds, which is first-fit greedy coloring
-of the graph of facets that cannot share a round (Welsh & Powell, Comput.
-J. 1967).  Its output depends only on c and b: the sequence it takes is
-checked to cover c (a sequence that does not raises InvalidParameters)
-and read no further, so any cover compiles alike, the one-round cover
-that codes each vertex alone included (`simulator.iterate_pipeline`).
+a compile step.  `_first_fit(c, b)` compiles c to b-bit registers by
+packing its facets first-fit into rounds, which is first-fit greedy
+coloring of the graph of facets that cannot share a round (Welsh &
+Powell, Comput. J. 1967); `simulator.iterate_pipeline` calls it directly.
+`split_to_budget(seq, c, b)` is the public form: it checks that seq
+covers c (a sequence that does not raises InvalidParameters), reads it no
+further, and packs, so any cover compiles alike.
 
-Which facets a sequence codes whole is read from one coding map,
-`encoding.rounds_coding`: per vid, the rounds that code it as bits.  A
-facet is coded whole by some round iff its vertices' masks AND to nonzero
-(`_unkept` returns the others).  `verify_cover`, which `split_to_budget`
-calls, and the simulator's plan both read that map, and both decide
-whether a round decodes by the one rule of `encoding._ambiguous`.  The
-packer and the star cover meet the stricter rival rule (no two rivals
-coded alike in a round), so what they emit passes it.  The library's own
-sequences are built unchecked (`Encoding._of`); outside input goes through
-`Encoding`.
+Whether a sequence is accepted is decided in `encoding` (`verify_cover`),
+not here.  The packer and the star cover meet the stricter rival rule (no
+two rivals coded alike in a round), so what they emit passes it.  The
+library's own sequences are built unchecked (`Encoding._of`); outside
+input goes through `Encoding`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .complexes import ChromaticComplex, Simplex
-from .encoding import Encoding, _ambiguous, _code_count, rounds_coding
+from .encoding import Encoding, _code_count, verify_cover
 from .errors import InvalidParameters, ItermemError
 
 
@@ -111,72 +105,35 @@ def greedy_star(c: ChromaticComplex) -> tuple[list[Encoding], list[tuple[int, ..
     return seq, centers
 
 
-# -- cover verification and packing -------------------------------------------
-
-
-def _unkept(faces: Iterable[Simplex], coding: dict[int, int]) -> set[Simplex]:
-    """The faces no round codes whole: their vertices' round masks
-    (`rounds_coding`) AND to 0."""
-    get = coding.get
-    out: set[Simplex] = set()
-    for f in faces:
-        rounds = -1
-        for v in f:
-            rounds &= get(v, 0)
-        if not rounds:
-            out.add(f)
-    return out
-
-
-def verify_cover(c: ChromaticComplex, seq: list[Encoding]) -> bool:
-    """True iff every round decodes and some round codes each facet of c whole.
-
-    A round decodes when no coded reader sees two coded neighbors of one
-    color with one code (`encoding._ambiguous` yields nothing), the rule
-    by which `bounded_protocol_complex` raises AmbiguousDecode, so the
-    simulator decodes a sequence iff its rounds pass here.  A facet
-    counts only in a round that codes all its vertices: an uncoded process
-    discards what it reads, so a facet with an uncoded vertex gains
-    nothing in that round.  On such a sequence the bounded simulation is
-    the full-information collect complex: the round that codes a facet
-    whole reaches each collect view, and the other rounds only add unions
-    with collect views, which are collect views again.
-
-    A facet is coded whole iff its vertices' round masks (`rounds_coding`)
-    AND to nonzero.  `_cover_witness` names the first failure.
-    """
-    return _cover_witness(c, seq) is None
-
-
-def _cover_witness(c: ChromaticComplex, seq: list[Encoding]) -> dict | None:
-    """Why `verify_cover` rejects seq, or None when it accepts.
-
-    The first ambiguous read, as its round, reader, source color, code and
-    the two vids it cannot tell apart; failing that, the least sorted facet
-    that no round codes whole.
-    """
-    for r, enc in enumerate(seq):
-        for p, v, x in _ambiguous(c, enc):
-            color, code = c.vertices[v].color, enc.value(v)
-            return {"round": r, "reader": p, "color": color, "code": code, "vids": [v, x]}
-    unkept = _unkept(c.facets, rounds_coding(seq))
-    return {"facet": min(map(sorted, unkept))} if unkept else None
+# -- packing ------------------------------------------------------------------
 
 
 def split_to_budget(
     seq: list[Encoding], c: ChromaticComplex, b: int
 ) -> list[Encoding]:
-    """Pack the facets of c into rounds of at most 2^b - 1 codes each.
+    """Pack the facets of c into rounds of at most 2^b - 1 codes each
+    (`_first_fit`).
 
     seq must cover c (`verify_cover`), or InvalidParameters is raised; it
     is checked, not read otherwise, so the packing depends only on c and b,
     and the one-round cover that codes each vertex alone compiles as any
     other.
+    """
+    if b < 1:
+        raise InvalidParameters("need b >= 1")
+    if not verify_cover(c, seq):
+        raise InvalidParameters("need a sequence that covers c (verify_cover)")
+    return _first_fit(c, b)
+
+
+def _first_fit(c: ChromaticComplex, b: int) -> list[Encoding]:
+    """The facets of c packed first-fit into rounds of 2^b - 1 codes, b >= 1.
+
     Facets are taken in sorted order, and each joins the first round where
     every vertex of the facet is already coded or can take the least code
     in 1..2^b-1 that none of its coded rivals uses.  So no round codes two
     rivals alike (the rival rule, stricter than `verify_cover`'s), and
-    every facet is coded whole: the output covers c too.
+    every facet is coded whole: the output covers c.
 
     Per vertex, a bitmask holds the rounds in which its coded rivals use
     every code; OR-ing the masks of a facet's vertices gives its first
@@ -184,10 +141,6 @@ def split_to_budget(
     and so are never rivals of each other: coding one leaves the others'
     codes free.
     """
-    if b < 1:
-        raise InvalidParameters("need b >= 1")
-    if not verify_cover(c, seq):
-        raise InvalidParameters("need a sequence that covers c (verify_cover)")
     of = c.rivals()
     # a vertex with fewer rivals than codes always finds a free code, so
     # codes past the largest rival count plus one are never handed out

@@ -36,10 +36,12 @@ color rank.  ias keeps the definition, the pairwise comparable members of
 the product of self-inclusive views, searched depth-first so that an
 incomparable prefix is dropped once.  ic is generated instead: the misses
 digraph is acyclic iff some order of the processes lets each one see its
-whole prefix and any subset of its suffix.  `one_round` checks its budget
-(`DEFAULT_MAX_FACETS` unless given) against counts of the families
-(`_family_count`), so a facet too large to enumerate raises ResourceLimit
-without building its template.  It emits each facet's families from the
+whole prefix and any subset of its suffix.  Budgets (`DEFAULT_MAX_FACETS`
+unless given) are checked against counts of the families
+(`_family_count`, `_check_budget`), so a facet too large to enumerate
+raises ResourceLimit without building its template, and
+`protocol_complex` refuses all r rounds before it builds the first.
+`one_round` checks its own round too and emits each facet's families from the
 template compiled once per size (`_compiled`) through `_emit_round`, the
 one round emitter, which `simulator.bounded_protocol_complex` shares.
 The emitter defines the facet order that numbers new states (facets in
@@ -49,9 +51,9 @@ that only keys them, and builds the round complex itself.
 
 One round of the standard chromatic subdivision is one immediate-snapshot
 round (Borowsky & Gafni 1993; Herlihy & Shavit's asynchronous
-computability theorem), so Ch is `chromatic_subdivide`, one iis round, and
-Ch^r is `iterate_subdivide`, r of them: the same vids, labels and export
-bytes as `protocol_complex(c, IIS, r)`.  Each facet F is subdivided by the
+computability theorem), so Ch^r is `iterate_subdivide(c, r)`, r iis
+rounds (Ch is r = 1): the same vids, labels and export bytes as
+`protocol_complex(c, IIS, r)`.  Each facet F is subdivided by the
 ordered set partitions of its vertex set: a vertex lands in a block B_i
 and becomes the pair (its color, carrier), where the carrier is the union
 of blocks B_1..B_i.  Pairs with a singleton carrier {v} are identified
@@ -519,6 +521,31 @@ def _emit_round(
     return ChromaticComplex._unchecked(table, facet_set)
 
 
+def _check_budget(c: ChromaticComplex, pattern: str, rounds: int, max_facets: int) -> None:
+    """Raise ResourceLimit if `rounds` rounds of pattern on c make more than
+    max_facets facets.
+
+    The count is exact: a round maps each k-facet to `_family_count(pattern,
+    k)` k-facets, and no two input facets share an output facet, so r
+    rounds make the sum over facets f of `_family_count(pattern, |f|)` ** r.
+    A count k >= 2 with r past `max_facets.bit_length()` makes at least
+    2^r > max_facets facets alone, so that power is never taken.
+    """
+    total = 0
+    for f in c.facets:
+        k = _family_count(pattern, len(f))
+        if k > 1 and rounds > max_facets.bit_length():
+            raise ResourceLimit(
+                f"{rounds} {pattern} round(s) would make at least 2^{rounds} facets, "
+                f"over {max_facets}"
+            )
+        total += k**rounds
+    if total > max_facets:
+        raise ResourceLimit(
+            f"{rounds} {pattern} round(s) would make {total} facets, over {max_facets}"
+        )
+
+
 @gc_paused
 def one_round(
     c: ChromaticComplex,
@@ -535,9 +562,7 @@ def one_round(
     is built, and over `max_facets` raises ResourceLimit.
     """
     _check_pattern(pattern)
-    projected = sum(_family_count(pattern, len(f)) for f in c.facets)
-    if projected > max_facets:
-        raise ResourceLimit(f"protocol round would make {projected} facets, over {max_facets}")
+    _check_budget(c, pattern, 1, max_facets)
     return _emit_round(c, registry, lambda ps: [_compiled(pattern, len(at)) for at, _ in ps])
 
 
@@ -559,28 +584,22 @@ def protocol_complex(
     _check_pattern(pattern)
     if rounds < 1:
         raise InvalidParameters("need rounds >= 1")
+    _check_budget(c, pattern, rounds, max_facets)
     cur = c
     for _ in range(rounds):
         cur = one_round(cur, pattern, StateRegistry(cur), max_facets=max_facets)
     return cur
 
 
-@gc_paused
-def chromatic_subdivide(c: ChromaticComplex) -> ChromaticComplex:
-    """One round of standard chromatic subdivision: one iis round.
-
-    Like every builder it keeps to `DEFAULT_MAX_FACETS`: a projected facet
-    count over it raises ResourceLimit before any facet is built.  To
-    subdivide several subcomplexes into a common vid space, call
-    ``one_round(sub, IIS, registry)`` with one registry on their base.
-    """
-    return one_round(c, IIS, StateRegistry(c))
-
-
 def iterate_subdivide(
     c: ChromaticComplex, r: int, max_facets: int = DEFAULT_MAX_FACETS
 ) -> ChromaticComplex:
-    """r-fold chromatic subdivision, r iis rounds, with a facet-count budget."""
+    """r-fold chromatic subdivision Ch^r, r iis rounds, with a facet-count
+    budget (Ch is r = 1).
+
+    To subdivide several subcomplexes into a common vid space, call
+    ``one_round(sub, IIS, registry)`` with one registry on their base.
+    """
     return protocol_complex(c, IIS, r, max_facets=max_facets)
 
 

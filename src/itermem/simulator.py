@@ -52,10 +52,11 @@ as ic rounds of `one_round` over `_Observations`: a registry that keys each
 (color, view) state the emitter requests by what that view observes.  So
 they take the emitter's facet order, facet budget and collector pause too.
 
-`iterate_pipeline` chains r bounded iterations.  Each packs the current
-complex into b-bit rounds with `greedy.split_to_budget`, whose output reads
-only the complex and b; the cover it checks is the one-round unbounded
-cover, so no star cover is built on the way.
+`iterate_pipeline` chains r bounded iterations.  It refuses r iterations
+whose final complex, IC^r of its input, is over `DEFAULT_MAX_FACETS`
+before it packs anything.  Each iteration packs the current complex into
+b-bit rounds with `greedy._first_fit`, which reads only the complex and
+b, so no cover, one-round or star, is built or checked on the way.
 """
 
 from __future__ import annotations
@@ -81,12 +82,13 @@ from .errors import (
     VertexNotInComplex,
 )
 from .generators import gen_glued
-from .greedy import split_to_budget
+from .greedy import _first_fit
 from .io import _canonical_label, encoding_to_dict
 from .iso import is_isomorphic
 from .protocols import (
     IC,
     CompiledRows,
+    _check_budget,
     _compiled,
     _emit_round,
     _family_count,
@@ -227,7 +229,7 @@ def bounded_protocol_complex(
     rounds, those coding two or more, count.
 
     The plan reads each vid's rounds from `encoding.rounds_coding`, the
-    coding map `greedy.verify_cover` reads too, and refines them position
+    coding map `encoding.verify_cover` reads too, and refines them position
     by position into the rounds that code each set of positions.  The fold
     of a facet is therefore a function of its key: k and the set of its
     active rounds' coded masks.  The OR-sumset is commutative, and
@@ -434,21 +436,21 @@ def iterate_pipeline(c: ChromaticComplex, r: int, b: int) -> tuple[ChromaticComp
     """r full-information iterations, each emulated by budgeted rounds.
 
     Per iteration: pack the facets of the current complex into b-bit
-    rounds (`split_to_budget`) and fold the bounded runs into the next
-    complex.  The packing reads only the complex and b, so the cover it
-    checks is the one-round unbounded cover, which codes each vertex alone
-    (code vid + 1): no two vertices share a code, and every facet is coded
-    whole.  Returns the final complex and the total bounded round count.
+    rounds (`greedy._first_fit`) and fold the bounded runs into the next
+    complex.  The packing covers the complex, so each iteration simulates
+    to its ic round, and the last complex is IC^r(c): r ic rounds over
+    `DEFAULT_MAX_FACETS` raise ResourceLimit before anything is packed.
+    Returns the final complex and the total bounded round count.
     """
     if r < 1 or b < 1:
         raise InvalidParameters("need r >= 1 and b >= 1")
     if not c.facets:
         raise InvalidParameters("need a nonempty complex")
+    _check_budget(c, IC, r, DEFAULT_MAX_FACETS)
     cur = c
     total = 0
     for _ in range(r):
-        cover = Encoding._of({v: v + 1 for v in cur.vertices})
-        seq = split_to_budget([cover], cur, b)
+        seq = _first_fit(cur, b)
         total += len(seq)
         cur = bounded_protocol_complex(cur, seq)
     return cur, total

@@ -53,7 +53,6 @@ from itermem import (
     bounded_protocol_complex,
     check_intersection_preserving,
     check_no_input_edges,
-    chromatic_subdivide,
     exact_min_sequence,
     export_complex,
     gen_glued,
@@ -106,7 +105,7 @@ def _headline_inputs():
 def test_criterion_01_subdivision_identity():
     t0 = time.perf_counter()
     xi = protocol_complex(gen_simplex(2), IIS, 1)
-    ch = chromatic_subdivide(gen_simplex(2))
+    ch = iterate_subdivide(gen_simplex(2), 1)
     fv = xi.f_vector()
     ok = xi == ch and fv == (12, 24, 13) == ch.f_vector() and len(xi.facets) == 13
     dt = time.perf_counter() - t0
@@ -119,7 +118,7 @@ def test_criterion_01_subdivision_identity():
 def test_criterion_01_subdivision_equals_executions(n):
     t0 = time.perf_counter()
     base = gen_simplex(n)
-    ch = chromatic_subdivide(base)
+    ch = iterate_subdivide(base, 1)
 
     def view(v):  # a base vid is its solo view; a new label is (color, vids)
         if v in base.vertices:

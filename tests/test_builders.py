@@ -2,17 +2,17 @@
 Reference tests for the round builders.
 
 `protocols.one_round` emits each facet's states from a compiled template
-(`protocols._emit_round`), and `protocols.chromatic_subdivide` is its iis
-round.  The references below are the per-family builders it replaced, one
-`registry.get` per (family, position), and the definition of the
-chromatic subdivision: per facet, the carriers of the ordered partitions
-of its vids.
+(`protocols._emit_round`), and `protocols.iterate_subdivide(c, 1)` is its
+iis round.  The references below are the per-family builders it
+replaced, one `registry.get` per (family, position), and the definition
+of the chromatic subdivision: per facet, the carriers of the ordered
+partitions of its vids.
 
 Core claims:
     - one_round (ic, ias, iis) is == to the per-family reference and
       exports equal bytes, on hypothesis complexes with 1-vertex, edge,
       triangle and tetrahedron facets
-    - chromatic_subdivide, once and twice, has the facets of the
+    - iterate_subdivide(c, 1), once and twice, has the facets of the
       definitional reference, compared as sets of (color, view) states
       with no vids
     - The same holds with one registry shared across subcomplexes (the
@@ -41,7 +41,6 @@ from itermem import (
     StateRegistry,
     Vertex,
     bounded_protocol_complex,
-    chromatic_subdivide,
     export_complex,
     gen_glued,
     gen_random,
@@ -158,7 +157,7 @@ class TestAgainstReference:
         got, want = c, c
         got_states = want_states = _base_states(c)
         for _ in range(2):
-            got, want = chromatic_subdivide(got), _reference_subdivide(want)
+            got, want = iterate_subdivide(got, 1), _reference_subdivide(want)
             assert _facet_states(got, got_states) == _facet_states(want, want_states)
             got_states = _read(got.vertices, got_states)
             want_states = _read(want.vertices, want_states)
@@ -248,7 +247,7 @@ def _pinned_exports():
         for pattern in PATTERNS:
             rounds = 1 if pattern == IC and c is d3 else 2
             out.append(protocol_complex(c, pattern, rounds))
-    for c in (gen_glued(3), chromatic_subdivide(d2)):
+    for c in (gen_glued(3), iterate_subdivide(d2, 1)):
         for b in (1, 2):
             seq = split_to_budget(greedy_star(c)[0], c, b)
             out.append(bounded_protocol_complex(c, seq))

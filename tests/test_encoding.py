@@ -37,16 +37,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from itermem import (
-    BOTTOM,
     ChromaticComplex,
     Encoding,
     InvalidParameters,
     VertexNotInComplex,
-    chromatic_subdivide,
     gen_glued,
     gen_random,
     gen_simplex,
     is_vertex_distinguishable,
+    iterate_subdivide,
     lower_bound_rounds,
 )
 from itermem.encoding import _ambiguous, _code_count, _width_witness
@@ -87,11 +86,17 @@ def encodings(draw, c):
 
 class TestEncoding:
     def test_bottom_dropped(self):
-        e = Encoding({0: 1, 1: BOTTOM, 2: 2})
+        e = Encoding({0: 1, 1: None, 2: 2})
         assert e.value(0) == 1
         assert e.value(1) is None
         assert e.value(99) is None
         assert e.coded_vids() == frozenset({0, 2})
+
+    def test_hash_repr_and_foreign_equality(self):
+        a, b = Encoding({2: 2, 0: 1}), Encoding({0: 1, 1: None, 2: 2})
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "Encoding({0:1, 2:2})"
+        assert (a == {0: 1, 2: 2}) is False
 
     def test_code_validation(self):
         with pytest.raises(InvalidParameters):
@@ -219,14 +224,14 @@ class TestLowerBound:
     def test_frozen_values(self):
         assert lower_bound_rounds(gen_simplex(2), 1) == 1
         assert lower_bound_rounds(_glued(), 1) == 1
-        ch = chromatic_subdivide(gen_simplex(2))
+        ch = iterate_subdivide(gen_simplex(2), 1)
         assert lower_bound_rounds(ch, 1) == 2  # maxdeg 6, 3 colors, budget 1
         assert lower_bound_rounds(ch, 2) == 1
 
     @pytest.mark.parametrize("b", [1, 2, 3, 1074, 1075, 5000])
     def test_exact_at_any_width(self, b):
         # in floats the quotient underflows to 0.0 from b = 1075 on
-        for c in (gen_simplex(2), chromatic_subdivide(gen_simplex(3)), _glued()):
+        for c in (gen_simplex(2), iterate_subdivide(gen_simplex(3), 1), _glued()):
             n = len(c.colors())
             want = math.ceil(Fraction(c.max_degree(), n * (2**b - 1)))
             assert lower_bound_rounds(c, b) == want

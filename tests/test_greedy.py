@@ -64,8 +64,7 @@ from itermem import (
     split_to_budget,
     verify_cover,
 )
-from itermem.encoding import rounds_coding
-from itermem.greedy import _unkept
+from itermem.encoding import _unkept, rounds_coding
 from itermem.io import encoding_from_dict, encoding_to_dict, trace_to_dict
 from itermem.setcover import exact_min_sequence
 from test_simulator import _reference_decode_scan

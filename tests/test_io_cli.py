@@ -82,14 +82,19 @@ Core claims:
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import itermem
 from itermem import (
     PATTERNS,
     ChromaticComplex,
@@ -100,7 +105,6 @@ from itermem import (
     Vertex,
     bounded_protocol_complex,
     bounds_table,
-    chromatic_subdivide,
     code_collision_counterexample,
     export_complex,
     gen_glued,
@@ -194,11 +198,11 @@ def _ic(c):
 
 
 registry_builds = [
-    chromatic_subdivide,
+    lambda c: iterate_subdivide(c, 1),
     _ch2,
     _ic,
     lambda c: protocol_complex(c, "ias", 1),
-    lambda c: _ic(chromatic_subdivide(c)),
+    lambda c: _ic(iterate_subdivide(c, 1)),
     lambda c: import_complex(export_complex(_ch2(c), "json")),
 ]
 
@@ -267,14 +271,14 @@ class TestJsonLayout:
 
 class TestComplexJson:
     def test_round_trip_stable(self):
-        for c in (gen_simplex(2), gen_glued(2), chromatic_subdivide(gen_simplex(2))):
+        for c in (gen_simplex(2), gen_glued(2), iterate_subdivide(gen_simplex(2), 1)):
             blob = export_complex(c, "json")
             again = export_complex(import_complex(blob), "json")
             assert blob == again
 
     def test_export_ignores_facet_listing_order(self):
         builds = (
-            chromatic_subdivide,
+            lambda c: iterate_subdivide(c, 1),
             lambda c: protocol_complex(c, "ic", 1),
             lambda c: protocol_complex(c, "ias", 1),
             lambda c: protocol_complex(c, "iis", 2),
@@ -301,7 +305,7 @@ class TestComplexJson:
         assert sorted(d["facets"]) == [[0, 1, 2], [1, 2, 3]]
 
     def test_tuple_labels_become_strings(self):
-        ch = chromatic_subdivide(gen_simplex(2))
+        ch = iterate_subdivide(gen_simplex(2), 1)
         d = complex_to_dict(ch)
         assert all(isinstance(v["label"], str) for v in d["vertices"])
 
@@ -357,7 +361,7 @@ class TestComplexJson:
     def test_subcomplexes_round_trip(self):
         # a link or star can miss color 0, so n is the largest color + 1
         assert complex_to_dict(gen_simplex(2).link(0))["n"] == 3
-        for c in (gen_simplex(2), gen_simplex(3), gen_glued(3), chromatic_subdivide(gen_simplex(2))):
+        for c in (gen_simplex(2), gen_simplex(3), gen_glued(3), iterate_subdivide(gen_simplex(2), 1)):
             parts = [c.link(v) for v in c.vertices] + [c.star([v]) for v in c.vertices]
             parts += [c.subcomplex([sorted(f)[1:]]) for f in c.facets]
             for part in parts:
@@ -463,7 +467,7 @@ class TestOtherFormats:
         assert 'label="a\\ud800"' in out
 
     def test_csv_fvector(self):
-        ch = chromatic_subdivide(gen_simplex(2))
+        ch = iterate_subdivide(gen_simplex(2), 1)
         assert export_complex(ch, "csv-fvector") == b"12,24,13"
 
 
@@ -925,6 +929,16 @@ class TestCli:
         assert main(["verify", "--a", "x"]) == 2  # incomplete mode
         assert main(["verify"]) == 2  # no mode at all
         assert main(["bounds", "--n", "1", "--r", "1", "--b", "1"]) == 2
+
+    def test_module_without_arguments_exits_2(self):
+        # `python -m itermem.cli` runs main under its __main__ guard
+        src = Path(itermem.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "itermem.cli"], env=env, capture_output=True, timeout=60
+        )
+        assert done.returncode == 2
+        assert b"required: command" in done.stderr
 
     def test_verify_modes_exclude_each_other(self, tmp_path, capsys):
         # Δ² with one vertex coded is no cover; given the isomorphism

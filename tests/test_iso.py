@@ -53,7 +53,6 @@ from itermem import (
     bounded_protocol_complex,
     brute_force_isomorphic,
     build_complex,
-    chromatic_subdivide,
     export_complex,
     gen_glued,
     gen_path,
@@ -175,7 +174,7 @@ class TestIsomorphic:
 
     @pytest.mark.parametrize(
         "c",
-        [chromatic_subdivide(gen_glued(2)), chromatic_subdivide(gen_glued(3)), gen_path(5)],
+        [iterate_subdivide(gen_glued(2), 1), iterate_subdivide(gen_glued(3), 1), gen_path(5)],
         ids=["ch_glued2", "ch_glued3", "path5"],
     )
     def test_certificate_on_symmetric_inputs(self, c):
@@ -244,6 +243,9 @@ class TestBruteForceAgreement:
         b = build_complex([[(1, "x"), (0, "y")], [(1, "z"), (0, "y")]])
         assert brute_force_isomorphic(a, b) == (False, None)
         assert is_isomorphic(a, b)[0] is False
+
+    def test_vertex_counts_differ(self):
+        assert brute_force_isomorphic(gen_simplex(1), gen_simplex(2)) == (False, None)
 
     def test_size_cap(self):
         big = gen_path(7)  # 9 vertices
@@ -374,8 +376,8 @@ def _reference_layout(facets, size):
 
 @pytest.mark.parametrize(
     "c",
-    [gen_glued(2), gen_glued(3), chromatic_subdivide(gen_glued(2)),
-     chromatic_subdivide(gen_glued(3)), gen_path(5), _cycles(6, 12)],
+    [gen_glued(2), gen_glued(3), iterate_subdivide(gen_glued(2), 1),
+     iterate_subdivide(gen_glued(3), 1), gen_path(5), _cycles(6, 12)],
     ids=["glued2", "glued3", "ch_glued2", "ch_glued3", "path5", "cycles6_12"],
 )
 def test_witness_matches_reference_refinement(monkeypatch, c):

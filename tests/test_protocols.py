@@ -61,7 +61,7 @@ Core claims:
     - Protocol budgets are checked from counted facets (ordered Bell,
       labeled acyclic digraphs, ias chains; each equal to the template's
       length), before any view family or template is built; with no
-      max_facets, one_round and chromatic_subdivide project against
+      max_facets, one_round and iterate_subdivide project against
       DEFAULT_MAX_FACETS (ic on Ch²Δ³: 5,625 × 543; iis on Ch³Δ³:
       421,875 × 75)
 """
@@ -88,7 +88,6 @@ from itermem import (
     build_complex,
     check_intersection_preserving,
     check_no_input_edges,
-    chromatic_subdivide,
     gen_glued,
     gen_random,
     gen_simplex,
@@ -615,11 +614,11 @@ class TestProtocolComplex:
 
     def test_iis_is_subdivision(self):
         c = gen_simplex(2)
-        assert protocol_complex(c, IIS, 1) == chromatic_subdivide(c)
+        assert protocol_complex(c, IIS, 1) == iterate_subdivide(c, 1)
 
     def test_iis_matches_subdivision_on_glued(self):
         c = gen_glued(2)
-        assert protocol_complex(c, IIS, 1) == chromatic_subdivide(c)
+        assert protocol_complex(c, IIS, 1) == iterate_subdivide(c, 1)
 
     def test_two_rounds_compose(self):
         c = gen_simplex(1)
@@ -692,7 +691,7 @@ class TestProtocolComplex:
             protocol_complex(gen_simplex(3), IC, 1, max_facets=542)
 
     def test_default_budget_projected_before_building(self, monkeypatch):
-        # with no max_facets, one_round and chromatic_subdivide keep to
+        # with no max_facets, one_round and iterate_subdivide keep to
         # DEFAULT_MAX_FACETS like every other builder, and raise from the
         # projection before any facet's rows are compiled
         ch2 = iterate_subdivide(gen_simplex(3), 2)  # 5,625 facets
@@ -706,7 +705,53 @@ class TestProtocolComplex:
         with pytest.raises(ResourceLimit, match=f"make {5625 * 543} {over}"):
             one_round(ch2, IC, StateRegistry(ch2))
         with pytest.raises(ResourceLimit, match=f"make {421875 * 75} {over}"):
-            chromatic_subdivide(ch3)
+            iterate_subdivide(ch3, 1)
+
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (lambda: protocol_complex(gen_simplex(3), IC, 3), 160_103_007),
+            (lambda: iterate_subdivide(gen_simplex(3), 4), 31_640_625),
+            (lambda: protocol_complex(gen_simplex(2), IC, 5), 9_765_625),
+        ],
+        ids=["IC3-D3", "Ch4-D3", "IC5-D2"],
+    )
+    def test_all_rounds_refused_before_the_first(self, monkeypatch, build, count):
+        # the count of every round is checked before round 1 is built, so
+        # no round short of the budget is built first and thrown away
+        def built(*args, **kwargs):
+            raise AssertionError("a round was built past the budget")
+
+        monkeypatch.setattr(protocols, "one_round", built)
+        with pytest.raises(ResourceLimit, match=f"make {count} facets, over {DEFAULT_MAX_FACETS}"):
+            build()
+
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    def test_count_of_all_rounds_is_exact_on_an_impure_complex(self, pattern):
+        # a triangle, an edge and a vertex: each facet's rounds stay on it,
+        # so r rounds make the sum of each facet's family count to the r
+        c = build_complex([[(0, "a"), (1, "b"), (2, "c")], [(0, "d"), (1, "e")], [(0, "f")]])
+        for r in (1, 2, 3):
+            want = sum(_family_count(pattern, len(f)) ** r for f in c.facets)
+            assert len(protocol_complex(c, pattern, r, max_facets=want).facets) == want
+            with pytest.raises(ResourceLimit, match=f"make {want} facets, over {want - 1}"):
+                protocol_complex(c, pattern, r, max_facets=want - 1)
+        if pattern == IIS:
+            assert len(protocol_complex(c, IIS, 2, max_facets=179).facets) == 179
+            with pytest.raises(ResourceLimit, match="make 179 facets, over 178"):
+                protocol_complex(c, IIS, 2, max_facets=178)
+
+    def test_huge_round_counts_refused_without_the_power(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a round was built past the budget")
+
+        monkeypatch.setattr(protocols, "one_round", built)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match=r"at least 2\^1000000000 facets, over 1000000"):
+            protocol_complex(gen_simplex(2), IIS, 10**9)
+        assert time.perf_counter() - start < 1.0
+        # a facet count of 1 stays 1 at any number of rounds
+        protocols._check_budget(gen_simplex(0), IIS, 10**9, 1)
 
 
 def _reference_sample(c, rng):

@@ -127,7 +127,6 @@ from itermem import (
     bounded_protocol_complex,
     bounds_table,
     build_complex,
-    chromatic_subdivide,
     decode,
     gen_glued,
     gen_path,
@@ -135,6 +134,7 @@ from itermem import (
     gen_simplex,
     greedy_star,
     iterate_pipeline,
+    iterate_subdivide,
     one_round,
     protocol_complex,
     round_views,
@@ -660,7 +660,7 @@ class TestBoundedComplex:
         "c, b",
         # Ch of the 3-simplex at b = 1 (75 rounds) takes seconds and is left out
         [(gen_simplex(3), b) for b in (1, 2, 3)]
-        + [(chromatic_subdivide(gen_simplex(3)), b) for b in (2, 3)],
+        + [(iterate_subdivide(gen_simplex(3), 1), b) for b in (2, 3)],
         ids=["D3-b1", "D3-b2", "D3-b3", "ChD3-b2", "ChD3-b3"],
     )
     def test_matches_collect_on_four_colors(self, c, b):
@@ -1051,6 +1051,16 @@ class TestIteratePipeline:
     def test_empty_complex_rejected(self):
         with pytest.raises(InvalidParameters, match="need a nonempty complex"):
             iterate_pipeline(ChromaticComplex({}, []), 1, 1)
+
+    def test_refused_before_anything_is_packed(self, monkeypatch):
+        # every iteration simulates to its ic round, so the last complex is
+        # IC^3 of the 3-simplex: 543^3 facets, refused before packing
+        def packed(*args):
+            raise AssertionError("a complex was packed past the budget")
+
+        monkeypatch.setattr(simulator, "_first_fit", packed)
+        with pytest.raises(ResourceLimit, match=f"make {543**3} facets, over 1000000"):
+            iterate_pipeline(gen_simplex(3), 3, 3)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -20,7 +20,6 @@ from itermem import (
     InvalidParameters,
     ResourceLimit,
     StateRegistry,
-    chromatic_subdivide,
     degree_growth_table,
     gen_glued,
     gen_simplex,
@@ -55,24 +54,24 @@ class TestOrderedPartitions:
 
 class TestSingleSubdivision:
     def test_triangle_f_vector(self):
-        ch = chromatic_subdivide(gen_simplex(2))
+        ch = iterate_subdivide(gen_simplex(2), 1)
         assert ch.f_vector() == (12, 24, 13)
         assert ch.euler_characteristic() == 1
 
     def test_edge_is_path(self):
-        ch = chromatic_subdivide(gen_simplex(1))
+        ch = iterate_subdivide(gen_simplex(1), 1)
         assert ch.f_vector() == (4, 3)
 
     def test_corners_preserved(self):
         c = gen_simplex(2)
-        ch = chromatic_subdivide(c)
+        ch = iterate_subdivide(c, 1)
         for v in c.vertices:
             assert ch.vertices[v].color == c.vertices[v].color
             assert ch.vertices[v].label == c.vertices[v].label
 
     def test_triangle_degrees(self):
         c = gen_simplex(2)
-        ch = chromatic_subdivide(c)
+        ch = iterate_subdivide(c, 1)
         corners = set(c.vertices)
         # center vertices carry the full triangle as carrier
         centers = [v for v, vx in ch.vertices.items()
@@ -86,13 +85,13 @@ class TestSingleSubdivision:
 
     def test_colors_preserved(self):
         c = gen_glued(2)
-        ch = chromatic_subdivide(c)
+        ch = iterate_subdivide(c, 1)
         assert ch.colors() == c.colors()
 
     def test_gluing_along_shared_edge(self):
         # the shared edge subdivides once, identically for both triangles
         c = gen_glued(2)
-        ch = chromatic_subdivide(c)
+        ch = iterate_subdivide(c, 1)
         assert len(ch.facets) == 2 * 13
         # Euler characteristic of a disk survives subdivision
         assert ch.euler_characteristic() == 1
@@ -125,7 +124,7 @@ class TestIterated:
 
     def test_one_round_matches_single(self):
         c = gen_glued(2)
-        assert iterate_subdivide(c, 1) == chromatic_subdivide(c)
+        assert iterate_subdivide(c, 1) == one_round(c, IIS, StateRegistry(c))
 
     def test_rounds_must_be_positive(self):
         with pytest.raises(InvalidParameters):
