@@ -9,6 +9,15 @@ treated as immutable: all operations return new complexes.
 payload) state over a base complex.  Rounds are built from it in one
 place, `protocols._emit_round`.
 
+A complex sorts its facets at most once: `ChromaticComplex.rows` lists
+each facet as an ascending vid tuple, the tuples ascending, and is cached
+beside the adjacency and rival caches, at about 70-80 bytes per facet once
+built.  JSON export formats it; the round emitter, the packer
+(`greedy._first_fit`) and the exact set-cover search walk it; `f_vector`
+counts from it when it is cached, and otherwise sorts each facet on its
+own without building it; and an import whose rows are already in this
+order keeps them as the table (`io.complex_from_dict`).
+
 The public calls that allocate per facet or per state run with CPython's
 cyclic garbage collector paused (`gc_paused`): `protocol_complex`,
 `one_round` (so also `iterate_subdivide`), `check_intersection_preserving`
@@ -30,7 +39,7 @@ import functools
 import gc
 import itertools
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, combinations, repeat
 from operator import attrgetter
 from typing import Callable, Hashable, Iterable, TypeVar
 
@@ -150,7 +159,7 @@ class ChromaticComplex:
     vertices, no facets) is allowed.
     """
 
-    __slots__ = ("vertices", "facets", "_adjacency", "_rivals")
+    __slots__ = ("vertices", "facets", "_adjacency", "_rivals", "_rows")
 
     def __init__(self, vertices: dict[int, Vertex], facets: Iterable[Simplex]):
         # every check runs in C-level loops (map, set.union); a Python loop
@@ -183,6 +192,7 @@ class ChromaticComplex:
         self.facets: frozenset[Simplex] = facet_set
         self._adjacency: dict[int, tuple[int, ...]] | None = None
         self._rivals: dict[int, tuple[int, ...]] | None = None
+        self._rows: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def _unchecked(
@@ -192,7 +202,7 @@ class ChromaticComplex:
         vertices they reference, taken as given (`protocols._emit_round`)."""
         c = cls.__new__(cls)
         c.vertices, c.facets = vertices, facets
-        c._adjacency = c._rivals = None
+        c._adjacency = c._rivals = c._rows = None
         return c
 
     # -- basic queries ---------------------------------------------------
@@ -217,6 +227,19 @@ class ChromaticComplex:
     def has_face(self, s: Iterable[int]) -> bool:
         s = Simplex(s)
         return any(s <= f for f in self.facets)
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The facets as ascending vid tuples, the tuples ascending (cached).
+
+        The one canonical facet order, sorted at most once per complex:
+        export writes it, `f_vector` counts faces from it once it exists,
+        and the round emitter and the packers walk facets in it.  Tuples
+        order as the lists ``sorted(c.facets, key=sorted)`` orders, so it
+        is the order that numbers fresh vids.
+        """
+        if self._rows is None:
+            self._rows = tuple(sorted(map(tuple, map(sorted, self.facets))))
+        return self._rows
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """vid -> ascending neighbor vids in the 1-skeleton (cached).
@@ -267,21 +290,22 @@ class ChromaticComplex:
 
         The ends need no enumeration: every vertex lies in a facet, so f_0
         is the vertex count, and a face of the largest size is a facet.
-        Faces of each size in between are counted as sorted vid tuples, one
-        size at a time; no face is built as a Simplex, and `faces()` is not
-        called.
+        Faces of each size in between are counted as the k-subsets of the
+        facets' ascending vid lists, one size at a time in one C-level pass,
+        so each face is an ascending vid tuple; no face is built as a
+        Simplex, and `faces()` is not called.  Counting needs each facet
+        ascending, not the facets in order, so the row table is read when
+        it is cached and not built for the count: a complex is often
+        counted and dropped.
         """
         if not self.facets:
             return ()
         sizes = list(map(len, self.facets))
         top = max(sizes)
         counts = [len(self.vertices)]
-        sized = [sorted(f) for f in self.facets] if top > 2 else []
+        rows = (self._rows or list(map(sorted, self.facets))) if top > 2 else ()
         for k in range(2, top):
-            seen: set[tuple[int, ...]] = set()
-            for vids in sized:
-                seen.update(itertools.combinations(vids, k))
-            counts.append(len(seen))
+            counts.append(len(set(chain.from_iterable(map(combinations, rows, repeat(k))))))
         if top > 1:
             counts.append(sizes.count(top))
         return tuple(counts)

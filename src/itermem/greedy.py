@@ -129,11 +129,12 @@ def split_to_budget(
 def _first_fit(c: ChromaticComplex, b: int) -> list[Encoding]:
     """The facets of c packed first-fit into rounds of 2^b - 1 codes, b >= 1.
 
-    Facets are taken in sorted order, and each joins the first round where
-    every vertex of the facet is already coded or can take the least code
-    in 1..2^b-1 that none of its coded rivals uses.  So no round codes two
-    rivals alike (the rival rule, stricter than `verify_cover`'s), and
-    every facet is coded whole: the output covers c.
+    Facets are taken in row order (`ChromaticComplex.rows`), and each
+    joins the first round where every vertex of the facet is already coded
+    or can take the least code in 1..2^b-1 that none of its coded rivals
+    uses.  So no round codes two rivals alike (the rival rule, stricter
+    than `verify_cover`'s), and every facet is coded whole: the output
+    covers c.
 
     Per vertex, a bitmask holds the rounds in which its coded rivals use
     every code; OR-ing the masks of a facet's vertices gives its first
@@ -149,7 +150,7 @@ def _first_fit(c: ChromaticComplex, b: int) -> list[Encoding]:
     rounds: list[dict[int, int]] = []  # per round: vid -> code
     taken: list[dict[int, int]] = []  # per round: open vid -> its rivals' codes
     full: dict[int, int] = {}  # vid -> rounds with no code left for it
-    for facet in sorted(c.facets, key=sorted):
+    for facet in c.rows():
         blocked = 0
         for v in facet:
             blocked |= full.get(v, 0)

@@ -12,27 +12,30 @@ a lone surrogate, which UTF-8 cannot encode, is written as its \\u escape.
 A complex's JSON is, byte for byte, what
 ``json.dumps(complex_to_dict(c), indent=2, sort_keys=True) + "\n"``
 writes: `complex_to_dict` is the byte specification, and `_to_json` is
-the one writer.  The writer formats the document in one pass over the
-facet set and the vertex table, with no intermediate document: with any
-``indent`` the stdlib runs its pure-Python encoder, which was most of the
-cost of an export.  Labels are escaped by
-``json.encoder.encode_basestring_ascii``, the C function that
-``json.dumps(label)`` itself calls, so the bytes are the same.
+the one writer.  The writer formats the complex's row table
+(`ChromaticComplex.rows`, sorted at most once per complex) and its vertex
+table, with no intermediate document: with any ``indent`` the stdlib runs
+its pure-Python encoder, which was most of the cost of an export.  Labels
+are escaped by ``json.encoder.encode_basestring_ascii``, the C function
+that ``json.dumps(label)`` itself calls, so the bytes are the same.  An
+import whose facet rows are already in that order keeps them as the
+imported complex's row table, so exporting it again sorts nothing.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .complexes import ChromaticComplex, Simplex, Vertex, gc_paused
 from .encoding import Encoding
 from .errors import UnsupportedFormat
 
 FORMATS = ("json", "dot", "csv-fvector")
+_INT = frozenset({int})
 
 
 def _canonical_label(label) -> str:
@@ -40,11 +43,7 @@ def _canonical_label(label) -> str:
         # the (color, (vid, ...)) labels StateRegistry writes, rendered as
         # the general rule below would render them
         color, vids = label
-        if (
-            type(color) is int
-            and type(vids) is tuple
-            and all(type(v) is int for v in vids)
-        ):
+        if type(color) is int and type(vids) is tuple and _INT.issuperset(map(type, vids)):
             return f"({color},({','.join(map(str, vids))}))"
     if label is None:
         return ""
@@ -97,6 +96,10 @@ def complex_from_dict(d: dict) -> ChromaticComplex:
     An n above the largest color + 1 is accepted, since a hand-written file
     may give the process count of a smaller complex; the complex does not
     keep it, so a re-export writes n as the largest color + 1.
+
+    When the facet rows are already in the order export writes them
+    (`_canonical`), they become the complex's row table, so a re-export
+    sorts nothing.
     """
     try:
         [[n]] = _typed([[d["n"]]], int, "n")
@@ -104,13 +107,14 @@ def complex_from_dict(d: dict) -> ChromaticComplex:
         [vids] = _typed([list(map(itemgetter("vid"), rows))], int, "vid")
         [colors] = _typed([list(map(itemgetter("color"), rows))], int, "color")
         [labels] = _typed([list(map(itemgetter("label"), rows))], str, "label")
-        facets = list(map(Simplex, _typed(d["facets"], int, "facet entry")))
+        table = tuple(map(tuple, _typed(d["facets"], int, "facet entry")))
+        facets = list(map(Simplex, table))
     except (KeyError, TypeError) as exc:
         raise UnsupportedFormat(f"malformed complex document: {exc}") from exc
     vertices = dict(zip(vids, map(Vertex, vids, colors, labels)))
     if len(vertices) != len(vids):
         raise UnsupportedFormat("two vertex rows share a vid")
-    if sum(map(len, d["facets"])) != sum(map(len, facets)):
+    if sum(map(len, table)) != sum(map(len, facets)):
         bad = next(row for row, f in zip(d["facets"], facets) if len(row) != len(f))
         raise UnsupportedFormat(f"facet row {bad} repeats a vid")
     if not all(facets):
@@ -120,7 +124,28 @@ def complex_from_dict(d: dict) -> ChromaticComplex:
     c = ChromaticComplex(vertices, facets)
     if len(c.vertices) != len(vertices):  # the constructor drops unused vertices
         raise UnsupportedFormat(f"vid {min(vertices.keys() - c.vertices)} is in no facet")
+    if _canonical(table):
+        c._rows = table
     return c
+
+
+def _canonical(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the rows are strictly ascending and each row is strictly
+    ascending: the order of `ChromaticComplex.rows`.
+
+    C-level passes only: consecutive rows are compared once, and the rows
+    of each size are checked column against column in one flat list, which
+    costs less than sorting every row.
+    """
+    if not all(map(lt, rows, islice(rows, 1, None))):
+        return False
+    sizes = set(map(len, rows))
+    for size in sizes:
+        same = rows if len(sizes) == 1 else compress(rows, map(size.__eq__, map(len, rows)))
+        flat = list(chain.from_iterable(same))
+        if not all(all(map(lt, flat[i - 1 :: size], flat[i::size])) for i in range(1, size)):
+            return False
+    return True
 
 
 @gc_paused
@@ -137,8 +162,10 @@ def export_complex(c: ChromaticComplex, fmt: str) -> bytes:
     raise UnsupportedFormat(f"unknown export format {fmt!r}")
 
 
-def _json_list(rows: list[str]) -> str:
-    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+def _json_list(rows: str) -> str:
+    """A JSON array, in the indent=2 layout, of rows already joined by a
+    comma and a newline."""
+    return "[\n" + rows + "\n  ]" if rows else "[]"
 
 
 @lru_cache(maxsize=None)
@@ -152,14 +179,18 @@ _VERTEX_ROW = '    {\n      "color": %s,\n      "label": %s,\n      "vid": %s\n 
 
 def _to_json(c: ChromaticComplex) -> str:
     """`complex_to_dict(c)` in the indent=2, sort_keys=True layout, written
-    straight from the facet set and the vertex table."""
-    # one %-format per row, in place of a str per entry and three joins; the
-    # rows sort as lists, which keep less memory than tuples made to sort
-    facets = [_facet_row(len(f)) % tuple(f) for f in sorted(map(sorted, c.facets))]
-    vertices = [
-        _VERTEX_ROW % (v.color, encode_basestring_ascii(_canonical_label(v.label)), vid)
-        for vid, v in sorted(c.vertices.items())
-    ]
+    straight from the row table (`ChromaticComplex.rows`) and the vertex
+    table."""
+    # one %-format over every facet row's template, in place of a str per
+    # entry and three joins
+    rows = c.rows()
+    facets = ",\n".join(map(_facet_row, map(len, rows))) % tuple(chain.from_iterable(rows))
+    vertices = ",\n".join(
+        [
+            _VERTEX_ROW % (v.color, encode_basestring_ascii(_canonical_label(v.label)), vid)
+            for vid, v in sorted(c.vertices.items())
+        ]
+    )
     return (
         f'{{\n  "facets": {_json_list(facets)},\n'
         f'  "n": {max(c.colors(), default=-1) + 1},\n'

@@ -481,15 +481,15 @@ def _emit_round(
     """One round on every facet of c, its states keyed by `registry`.
 
     The one place that orders and places a round's facets: it walks them
-    in sorted order, the order that numbers fresh vids, and places each
-    one's vids by color rank (`_placement`).  `rows_of` takes these
-    placements, (vids, colors) per facet in that order, and returns each
-    facet's compiled rows in the same order, before the first state is
-    requested, so a caller's budget checks raise first.  A compiled state
-    (i, m) is the process at position i, with view mask m over the facet's
-    vids; each is requested once per facet, in first-use order
-    (`compile_rows`), so the first request for each state, and hence each
-    fresh vid, comes in the order per-family requests would make.
+    in row order (`ChromaticComplex.rows`), the order that numbers fresh
+    vids, and places each one's vids by color rank (`_placement`).
+    `rows_of` takes these placements, (vids, colors) per facet in that
+    order, and returns each facet's compiled rows in the same order, before
+    the first state is requested, so a caller's budget checks raise first.
+    A compiled state (i, m) is the process at position i, with view mask m
+    over the facet's vids; each is requested once per facet, in first-use
+    order (`compile_rows`), so the first request for each state, and hence
+    each fresh vid, comes in the order per-family requests would make.
     `one_round` (so also Ch) supplies each facet size's template rows;
     `simulator.bounded_protocol_complex` supplies each key's knowledge
     vectors in sorted order, or the ic template's own rows when a key
@@ -508,7 +508,7 @@ def _emit_round(
     table is built as the constructor builds it, so the result is the one
     it returns for the same facets.
     """
-    placed = [_placement(c, f) for f in sorted(c.facets, key=sorted)]
+    placed = [_placement(c, f) for f in c.rows()]
     get = registry.get
     facets: list[Simplex] = []
     for (at, colors), (states, rows) in zip(placed, rows_of(placed)):

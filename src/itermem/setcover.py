@@ -193,7 +193,7 @@ def exact_min_sequence(c: ChromaticComplex) -> tuple[int, list[Encoding]]:
     """
     if not c.facets:
         raise InvalidParameters("cannot cover an empty complex")
-    facets = sorted(c.facets, key=sorted)
+    facets = c.rows()
     m, of, holding = len(facets), c.rivals(), {}
     for i, v in [(i, v) for i, f in enumerate(facets) for v in f]:
         holding.setdefault(v, []).append(i)

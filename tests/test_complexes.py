@@ -25,10 +25,18 @@ Core claims:
       only at the outermost; no collection runs inside any paused entry
       point, and each leaves no cyclic garbage, so the pause loses nothing
     - Every module of the package imports alone in a fresh interpreter
+    - The cached row table is each facet as an ascending vid tuple, the
+      tuples ascending, on complexes from the constructor, build_complex,
+      star, link, subcomplex, intersect, every protocol pattern,
+      iterate_subdivide, bounded_protocol_complex and imports of canonical
+      and shuffled documents; on each, f_vector equals the faces() count
+      before and after the table exists, and export equals the stdlib
+      layout of complex_to_dict
 """
 
 import gc
 import inspect
+import json
 import os
 import random
 import subprocess
@@ -41,6 +49,7 @@ from hypothesis import strategies as st
 
 import itermem
 from itermem import (
+    PATTERNS,
     AmbiguousDecode,
     ChromaticComplex,
     DanglingVertexReference,
@@ -74,6 +83,7 @@ from itermem import (
     split_to_budget,
 )
 from itermem.complexes import StateRegistry, _maximal, gc_paused
+from itermem.io import complex_to_dict
 from itermem.protocols import one_round, schedule_oracle, subcomplex_sample
 
 # vids in gen_glued(2): a1=0, p1=1, p2=2, a2=3
@@ -314,6 +324,90 @@ class TestSubcomplexes:
         assert hash(a) == hash(b)
         assert a != _triangle()
         assert (a == a.facets) is False
+
+
+# -- the row table ----------------------------------------------------------------
+
+
+def _built(c, how: str, draw):
+    """c put through one of the ways the library builds a complex."""
+    if how == "constructor":
+        return ChromaticComplex(dict(c.vertices), draw(st.permutations(list(c.facets))))
+    if how == "build_complex":
+        specs = [[(c.vertices[v].color, v) for v in f] for f in c.facets]
+        return build_complex(draw(st.permutations(specs)))
+    if how == "star":
+        return c.star([draw(st.sampled_from(sorted(c.vertices)))])
+    if how == "link":
+        return c.link(draw(st.sampled_from(sorted(c.vertices))))
+    if how == "subcomplex":
+        faces = sorted(map(sorted, c.faces()))
+        return c.subcomplex(draw(st.lists(st.sampled_from(faces), min_size=1, max_size=4)))
+    if how == "intersect":
+        registry = StateRegistry(c)
+        ends = (min(c.vertices), max(c.vertices))
+        a, b = (one_round(c.star([v]), "ic", registry) for v in ends)
+        return a.intersect(b)
+    if how in PATTERNS:
+        # two rounds only on a few triangles: IC² of a tetrahedron has 294,849 facets
+        small = c.dimension < 3 and len(c.facets) < 4
+        return protocol_complex(c, how, draw(st.integers(1, 2)) if small else 1)
+    if how == "iterate_subdivide":
+        return iterate_subdivide(c, 1)
+    if how == "bounded_protocol_complex":
+        seq = split_to_budget(greedy_star(c)[0], c, draw(st.integers(1, 3)))
+        return bounded_protocol_complex(c, seq)
+    canonical = json.loads(export_complex(c, "json"))
+    if how == "import":
+        return import_complex(json.dumps(canonical))
+    # a valid document that export would not write: rows shuffled, and
+    # each row's vids too
+    rows = draw(st.permutations(canonical["facets"]))
+    canonical["facets"] = [draw(st.permutations(row)) for row in rows]
+    return import_complex(json.dumps(canonical))
+
+
+_BUILDS = (
+    "constructor",
+    "build_complex",
+    "star",
+    "link",
+    "subcomplex",
+    "intersect",
+    *sorted(PATTERNS),
+    "iterate_subdivide",
+    "bounded_protocol_complex",
+    "import",
+    "import_shuffled",
+)
+
+
+class TestRowTable:
+    """`rows` is each facet as an ascending vid tuple, the tuples ascending,
+    however the complex was built; export and `f_vector` agree with their
+    definitions whether the table was read from a cache or not."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), st.sampled_from(_BUILDS))
+    def test_rows_equal_reference_on_every_build(self, data, how):
+        base = data.draw(
+            st.builds(gen_random, st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 5))
+            | st.sampled_from([gen_glued(2), gen_path(3), gen_simplex(3)])
+        )
+        c = _built(base, how, data.draw)
+        fresh = c.f_vector()  # counted before any row table exists, for most builds
+        rows = c.rows()
+        assert rows == tuple(sorted(tuple(sorted(f)) for f in c.facets))
+        assert c.rows() is rows  # sorted once per complex
+        sizes = [len(s) for s in c.faces()]
+        assert c.f_vector() == fresh == tuple(sizes.count(k) for k in range(1, c.dimension + 2))
+        reference = json.dumps(complex_to_dict(c), indent=2, sort_keys=True) + "\n"
+        assert export_complex(c, "json") == reference.encode()
+
+    def test_empty_complex(self):
+        c = ChromaticComplex({}, [])
+        assert c.rows() == ()
+        assert import_complex(export_complex(c, "json")).rows() == ()
 
 
 # -- intersect through its vertex index -----------------------------------------

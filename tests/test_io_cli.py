@@ -79,6 +79,10 @@ Core claims:
       default=repr) + "\n"
     - A document whose n exceeds its largest color + 1 imports to the same
       complex, and re-export writes n as the largest color + 1
+    - An import keeps its facet rows as the row table exactly when they are
+      in export's order (the order check equals its definition); rows out
+      of order, vids unsorted inside a row and rows of mixed sizes leave it
+      empty, and every valid order re-exports the canonical bytes
 """
 
 import json
@@ -108,6 +112,7 @@ from itermem import (
     code_collision_counterexample,
     export_complex,
     gen_glued,
+    gen_path,
     gen_random,
     gen_simplex,
     greedy_star,
@@ -120,6 +125,7 @@ from itermem import (
 )
 from itermem.cli import _write_json, build_parser, main
 from itermem.io import (
+    _canonical,
     _canonical_label,
     _loads,
     complex_to_dict,
@@ -410,6 +416,76 @@ class TestComplexJson:
         with pytest.raises(UnsupportedFormat, match="repeats key '0'"):
             _loads('[{"assignment": {"0": 1, "0": 2}}]')
         assert _loads('{"a": {"b": 1}, "b": [{"a": 2}]}') == {"a": {"b": 1}, "b": [{"a": 2}]}
+
+
+def _canonical_reference(rows) -> bool:
+    """Rows in export's order, by definition: each row strictly ascending,
+    and the rows strictly ascending."""
+    return all(list(r) == sorted(set(r)) for r in rows) and list(rows) == sorted(set(rows))
+
+
+# a triangle and an edge that meets it in vertex 0: facets of two sizes
+_MIXED = ChromaticComplex(
+    {0: Vertex(0, 0, "a"), 1: Vertex(1, 1, "b"), 2: Vertex(2, 2, "c"), 3: Vertex(3, 2, "d")},
+    [[0, 1, 2], [0, 3]],
+)
+
+
+class TestImportRowTable:
+    """An import keeps its facet rows as the complex's row table exactly
+    when they are in export's order; either way it re-exports the
+    canonical bytes."""
+
+    @pytest.mark.parametrize(
+        "c", [gen_simplex(2), gen_glued(3), iterate_subdivide(gen_simplex(3), 2), _MIXED],
+        ids=["D2", "glued3", "Ch2D3", "mixed"],
+    )
+    def test_canonical_document_fills_the_table(self, c):
+        data = export_complex(c, "json")
+        back = import_complex(data)
+        assert back._rows is not None
+        assert back.rows() == tuple(sorted(tuple(sorted(f)) for f in c.facets))
+        assert export_complex(back, "json") == data
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows.reverse(),  # rows out of order
+            lambda rows: rows[0].reverse(),  # vids unsorted inside a row
+            lambda rows: rows[-1].reverse(),
+            lambda rows: rows.insert(0, rows.pop()),
+        ],
+        ids=["rows-reversed", "first-row-reversed", "last-row-reversed", "last-row-first"],
+    )
+    @pytest.mark.parametrize("c", [gen_glued(3), _MIXED], ids=["glued3", "mixed"])
+    def test_other_documents_leave_it_empty(self, c, edit):
+        data = export_complex(c, "json")
+        doc = json.loads(data)
+        edit(doc["facets"])
+        back = import_complex(json.dumps(doc))
+        assert back._rows is None
+        assert back.facets == c.facets
+        assert export_complex(back, "json") == data == _stdlib_json(back)
+
+    @given(st.data(), st.sampled_from([gen_glued(3), gen_path(3), _MIXED, _ch2(gen_simplex(2))]))
+    def test_table_only_from_canonical_rows(self, data, c):
+        doc = complex_to_dict(c)
+        doc["facets"] = [
+            data.draw(st.permutations(row)) for row in data.draw(st.permutations(doc["facets"]))
+        ]
+        back = import_complex(json.dumps(doc))
+        assert (back._rows is not None) == _canonical_reference(list(map(tuple, doc["facets"])))
+        assert back.rows() == tuple(sorted(tuple(sorted(f)) for f in c.facets))
+        assert export_complex(back, "json") == _stdlib_json(c)
+
+    @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple), max_size=6))
+    @example([(0, 1), (0, 2, 3), (1, 2)])
+    @example([(0, 1), (0, 3, 2)])
+    @example([(0, 2), (0, 1)])
+    @example([(0, 1), (0, 1)])
+    @example([(1, 1)])
+    def test_order_check_equals_definition(self, rows):
+        assert _canonical(tuple(rows)) == _canonical_reference(rows)
 
 
 class TestOtherFormats:
